@@ -35,11 +35,13 @@ from .means import (
     Generator,
     GeneralizedBetaMean,
     Interval,
+    InvariantMean,
     MeanExpr,
     MeanOuter,
     OuterFn,
     PowerMean,
     PowerSum,
+    ProblemSpec,
     Product,
     QuasiAggregate,
     Sum,
@@ -50,12 +52,11 @@ from .means import (
     eval_outer,
     power_mean,
 )
-from .dsl import ProblemSpec, format_expr, parse, parse_mean, parse_mean_list, parse_outer
+from .dsl import format_expr, parse, parse_mean, parse_mean_list, parse_outer
 from .implicit import (
     EmbedReport,
     SolveResult,
     compare_implicit_means,
-    generalized_beta_mean,
     implicit_mean,
     power_mean_embedded,
     solve_scalar,
@@ -79,14 +80,15 @@ __all__ = [
     "sort_descending", "is_ordered_minorized", "is_ordered_majorized",
     "is_embedded", "is_embedded_within", "map_vector",
     "Interval", "POSITIVE_REALS", "PowerMean", "BetaMean",
-    "GeneralizedBetaMean", "DerivedMean", "MeanExpr", "Sum", "Product",
+    "GeneralizedBetaMean", "ProblemSpec", "InvariantMean", "DerivedMean",
+    "MeanExpr", "Sum", "Product",
     "PowerSum", "Generator", "QuasiAggregate", "MeanOuter", "OuterFn",
     "power_mean", "beta_mean", "eval_mean", "eval_outer", "assert_strict",
     "check_mean_property",
-    "ProblemSpec", "parse", "parse_mean", "parse_outer", "parse_mean_list",
+    "parse", "parse_mean", "parse_outer", "parse_mean_list",
     "format_expr",
     "SolveResult", "EmbedReport", "solve_scalar", "implicit_mean",
-    "generalized_beta_mean", "power_mean_embedded", "verify_embedding",
+    "power_mean_embedded", "verify_embedding",
     "compare_implicit_means",
     "IterationTrace", "gauss_iterate", "invariant_mean", "verify_invariance",
     "complementary_mean",

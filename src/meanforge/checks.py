@@ -34,6 +34,7 @@ from .means import (
     BetaMean,
     DerivedMean,
     Generator,
+    GeneralizedBetaMean,
     MeanOuter,
     OuterFn,
     PowerMean,
@@ -50,7 +51,6 @@ from .means import (
 from .implicit import (
     DEFAULT_TOL,
     compare_implicit_means,
-    generalized_beta_mean,
     implicit_mean,
     power_mean_embedded,
     solve_scalar,
@@ -578,8 +578,8 @@ def _pexider_beta_identity(samples: int, seed: int) -> dict:
     inp = {"samples": samples, "seed": seed}
     outer = MeanOuter(PowerMean(0))
     worst = 0.0
+    derived = GeneralizedBetaMean(PowerMean(1), outer)
     for arity in (2, 3, 4, 6):
-        derived = generalized_beta_mean(PowerMean(1), outer, arity)
         plan = SamplePlan(arity=arity, count=max(1, samples // 4), seed=seed)
         for v in sample_vectors(plan):
             got = eval_mean(derived, v)

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .implicit import solve_scalar, verify_embedding
-from .means import Interval, eval_mean, eval_outer, is_mean_expr
+from .means import MeanExpr, eval_mean, eval_outer, is_mean_expr
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -90,33 +91,45 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
-    if path is None:
-        return {}
-    file = Path(path)
-    if not file.exists():
+    if path is None or not Path(path).exists():
         return {}
     try:
-        data = json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read session file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"session file {path} must hold a JSON object")
     registry: dict[str, MeanExpr] = {}
     for name, entry in data.items():
-        if entry.get("kind") != "invariant":
-            raise DomainError(f"session entry {name!r} has unknown kind "
-                              f"{entry.get('kind')!r}")
-        family = tuple(dsl.parse_mean(text, registry) for text in entry["means"])
-        mean = invariance.invariant_mean(family, tol=float(entry.get("tol", 1e-12)))
+        if not isinstance(entry, dict) or entry.get("kind") != "invariant":
+            raise DomainError(f"session entry {name!r} is not an invariant-mean object")
+        texts, tol = entry.get("means"), entry.get("tol", 1e-12)
+        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)
+                and isinstance(tol, float)):
+            raise DomainError(f"session entry {name!r} needs \"means\", a list of "
+                              "mean texts, and a numeric \"tol\"")
+        family = tuple(dsl.parse_mean(text, registry) for text in texts)
+        mean = invariance.invariant_mean(family, tol=tol)
         registry[name] = dataclasses.replace(mean, name=name)
     return registry
 
 
 def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) -> None:
+    """Add one entry to the session file, replacing the file atomically."""
     file = Path(path)
-    data = {}
-    if file.exists():
-        data = json.loads(file.read_text(encoding="utf-8"))
+    data = json.loads(file.read_text(encoding="utf-8")) if file.exists() else {}
     data[name] = {"kind": "invariant", "means": mean_texts, "tol": tol}
-    file.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=f".{file.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise DomainError(f"cannot write session file {path}: {exc}") from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
+            out.write(json.dumps(data, indent=2) + "\n")
+        os.replace(tmp, file)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +182,7 @@ def _cmd_embed(args) -> int:
     lo, hi = _parse_domain(args.domain)
     plan = SamplePlan(arity=args.arity, count=args.samples, seed=_seed(args),
                       lower=lo, upper=hi)
-    report = verify_embedding(small, big, Interval(lo, hi), plan)
+    report = verify_embedding(small, big, plan)
     output = {"mode": report.mode, "samples_checked": report.samples_checked}
     if report.certificate is not None:
         output["certificate"] = report.certificate
@@ -231,6 +244,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     records = checks.run_suite(args.suite, samples=args.samples, seed=_seed(args))
     failed = 0
     for record in records:

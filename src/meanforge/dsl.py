@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive)::
     number  := decimal with optional sign and fraction
 
 ``ident`` resolves named derived means registered at runtime (for example an
-invariant mean stored in a session file); an unknown name is an error.
+invariant mean stored in a session file); an unknown name is an error.  A
+parsed ``problem`` is also the implicit mean its balance equation defines.
 ``parse(format(x))`` reproduces ``x`` structurally for everything the grammar
 can construct.  Parsing is total: any input either parses or raises a
 structured error, never anything else.
@@ -22,22 +23,20 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import ArityError, ParseError
+from .errors import ParseError
 from .means import (
-    POSITIVE_REALS,
     BetaMean,
     Generator,
     GeneralizedBetaMean,
-    Interval,
     MeanExpr,
     MeanOuter,
     OuterFn,
     PowerMean,
     PowerSum,
+    ProblemSpec,
     Product,
     QuasiAggregate,
     Sum,
-    declared_arity,
 )
 
 __all__ = [
@@ -63,39 +62,7 @@ def is_valid_name(name: str) -> bool:
     return bool(_NAME_PATTERN.match(name)) and name not in RESERVED_WORDS
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A balance problem: outer(S_1(v),..,S_m(v),x,..,x) = outer(M_1(v),..,M_n(v)).
-
-    ``small`` holds the m prefix means (the S_j), ``big`` the n target means
-    (the M_i); m < n is required so at least one unknown slot remains.
-    """
-
-    outer: OuterFn
-    small: tuple[MeanExpr, ...]
-    big: tuple[MeanExpr, ...]
-    domain: Interval = POSITIVE_REALS
-    arity: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "small", tuple(self.small))
-        object.__setattr__(self, "big", tuple(self.big))
-        m, n = len(self.small), len(self.big)
-        if not 1 <= m < n:
-            raise ArityError(
-                f"need 1 <= len(S) < len(M), got len(S)={m}, len(M)={n}")
-        pinned = declared_arity(self.outer)
-        if pinned is not None and pinned != n:
-            raise ArityError(
-                f"outer function takes {pinned} values but len(M)={n}")
-
-    def __str__(self) -> str:
-        small = ",".join(str(m) for m in self.small)
-        big = ",".join(str(m) for m in self.big)
-        return f"T{{mu={self.outer}; S=[{small}]; M=[{big}]}}"
-
-
-Expr = Union[ProblemSpec, MeanExpr, OuterFn]
+Expr = Union[MeanExpr, OuterFn]
 
 
 # ---------------------------------------------------------------------------

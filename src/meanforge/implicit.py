@@ -9,11 +9,11 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
 bracket finds the unique root; no derivative is assumed to exist.  Lifting
-the pointwise solve over vectors of mean values yields new means:
-``implicit_mean`` balances a small family of means against a larger one, and
-``generalized_beta_mean`` balances a single inner mean against the plain
-vector (which reproduces the Beta-type mean for an arithmetic inner mean and
-geometric outer).
+the pointwise solve over vectors of mean values yields the means evaluated
+here: an implicit mean (``ProblemSpec``) balances a small family of means
+against a larger one, and ``GeneralizedBetaMean`` balances a single inner
+mean against the plain vector (which reproduces the Beta-type mean for an
+arithmetic inner mean and geometric outer).
 
 Embeddability of all-power-mean families is decidable exactly: the family of
 power means is embedded in another one precisely when the corresponding
@@ -26,17 +26,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector, is_embedded, is_embedded_within, is_ordered_majorized
 from .means import (
-    POSITIVE_REALS,
-    DerivedMean,
-    Interval,
+    DEFAULT_TOL,
+    GeneralizedBetaMean,
     MeanExpr,
     OuterFn,
     PowerMean,
+    ProblemSpec,
     declared_arity,
     eval_mean,
     eval_outer,
@@ -51,14 +51,12 @@ __all__ = [
     "embedding_eps",
     "solve_scalar",
     "implicit_mean",
-    "generalized_beta_value",
-    "generalized_beta_mean",
+    "balance_value",
     "power_mean_embedded",
     "verify_embedding",
     "compare_implicit_means",
 ]
 
-DEFAULT_TOL = 1e-12
 MAX_BISECTION_STEPS = 200
 
 # Relaxation applied when checking the embedding precondition on computed
@@ -104,13 +102,6 @@ class EmbedReport:
 def embedding_eps(w: Sequence[float]) -> float:
     """Relaxation used for embedding checks on computed values near ``w``'s scale."""
     return EMBED_EPS_SCALE * max(abs(x) for x in w)
-
-
-def _require_converged(result: SolveResult, context: str) -> float:
-    if result.status != "converged":
-        raise ConvergenceError(
-            f"{context}: no convergence within {result.iterations} bisection steps")
-    return result.root
 
 
 def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float],
@@ -182,8 +173,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
 
 
 def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
-                  outer: OuterFn, domain: Interval = POSITIVE_REALS,
-                  tol: float = DEFAULT_TOL) -> DerivedMean:
+                  outer: OuterFn) -> ProblemSpec:
     """The mean whose value at v solves outer(S_1(v),..,S_m(v),x,..,x) = outer(M_1(v),..,M_n(v)).
 
     The caller is responsible for the family-level embedding of ``small`` in
@@ -191,60 +181,24 @@ def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checks the pointwise embedding and raises on hard violations.  The result
     is a symmetric mean squeezed between min and max of the ``big`` values.
     """
-    small = tuple(small)
-    big = tuple(big)
-    if not 1 <= len(small) < len(big):
-        raise ArityError(
-            f"need 1 <= len(small) < len(big), got {len(small)}, {len(big)}")
-    pinned = declared_arity(outer)
-    if pinned is not None and pinned != len(big):
-        raise ArityError(f"{outer} takes {pinned} values but len(big)={len(big)}")
-
-    def evaluate(sv: tuple[float, ...]) -> float:
-        prefix = tuple(eval_mean(s, sv) for s in small)
-        target = tuple(eval_mean(b, sv) for b in big)
-        result = solve_scalar(outer, prefix, target, tol=tol)
-        return _require_converged(result, "implicit mean evaluation")
-
-    from .dsl import ProblemSpec  # local: dsl depends on means only
-    label = str(ProblemSpec(outer=outer, small=small, big=big, domain=domain))
-    return DerivedMean(name=label, fn=evaluate, domain=domain)
+    return ProblemSpec(outer, tuple(small), tuple(big))
 
 
-def generalized_beta_value(inner: MeanExpr, outer: OuterFn,
-                           entries: Sequence[float],
-                           tol: float = DEFAULT_TOL) -> float:
-    """Value at ``entries`` of the mean solving outer(inner(v), x, ..., x) = outer(v)."""
-    v = as_vector(entries)
-    if len(v) < 2:
-        raise ArityError("the balanced mean needs at least 2 entries")
-    inner_value = eval_mean(inner, v)
-    result = solve_scalar(outer, (inner_value,), v, tol=tol)
-    return _require_converged(result, "balanced mean evaluation")
-
-
-def generalized_beta_mean(inner: MeanExpr, outer: OuterFn, arity: int,
-                          domain: Interval = POSITIVE_REALS,
-                          tol: float = DEFAULT_TOL) -> DerivedMean:
-    """The k-variable mean solving outer(inner(v), x, ..., x) = outer(v).
-
-    The single inner value satisfies min(v) <= inner(v) <= max(v), so the
-    embedding precondition holds automatically at every point.  With
-    ``inner=P[1]`` and ``outer=mean[P[0]]`` this is the Beta-type mean.
-    """
-    if arity < 2:
-        raise ArityError("the balanced mean needs arity >= 2")
-    pinned = declared_arity(outer)
-    if pinned is not None and pinned != arity:
-        raise ArityError(f"{outer} takes {pinned} values but arity={arity}")
-    from .means import GeneralizedBetaMean as _Node
-    label = str(_Node(inner, outer))
-    return DerivedMean(
-        name=label,
-        fn=lambda sv: generalized_beta_value(inner, outer, sv, tol=tol),
-        domain=domain,
-        arity=arity,
-    )
+def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
+                  v: tuple[float, ...]) -> float:
+    """Value of an implicit or generalized-Beta mean at the validated vector ``v``."""
+    if isinstance(mean, GeneralizedBetaMean):  # inner(v) in [min v, max v]: embedded
+        if len(v) < 2:
+            raise ArityError("the balanced mean needs at least 2 entries")
+        prefix, target = (eval_mean(mean.base, v),), v
+    else:
+        prefix = tuple(eval_mean(s, v) for s in mean.small)
+        target = tuple(eval_mean(b, v) for b in mean.big)
+    result = solve_scalar(mean.outer, prefix, target)
+    if result.status != "converged":
+        raise ConvergenceError(f"{mean}: no convergence within "
+                               f"{result.iterations} bisection steps")
+    return result.root
 
 
 def power_mean_embedded(alpha: Sequence[float], beta: Sequence[float]) -> bool:
@@ -259,18 +213,7 @@ def power_mean_embedded(alpha: Sequence[float], beta: Sequence[float]) -> bool:
     return is_embedded(alpha, beta).embedded
 
 
-def _as_counter(family: Sequence[MeanExpr]) -> Counter:
-    return Counter(family)
-
-
-def _default_plan(domain: Interval, seed: int = 0) -> SamplePlan:
-    lower = domain.lower if math.isfinite(domain.lower) else 0.0
-    upper = domain.upper if math.isfinite(domain.upper) else 100.0
-    return SamplePlan(arity=3, count=256, seed=seed, lower=lower, upper=upper)
-
-
 def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
-                     domain: Interval = POSITIVE_REALS,
                      plan: Optional[SamplePlan] = None) -> EmbedReport:
     """Certify, sample, or refute embeddability of ``small`` in ``big``.
 
@@ -278,15 +221,15 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     (selecting values from a vector always embeds) or when both families are
     power means (exponent rule).  A refutation always carries a witness
     vector at which the exact embedding check on the computed mean values
-    fails.
+    fails.  The default plan samples 256 vectors of 3 entries from (0, 100).
     """
     small = tuple(small)
     big = tuple(big)
     if plan is None:
-        plan = _default_plan(domain)
+        plan = SamplePlan(arity=3, count=256)
 
     if len(small) <= len(big):
-        counts_small, counts_big = _as_counter(small), _as_counter(big)
+        counts_small, counts_big = Counter(small), Counter(big)
         if all(counts_big[key] >= cnt for key, cnt in counts_small.items()):
             return EmbedReport(mode="certified",
                                certificate={"rule": "sub-multiset"})
@@ -363,7 +306,6 @@ def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                            small_star: Sequence[MeanExpr],
                            big_star: Sequence[MeanExpr],
                            outer: OuterFn, plan: SamplePlan,
-                           domain: Interval = POSITIVE_REALS,
                            tol: float = 1e-9) -> CheckReport:
     """Sampled check of the comparability law between two implicit means.
 
@@ -387,13 +329,13 @@ def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                                       witness=witness)
     for name, s, b in (("small in big", small, big),
                        ("small* in big*", small_star, big_star)):
-        report = verify_embedding(s, b, domain, plan)
+        report = verify_embedding(s, b, plan)
         if report.mode == "refuted":
             raise HypothesisViolation(f"embedding precondition {name} fails",
                                       witness=report.counterexample)
 
-    plain = implicit_mean(small, big, outer, domain)
-    starred = implicit_mean(small_star, big_star, outer, domain)
+    plain = implicit_mean(small, big, outer)
+    starred = implicit_mean(small_star, big_star, outer)
     worst = -math.inf
     checked = 0
     for v in sample_vectors(plan):

@@ -5,33 +5,35 @@ all coordinates to a common limit; the limit as a function of the starting
 vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
-asserted every step.
+asserted every step.  ``invariant_mean`` builds ``K`` as an ``InvariantMean``.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
-it is obtained by solving the balance equation with ``K`` as the outer
-function.
+it is the implicit mean (a ``ProblemSpec``) of the balance equation with
+``K`` as the outer function.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector
 from .means import (
+    DEFAULT_TOL,
     POSITIVE_REALS,
     BetaMean,
-    DerivedMean,
-    Interval,
+    InvariantMean,
     MeanExpr,
     MeanOuter,
-    PowerMean,
+    ProblemSpec,
+    check_interval,
     eval_mean,
+    is_strict,
 )
-from .implicit import implicit_mean, verify_embedding
+from .implicit import verify_embedding
 from .sampling import CheckReport, SamplePlan, sample_vectors
 
 __all__ = [
@@ -40,11 +42,11 @@ __all__ = [
     "IterationTrace",
     "gauss_iterate",
     "invariant_mean",
+    "invariant_value",
     "verify_invariance",
     "complementary_mean",
 ]
 
-DEFAULT_TOL = 1e-12
 DEFAULT_CAP = 10_000
 
 _CONTAINMENT_SLACK = 8 * sys.float_info.epsilon
@@ -62,13 +64,10 @@ class IterationTrace:
 
 def _require_strict_family(family: Sequence[MeanExpr]) -> None:
     for m in family:
-        if isinstance(m, (PowerMean, BetaMean)):
-            continue  # strict by construction on the positive axis
-        if isinstance(m, DerivedMean) and m.strict:
-            continue
-        raise HypothesisViolation(
-            f"{m} is not known to be strict; wrap it with assert_strict() "
-            "to record the caller's strictness assertion")
+        if not (isinstance(m, BetaMean) or is_strict(m)):
+            raise HypothesisViolation(
+                f"{m} is not known to be strict; wrap it with assert_strict() "
+                "to record the caller's strictness assertion")
 
 
 def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
@@ -77,9 +76,10 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
 
     Stops when max - min of the iterate drops below ``tol`` relative to the
     iterate's magnitude; the limit is reported as the midpoint of the final
-    range.  A constant start converges in zero iterations.  Every step
-    asserts the new iterate stays inside the previous [min, max] (up to a few
-    ulp), which is what makes the spread nonincreasing.
+    range.  The start must be positive, the domain of every mean the library
+    builds; a positive constant start converges in zero iterations.  Every
+    step asserts the new iterate stays inside the previous [min, max] (up to
+    a few ulp), which is what makes the spread nonincreasing.
     """
     family = tuple(family)
     u = as_vector(start)
@@ -87,6 +87,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
     _require_strict_family(family)
+    check_interval(POSITIVE_REALS, u, "entry")
 
     lo, hi = min(u), max(u)
     iterations = 0
@@ -108,29 +109,28 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         iterations += 1
 
 
-def invariant_mean(family: Sequence[MeanExpr], domain: Interval = POSITIVE_REALS,
-                   tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP) -> DerivedMean:
+def invariant_mean(family: Sequence[MeanExpr],
+                   tol: float = DEFAULT_TOL) -> InvariantMean:
     """The mean invariant under the mapping v -> (M_1(v), ..., M_n(v)).
 
     Evaluation runs the iteration from the given point.  The result is
-    marked strict: for a family of strict continuous means the invariant
-    mean is itself strictly increasing in each variable, which lets it serve
-    as the outer function of a balance equation.
+    strict: for a family of strict continuous means the invariant mean is
+    itself strictly increasing in each variable, which lets it serve as the
+    outer function of a balance equation.
     """
     family = tuple(family)
     _require_strict_family(family)
-    label = "invariant{M=[" + ",".join(str(m) for m in family) + "]}"
+    return InvariantMean(family, tol)
 
-    def evaluate(sv: tuple[float, ...]) -> float:
-        trace = gauss_iterate(family, sv, tol=tol, cap=cap)
-        if not trace.converged:
-            raise ConvergenceError(
-                f"{label}: iteration spread {trace.final_spread!r} after "
-                f"{trace.iterations} steps")
-        return trace.limit
 
-    return DerivedMean(name=label, fn=evaluate, domain=domain,
-                       arity=len(family), strict=True)
+def invariant_value(mean: InvariantMean, v: tuple[float, ...]) -> float:
+    """Value of the invariant mean ``mean`` at the validated vector ``v``."""
+    trace = gauss_iterate(mean.family, v, tol=mean.tol)
+    if not trace.converged:
+        raise ConvergenceError(
+            f"{mean}: iteration spread {trace.final_spread!r} after "
+            f"{trace.iterations} steps")
+    return trace.limit
 
 
 def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
@@ -156,10 +156,8 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
     return CheckReport(True, checked, max_residual=worst)
 
 
-def complementary_mean(small: Sequence[MeanExpr], family: Sequence[MeanExpr],
-                       domain: Interval = POSITIVE_REALS,
-                       tol: float = DEFAULT_TOL,
-                       plan: Optional[SamplePlan] = None) -> DerivedMean:
+def complementary_mean(small: Sequence[MeanExpr],
+                       family: Sequence[MeanExpr]) -> ProblemSpec:
     """The unique mean T with K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v).
 
     ``K`` is the invariant mean of ``family``; the defining equation is the
@@ -169,10 +167,9 @@ def complementary_mean(small: Sequence[MeanExpr], family: Sequence[MeanExpr],
     """
     small = tuple(small)
     family = tuple(family)
-    report = verify_embedding(small, family, domain, plan)
+    report = verify_embedding(small, family)
     if report.mode == "refuted":
         raise HypothesisViolation(
             "the prefix family is not embedded in the iterated family",
             witness=report.counterexample)
-    invariant = invariant_mean(family, domain, tol)
-    return implicit_mean(small, family, MeanOuter(invariant), domain, tol)
+    return ProblemSpec(MeanOuter(invariant_mean(family)), small, family)

@@ -3,9 +3,10 @@
 A *mean* maps a vector to a value between its minimum and maximum and is
 invariant under permutations of its arguments.  The concrete families here
 are power means (geometric at order 0), the Beta-type mean
-``(k*v1*...*vk / (v1+...+vk))**(1/(k-1))``, means defined implicitly by a
-balance equation (``GeneralizedBetaMean``), and opaque derived means wrapping
-a solver- or iteration-produced evaluator.
+``(k*v1*...*vk / (v1+...+vk))**(1/(k-1))``, and derived means built from them:
+implicit (``ProblemSpec``), generalized-Beta and invariant means.  These are
+frozen nodes that compare by value and that :func:`eval_mean` solves or
+iterates; ``DerivedMean`` wraps an opaque user callable.
 
 An *outer* function aggregates a vector symmetrically and strictly
 increasingly in each coordinate: sums, products, power sums, quasi-arithmetic
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union, get_args
 
 from .errors import ArityError, DomainError
 from .ordering import as_vector
@@ -37,9 +38,12 @@ __all__ = [
     "PowerMean",
     "BetaMean",
     "GeneralizedBetaMean",
+    "ProblemSpec",
+    "InvariantMean",
     "DerivedMean",
     "MeanExpr",
     "is_mean_expr",
+    "is_strict",
     "Sum",
     "Product",
     "PowerSum",
@@ -62,6 +66,8 @@ __all__ = [
 GEOMETRIC_ORDER_CUTOFF = 1e-9
 
 SYMMETRY_RTOL = 1e-12
+# Relative tolerance of the balance solver and of Gauss iteration.
+DEFAULT_TOL = 1e-12
 
 
 def format_number(x: float) -> str:
@@ -146,9 +152,68 @@ class GeneralizedBetaMean:
         return f"beta{{S={self.base}; mu={self.outer}}}"
 
 
+@dataclass(frozen=True)
+class ProblemSpec:
+    """A balance problem: outer(S_1(v),..,S_m(v),x,..,x) = outer(M_1(v),..,M_n(v)).
+
+    ``small`` holds the m prefix means (the S_j), ``big`` the n target means
+    (the M_i); m < n is required so at least one unknown slot remains.  It is
+    also the implicit mean whose value at ``v`` is the root ``x``.
+    """
+
+    outer: OuterFn
+    small: tuple[MeanExpr, ...]
+    big: tuple[MeanExpr, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "small", tuple(self.small))
+        object.__setattr__(self, "big", tuple(self.big))
+        m, n = len(self.small), len(self.big)
+        if not 1 <= m < n:
+            raise ArityError(
+                f"need 1 <= len(S) < len(M), got len(S)={m}, len(M)={n}")
+        pinned = declared_arity(self.outer)
+        if pinned is not None and pinned != n:
+            raise ArityError(
+                f"outer function takes {pinned} values but len(M)={n}")
+
+    def __str__(self) -> str:
+        small = ",".join(str(m) for m in self.small)
+        big = ",".join(str(m) for m in self.big)
+        return f"T{{mu={self.outer}; S=[{small}]; M=[{big}]}}"
+
+
+@dataclass(frozen=True)
+class InvariantMean:
+    """The mean invariant under the mapping v -> (M_1(v), ..., M_n(v)).
+
+    Its value at ``v`` is the limit of Gauss iteration from ``v`` (relative
+    spread ``tol``); it takes ``arity = len(family)`` entries and is strict.
+    ``name``, a session registration, replaces the label but not equality.
+    """
+
+    family: tuple[MeanExpr, ...]
+    tol: float = DEFAULT_TOL
+    name: Optional[str] = field(default=None, compare=False)
+
+    strict = True  # a class constant, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", tuple(self.family))
+
+    @property
+    def arity(self) -> int:
+        return len(self.family)
+
+    def __str__(self) -> str:
+        if self.name is not None:
+            return self.name
+        return "invariant{M=[" + ",".join(str(m) for m in self.family) + "]}"
+
+
 @dataclass(frozen=True, eq=False)
 class DerivedMean:
-    """An opaque mean backed by a callable (solver- or iteration-produced).
+    """An opaque mean backed by a user callable.
 
     ``fn`` receives an already ascending-sorted tuple, which keeps evaluation
     bit-exactly permutation invariant.  ``strict`` is a caller assertion that
@@ -168,13 +233,23 @@ class DerivedMean:
         return self.name
 
 
-MeanExpr = Union[PowerMean, BetaMean, GeneralizedBetaMean, DerivedMean]
+MeanExpr = Union[PowerMean, BetaMean, GeneralizedBetaMean, ProblemSpec,
+                 InvariantMean, DerivedMean]
 
-_MEAN_TYPES = (PowerMean, BetaMean, GeneralizedBetaMean, DerivedMean)
+_MEAN_TYPES = get_args(MeanExpr)
 
 
 def is_mean_expr(obj) -> bool:
     return isinstance(obj, _MEAN_TYPES)
+
+
+def is_strict(mean: MeanExpr) -> bool:
+    """Whether ``mean`` is known to be strictly increasing in each variable.
+
+    True for power means, invariant means and means asserted strict: the
+    admission set of :class:`MeanOuter`.  Gauss iteration also admits ``B``.
+    """
+    return isinstance(mean, PowerMean) or getattr(mean, "strict", False)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +344,15 @@ class QuasiAggregate:
 class MeanOuter:
     """A strict mean used as the outer aggregate.
 
-    Admitted: any finite-order power mean (strictly increasing per coordinate
-    on the positive axis) and derived means explicitly asserted strict (e.g.
-    invariant means).  Everything else is rejected here because strict
-    per-coordinate growth cannot be established for it.
+    Admitted: what :func:`is_strict` accepts, i.e. finite-order power means,
+    invariant means and means asserted strict.  Everything else is rejected
+    here because strict per-coordinate growth cannot be established for it.
     """
 
     mean: MeanExpr
 
     def __post_init__(self):
-        ok = isinstance(self.mean, PowerMean) or (
-            isinstance(self.mean, DerivedMean) and self.mean.strict)
-        if not ok:
+        if not is_strict(self.mean):
             raise DomainError(
                 f"{self.mean} is not admissible as an outer function: only "
                 "power means and derived means asserted strict are accepted")
@@ -294,8 +366,8 @@ OuterFn = Union[Sum, Product, PowerSum, QuasiAggregate, MeanOuter]
 
 def declared_arity(outer: OuterFn) -> Optional[int]:
     """The arity an outer function is pinned to, or None when variadic."""
-    if isinstance(outer, MeanOuter) and isinstance(outer.mean, DerivedMean):
-        return outer.mean.arity
+    if isinstance(outer, MeanOuter):
+        return getattr(outer.mean, "arity", None)
     return None
 
 
@@ -363,9 +435,12 @@ def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
         return power_mean(mean.order, v)
     if isinstance(mean, BetaMean):
         return beta_mean(v)
-    if isinstance(mean, GeneralizedBetaMean):
+    if isinstance(mean, (ProblemSpec, GeneralizedBetaMean)):
         from . import implicit  # deferred: implicit builds on this module
-        return implicit.generalized_beta_value(mean.base, mean.outer, v)
+        return implicit.balance_value(mean, v)
+    if isinstance(mean, InvariantMean):
+        from . import invariance  # deferred: invariance builds on this module
+        return invariance.invariant_value(mean, v)
     if isinstance(mean, DerivedMean):
         if mean.arity is not None and len(v) != mean.arity:
             raise ArityError(f"{mean.name} takes {mean.arity} entries, got {len(v)}")
@@ -399,19 +474,16 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
 def assert_strict(mean: MeanExpr, name: Optional[str] = None) -> MeanExpr:
     """Wrap a mean with the caller's assertion that it is strict.
 
-    Power and Beta means pass through unchanged (strict by construction);
-    anything else is wrapped into a :class:`DerivedMean` with ``strict=True``
-    so it becomes admissible in mean-type iterations and as an outer mean.
-    The assertion itself is not checked.
+    Power, Beta and invariant means and means already asserted strict pass
+    through unchanged; anything else is wrapped into a :class:`DerivedMean`
+    with ``strict=True`` so it becomes admissible in mean-type iterations and
+    as an outer mean.  The assertion itself is not checked.
     """
-    if isinstance(mean, (PowerMean, BetaMean)):
-        return mean
-    if isinstance(mean, DerivedMean) and mean.strict:
+    if isinstance(mean, BetaMean) or is_strict(mean):
         return mean
     label = name if name is not None else str(mean)
     if isinstance(mean, DerivedMean):
-        return DerivedMean(name=label, fn=mean.fn, domain=mean.domain,
-                           arity=mean.arity, strict=True)
+        return replace(mean, name=label, strict=True)
     return DerivedMean(name=label, fn=lambda sv, _m=mean: eval_mean(_m, sv),
                        strict=True)
 

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .errors import DomainError
+
 __all__ = ["SamplePlan", "CheckReport", "sample_vectors"]
 
 NEAR_CONSTANT_STRIDE = 10
@@ -31,11 +33,11 @@ class SamplePlan:
 
     def __post_init__(self):
         if self.arity < 1:
-            raise ValueError("arity must be >= 1")
+            raise DomainError(f"sample arity must be >= 1, got {self.arity}")
         if self.count < 0:
-            raise ValueError("count must be >= 0")
+            raise DomainError(f"sample count must be >= 0, got {self.count}")
         if not self.lower < self.upper:
-            raise ValueError("need lower < upper")
+            raise DomainError(f"need lower < upper, got {self.lower}, {self.upper}")
 
 
 @dataclass(frozen=True)

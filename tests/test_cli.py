@@ -156,6 +156,41 @@ class TestInvariant:
 
 
 class TestSession:
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"gm": 5}',
+        '{"gm": {"kind": "invariant"}}',
+        '{"gm": {"kind": "invariant", "means": "P[1]"}}',
+        '{"gm": {"kind": "invariant", "means": [1]}}',
+        '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": "x"}}',
+    ], ids=["list", "entry-not-object", "no-means", "means-not-list",
+            "means-not-strings", "bad-tol"])
+    def test_malformed_session_exit_3(self, capsys, tmp_path, content):
+        session = tmp_path / "session.json"
+        session.write_text(content, encoding="utf-8")
+        code, out, err = run(capsys, "eval", "P[1]", "--at", "2,8",
+                             "--session", str(session))
+        assert code == 3 and out == "" and "session" in err
+
+    def test_unwritable_session_exit_3(self, capsys, tmp_path):
+        session = str(tmp_path / "missing-dir" / "session.json")
+        code, _, err = run(capsys, "invariant", "[P[1],P[-1]]",
+                           "--as-mean", "gm", "--session", session)
+        assert code == 3 and "cannot write session file" in err
+
+    def test_registration_is_atomic_and_reloads(self, capsys, tmp_path):
+        session = tmp_path / "session.json"
+        for name, family in (("gm", "[P[1],P[-1]]"), ("agm", "[P[1],P[0]]")):
+            code, _, _ = run(capsys, "invariant", family, "--as-mean", name,
+                             "--session", str(session))
+            assert code == 0
+        assert [f.name for f in tmp_path.iterdir()] == ["session.json"]
+        assert set(json.loads(session.read_text(encoding="utf-8"))) == {"gm", "agm"}
+        code, out, _ = run(capsys, "eval", "agm", "--at", "1,2",
+                           "--session", str(session))
+        assert code == 0
+        assert float(out) == pytest.approx(1.4567910310469068, rel=1e-12)
+
     def test_register_and_reuse(self, capsys, tmp_path):
         session = str(tmp_path / "session.json")
         code, _, _ = run(capsys, "invariant", "[P[1],P[-1]]",
@@ -231,6 +266,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--suite", "vectors")
         assert code == 1
         assert json.loads(out)["output"] == "FAIL"
+
+
+class TestBadInputExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["embed", "[P[0]]", "[P[-1],P[1]]", "--samples", "-1"],
+        ["embed", "[P[0]]", "[P[-1],P[1]]", "--arity", "0"],
+        ["check", "--suite", "means", "--samples", "0"],
+        ["check", "--suite", "means", "--samples", "-5"],
+        ["invariant", "[P[1],P[0]]", "--at=-3,-3"],
+        ["invariant", "[P[1],P[0]]", "--at=0,0"],
+    ])
+    def test_exit_3_without_traceback(self, argv):
+        done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],
+                              capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 class TestSubprocessEntry:

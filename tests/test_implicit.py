@@ -10,6 +10,7 @@ from meanforge import (
     MeanOuter,
     PowerMean,
     PowerSum,
+    ProblemSpec,
     Product,
     SamplePlan,
     Sum,
@@ -17,7 +18,6 @@ from meanforge import (
     compare_implicit_means,
     eval_mean,
     eval_outer,
-    generalized_beta_mean,
     implicit_mean,
     power_mean,
     power_mean_embedded,
@@ -154,34 +154,41 @@ class TestImplicitMean:
         with pytest.raises(ArityError):
             implicit_mean(EXAMPLE_BIG, EXAMPLE_SMALL, Sum())
 
+    def test_is_the_problem_node(self):
+        derived = implicit_mean(list(EXAMPLE_SMALL), list(EXAMPLE_BIG), Sum())
+        spec = ProblemSpec(Sum(), EXAMPLE_SMALL, EXAMPLE_BIG)
+        assert derived == spec and hash(derived) == hash(spec)
+        assert derived != implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, Product())
+
+    def test_equal_means_certify_as_sub_multiset(self):
+        derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, Sum())
+        twin = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, Sum())
+        report = verify_embedding((twin,), (PowerMean(1), derived))
+        assert report.mode == "certified"
+        assert report.certificate == {"rule": "sub-multiset"}
+
 
 class TestGeneralizedBeta:
     def test_reproduces_beta_mean(self):
-        outer = MeanOuter(PowerMean(0))
+        derived = GeneralizedBetaMean(PowerMean(1), MeanOuter(PowerMean(0)))
         rng = random.Random(8)
         for k in (2, 3, 4, 6):
-            derived = generalized_beta_mean(PowerMean(1), outer, k)
             for _ in range(40):
                 v = tuple(rng.uniform(0.01, 100.0) for _ in range(k))
                 assert eval_mean(derived, v) == pytest.approx(beta_mean(v), rel=1e-10)
 
     def test_harmonic_case(self):
-        derived = generalized_beta_mean(PowerMean(1), MeanOuter(PowerMean(0)), 2)
+        derived = GeneralizedBetaMean(PowerMean(1), MeanOuter(PowerMean(0)))
         assert eval_mean(derived, (2.0, 8.0)) == pytest.approx(3.2, rel=1e-12)
 
     def test_constant(self):
-        derived = generalized_beta_mean(PowerMean(1), MeanOuter(PowerMean(0)), 3)
+        derived = GeneralizedBetaMean(PowerMean(1), MeanOuter(PowerMean(0)))
         assert eval_mean(derived, (5.0, 5.0, 5.0)) == 5.0
 
-    def test_ast_node_agrees_with_handle(self):
-        node = GeneralizedBetaMean(PowerMean(1), MeanOuter(PowerMean(0)))
-        handle = generalized_beta_mean(PowerMean(1), MeanOuter(PowerMean(0)), 3)
-        v = (1.0, 2.0, 5.0)
-        assert eval_mean(node, v) == pytest.approx(eval_mean(handle, v), rel=1e-12)
-
     def test_arity_validation(self):
+        derived = GeneralizedBetaMean(PowerMean(1), MeanOuter(PowerMean(0)))
         with pytest.raises(ArityError):
-            generalized_beta_mean(PowerMean(1), MeanOuter(PowerMean(0)), 1)
+            eval_mean(derived, (5.0,))
 
 
 class TestExponentRule:

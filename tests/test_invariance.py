@@ -6,8 +6,12 @@ from meanforge import (
     ArityError,
     BetaMean,
     DerivedMean,
+    DomainError,
     HypothesisViolation,
+    InvariantMean,
+    MeanOuter,
     PowerMean,
+    ProblemSpec,
     SamplePlan,
     assert_strict,
     complementary_mean,
@@ -100,6 +104,32 @@ class TestInvariantMean:
         assert compound.arity == 2
         assert str(compound) == "invariant{M=[P[1],P[0]]}"
 
+    def test_non_positive_constant_start_rejected(self):
+        compound = invariant_mean((PowerMean(1), PowerMean(0)))
+        for v in ((-3.0, -3.0), (0.0, 0.0)):
+            with pytest.raises(DomainError):
+                eval_mean(compound, v)
+            with pytest.raises(DomainError):
+                gauss_iterate((PowerMean(1), PowerMean(0)), v)
+
+    def test_wrong_arity_rejected(self):
+        with pytest.raises(ArityError):
+            eval_mean(invariant_mean((PowerMean(1), PowerMean(0))), (1.0, 2.0, 3.0))
+
+    def test_value_equality_ignores_name(self):
+        family = (PowerMean(1), PowerMean(0))
+        compound = invariant_mean(family)
+        assert compound == invariant_mean(list(family)) == InvariantMean(family)
+        renamed = InvariantMean(family, name="agm")
+        assert renamed == compound and hash(renamed) == hash(compound)
+        assert str(renamed) == "agm"
+        assert compound != invariant_mean(family, tol=1e-9)
+
+    def test_unasserted_member_rejected_at_construction(self):
+        opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
+        with pytest.raises(HypothesisViolation):
+            invariant_mean((PowerMean(1), opaque))
+
     def test_symmetry_is_exact(self):
         compound = invariant_mean((PowerMean(1), PowerMean(0)))
         rng = random.Random(31)
@@ -157,6 +187,14 @@ class TestComplementaryMean:
         plan = SamplePlan(arity=3, count=100, seed=12)
         report = verify_invariance(invariant, extended, plan, tol=1e-8)
         assert report.passed
+
+    def test_is_an_implicit_mean_under_the_invariant_outer(self):
+        family = (PowerMean(1), PowerMean(-1))
+        complement = complementary_mean((PowerMean(1),), family)
+        assert complement == ProblemSpec(MeanOuter(InvariantMean(family)),
+                                         (PowerMean(1),), family)
+        assert str(complement) == \
+            "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}"
 
     def test_refuted_embedding_raises(self):
         with pytest.raises(HypothesisViolation):

@@ -185,6 +185,19 @@ class TestOuterFunctions:
             MeanOuter(lax)
         MeanOuter(assert_strict(lax))  # the caller's assertion unlocks it
 
+    def test_strictness_admission_sets(self):
+        from meanforge import gauss_iterate, invariant_mean
+        from meanforge.means import is_strict
+        compound = invariant_mean((PowerMean(1), PowerMean(0)))
+        assert is_strict(PowerMean(-1)) and is_strict(compound)
+        assert MeanOuter(compound).mean is compound
+        assert assert_strict(compound) is compound
+        # the Beta-type mean is admitted by the iteration, not as an outer
+        assert not is_strict(BetaMean())
+        with pytest.raises(DomainError):
+            MeanOuter(BetaMean())
+        assert gauss_iterate((BetaMean(), PowerMean(1)), (1.0, 4.0)).converged
+
     def test_product_needs_positive(self):
         with pytest.raises(DomainError):
             eval_outer(Product(), (2.0, -3.0))
