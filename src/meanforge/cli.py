@@ -24,7 +24,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from . import checks, dsl, invariance
+from . import dsl, invariance
 from .errors import (
     ArityError,
     ConvergenceError,
@@ -109,7 +109,10 @@ def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
             raise DomainError(f"session entry {name!r} needs \"means\", a list of "
                               "mean texts, and a numeric \"tol\"")
         family = tuple(dsl.parse_mean(text, registry) for text in texts)
-        mean = invariance.invariant_mean(family, tol=tol)
+        try:
+            mean = invariance.invariant_mean(family, tol=tol)
+        except DomainError as exc:
+            raise DomainError(f"session entry {name!r}: {exc}") from None
         registry[name] = dataclasses.replace(mean, name=name)
     return registry
 
@@ -217,6 +220,7 @@ def _cmd_invariant(args) -> int:
                               "(identifier syntax, not a reserved word)")
         if args.session is None:
             raise DomainError("--as-mean needs --session FILE to store the registration")
+        invariance.invariant_mean(family, tol=args.tol)  # the checks a later load applies
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
         record = {"kind": "invariant-register",
@@ -244,6 +248,11 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks  # deferred: no other command compiles the suites
+    if args.suite not in checks.SUITE_NAMES + ("all",):
+        print(f"error: unknown suite {args.suite!r}; choose from "
+              f"{', '.join(checks.SUITE_NAMES)} or all", file=sys.stderr)
+        return EXIT_PARSE
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
     records = checks.run_suite(args.suite, samples=args.samples, seed=_seed(args))
@@ -334,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_invariant)
 
     p = sub.add_parser("check", help="run the seeded property suites")
-    p.add_argument("--suite", choices=checks.SUITE_NAMES + ("all",), default="all")
+    p.add_argument("--suite", default="all", metavar="NAME",
+                   help="suite to run, or all (default all)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p, fmt_default="json")

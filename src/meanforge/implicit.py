@@ -37,6 +37,7 @@ from .means import (
     OuterFn,
     PowerMean,
     ProblemSpec,
+    check_tol,
     declared_arity,
     eval_mean,
     eval_outer,
@@ -113,8 +114,9 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     relaxation); a hard violation raises :class:`HypothesisViolation` because
     the bracket guarantee is void without it.  Convergence is on relative
     bracket width, so the root is accurate to ``tol`` *relative* even when
-    the initial bracket spans orders of magnitude.
+    the initial bracket spans orders of magnitude; ``tol`` must lie in (0, 1).
     """
+    check_tol(tol)
     v = as_vector(prefix)
     w = as_vector(target)
     m, n = len(v), len(w)

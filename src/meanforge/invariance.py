@@ -30,6 +30,7 @@ from .means import (
     MeanOuter,
     ProblemSpec,
     check_interval,
+    check_tol,
     eval_mean,
     is_strict,
 )
@@ -79,8 +80,10 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     range.  The start must be positive, the domain of every mean the library
     builds; a positive constant start converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
-    a few ulp), which is what makes the spread nonincreasing.
+    a few ulp), which is what makes the spread nonincreasing.  ``tol`` must
+    lie in (0, 1).
     """
+    check_tol(tol)
     family = tuple(family)
     u = as_vector(start)
     if len(family) != len(u):

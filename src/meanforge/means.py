@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from typing import Callable, Optional, Sequence, Union, get_args
 
 from .errors import ArityError, DomainError
@@ -58,23 +58,36 @@ __all__ = [
     "declared_arity",
     "assert_strict",
     "check_mean_property",
+    "check_tol",
     "format_number",
 ]
 
-# Orders below this evaluate through the geometric branch: the 1/s exponent
-# amplifies rounding beyond the geometric-limit error.
-GEOMETRIC_ORDER_CUTOFF = 1e-9
+# Below this |order| the power mean equals the geometric mean in double
+# precision (they differ by about |s| * log(max/min)**2 / 8 < 1e-274
+# relative), while order * log(x/anchor) could underflow to a subnormal.
+GEOMETRIC_ORDER = 1e-280
+_MIN_NORMAL = sys.float_info.min
 
 SYMMETRY_RTOL = 1e-12
 # Relative tolerance of the balance solver and of Gauss iteration.
 DEFAULT_TOL = 1e-12
 
 
+def check_tol(tol: float) -> None:
+    """Reject a relative tolerance unless it is finite with 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
+
+
 def format_number(x: float) -> str:
     """Canonical decimal text for a float: no exponent, round-trips exactly."""
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return format(Decimal(repr(float(x))), "f")
+    text = repr(float(x))
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # deferred: only exponent notation needs it
+    return format(Decimal(text), "f")
 
 
 @dataclass(frozen=True)
@@ -188,7 +201,8 @@ class InvariantMean:
     """The mean invariant under the mapping v -> (M_1(v), ..., M_n(v)).
 
     Its value at ``v`` is the limit of Gauss iteration from ``v`` (relative
-    spread ``tol``); it takes ``arity = len(family)`` entries and is strict.
+    spread ``tol``, 0 < tol < 1); it takes ``arity = len(family)`` entries
+    and is strict.
     ``name``, a session registration, replaces the label but not equality.
     """
 
@@ -200,6 +214,7 @@ class InvariantMean:
 
     def __post_init__(self):
         object.__setattr__(self, "family", tuple(self.family))
+        check_tol(self.tol)
 
     @property
     def arity(self) -> int:
@@ -383,22 +398,44 @@ def _positive(v: tuple[float, ...], what: str) -> tuple[float, ...]:
 
 
 def power_mean(order: float, entries: Sequence[float]) -> float:
-    """((x1**s + ... + xn**s)/n)**(1/s); geometric mean when s ~ 0.
+    """((x1**s + ... + xn**s)/n)**(1/s); the geometric mean at s = 0.
 
-    Entries are normalized by max(v) for positive orders and min(v) for
-    negative ones so every power stays in [0, 1] and cannot overflow.
+    Evaluated as ``anchor*exp(log1p(mean(expm1(s*t)))/s)`` with
+    ``t = log(x/anchor)``, anchored at max(v) for positive orders and min(v)
+    otherwise, so ``s*t <= 0``: nothing overflows, and the 1/s exponent does
+    not amplify rounding as s approaches 0.
     """
     if not math.isfinite(order):
         raise DomainError("power-mean order must be finite")
-    v = _positive(as_vector(entries), "power mean")
+    v = as_vector(entries)
     lo, hi = min(v), max(v)
+    if lo <= 0.0:
+        raise DomainError(f"power mean needs positive entries, got {lo!r}")
     if lo == hi:
         return lo
-    if abs(order) < GEOMETRIC_ORDER_CUTOFF:
-        return math.exp(math.fsum(map(math.log, v)) / len(v))
     anchor = hi if order > 0.0 else lo
-    mean_power = math.fsum((x / anchor) ** order for x in v) / len(v)
-    return anchor * mean_power ** (1.0 / order)
+    if lo / hi < _MIN_NORMAL:  # some x/anchor would leave the normal floats
+        return _wide_power_mean(order, v, anchor)
+    if abs(order) < GEOMETRIC_ORDER:
+        t_sum = math.fsum([math.log(x / anchor) for x in v])
+        return anchor * math.exp(t_sum / len(v))
+    mean_expm1 = math.fsum([math.expm1(order * math.log(x / anchor))
+                            for x in v]) / len(v)
+    return anchor * math.exp(math.log1p(mean_expm1) / order)
+
+
+def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float:
+    """:func:`power_mean` with ``log(x/anchor)`` formed as ``log(x) - log(anchor)``.
+
+    Used only where min(v)/max(v) is below the normal floats; elsewhere the
+    ratio is more accurate, since the error of ``log(x)`` grows with |log x|.
+    """
+    shift = math.log(anchor)
+    t = [math.log(x) - shift for x in v]
+    if abs(order) < GEOMETRIC_ORDER:
+        return anchor * math.exp(math.fsum(t) / len(v))
+    mean_expm1 = math.fsum([math.expm1(order * u) for u in t]) / len(v)
+    return anchor * math.exp(math.log1p(mean_expm1) / order)
 
 
 def beta_mean(entries: Sequence[float]) -> float:
@@ -456,19 +493,26 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
     if n is not None and len(v) != n:
         raise ArityError(f"{outer} takes {n} entries, got {len(v)}")
     sv = tuple(sorted(v))
-    if isinstance(outer, Sum):
-        return math.fsum(sv)
-    if isinstance(outer, Product):
-        _positive(sv, "product outer")
-        return math.prod(sv)
-    if isinstance(outer, PowerSum):
-        _positive(sv, "power-sum outer")
-        return math.fsum(x ** outer.exponent for x in sv)
-    if isinstance(outer, QuasiAggregate):
-        return math.fsum(outer.generator.apply(x) for x in sv)
-    if isinstance(outer, MeanOuter):
-        return eval_mean(outer.mean, sv)
-    raise TypeError(f"not an outer function: {outer!r}")
+    try:
+        if isinstance(outer, Sum):
+            value = math.fsum(sv)
+        elif isinstance(outer, Product):
+            _positive(sv, "product outer")
+            value = math.prod(sv)
+        elif isinstance(outer, PowerSum):
+            _positive(sv, "power-sum outer")
+            value = math.fsum(x ** outer.exponent for x in sv)
+        elif isinstance(outer, QuasiAggregate):
+            value = math.fsum(outer.generator.apply(x) for x in sv)
+        elif isinstance(outer, MeanOuter):
+            value = eval_mean(outer.mean, sv)
+        else:
+            raise TypeError(f"not an outer function: {outer!r}")
+    except OverflowError:  # fsum, ** and exp raise it; prod returns inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{outer} overflows at {list(sv)!r}")
+    return value
 
 
 def assert_strict(mean: MeanExpr, name: Optional[str] = None) -> MeanExpr:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from meanforge.cli import main
 
@@ -163,8 +168,9 @@ class TestSession:
         '{"gm": {"kind": "invariant", "means": "P[1]"}}',
         '{"gm": {"kind": "invariant", "means": [1]}}',
         '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": "x"}}',
+        '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": Infinity}}',
     ], ids=["list", "entry-not-object", "no-means", "means-not-list",
-            "means-not-strings", "bad-tol"])
+            "means-not-strings", "bad-tol", "infinite-tol"])
     def test_malformed_session_exit_3(self, capsys, tmp_path, content):
         session = tmp_path / "session.json"
         session.write_text(content, encoding="utf-8")
@@ -276,6 +282,16 @@ class TestBadInputExitCodes:
         ["check", "--suite", "means", "--samples", "-5"],
         ["invariant", "[P[1],P[0]]", "--at=-3,-3"],
         ["invariant", "[P[1],P[0]]", "--at=0,0"],
+        ["eval", "qa[exp]", "--at", "800,1"],
+        ["eval", "powsum[2]", "--at", "1e200,1"],
+        ["eval", "qa[pow[3]]", "--at", "1e200,1"],
+        ["eval", "prod", "--at", "1e200,1e200", "--format", "json"],
+        ["solve", "T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "--at", "1,2", "--tol=inf"],
+        ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=inf"],
+        ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=0"],
+        ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=-1e-9"],
+        ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=nan"],
+        ["solve", "T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "--at", "1,2", "--tol=0"],
     ])
     def test_exit_3_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],
@@ -293,3 +309,124 @@ class TestSubprocessEntry:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestLazyImports:
+    def test_cli_import_skips_checks_and_decimal(self):
+        probe = "import json, sys, meanforge.cli; print(json.dumps(list(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        loaded = set(json.loads(done.stdout))
+        assert "decimal" not in loaded and "meanforge.checks" not in loaded
+        for module in ("ordering", "means", "implicit", "invariance", "dsl",
+                       "sampling"):
+            assert f"meanforge.{module}" in loaded
+
+    def test_unknown_suite_exit_2(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "nope")
+        assert code == 2 and out == ""
+        assert "unknown suite 'nope'" in err and "Traceback" not in err
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _bad_tol(text: str) -> bool:
+    try:
+        tol = float(text)
+    except ValueError:
+        return False  # argparse rejects it: exit 2
+    return not 0.0 < tol < 1.0
+
+
+_ENTRIES = ("1", "2.5", "7", "0", "-1", "1e-320", "1e200", "800", "nan", "inf")
+_MEANS = ("P[0]", "P[1]", "P[-2]", "P[3]", "B", "agm", "beta{S=P[1]; mu=mean[P[0]]}",
+          "P[", "Q[1]", "")
+_OUTERS = ("sum", "prod", "powsum[2]", "qa[exp]", "qa[log]", "qa[pow[3]]",
+           "mean[P[2]]", "mean[agm]", "qa[", "mean[B]")
+_FAMILIES = ("[P[1],P[0]]", "[P[1],P[-1]]", "[P[2],B]", "[agm,P[1]]", "[P[1]]",
+             "[P[0],P[2]]", "[P[-2],P[-1],P[1],P[3]]", "[P[5]]", "[P[1],", "[]")
+_TOLS = ("1e-12", "1e-3", "0.5", "1e-300", "0", "-1e-9", "1", "nan", "inf", "x")
+_SESSIONS = (
+    None,
+    '{"agm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": 1e-12}}',
+    '{"agm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": Infinity}}',
+    '{"agm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": NaN}}',
+    '{"agm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": 0}}',
+    '{"agm": {"kind": "invariant", "means": ["P["], "tol": 1e-12}}',
+    '{"agm": {"kind": "invariant", "means": ["P[1]"]}}',
+    '{"agm": {"kind": "sum"}}',
+    '[1, 2]',
+    '{"agm": ',
+)
+
+
+@st.composite
+def _argv(draw):
+    vector = st.lists(st.sampled_from(_ENTRIES), min_size=1, max_size=4).map(",".join)
+    command = draw(st.sampled_from(("eval", "solve", "embed", "invariant",
+                                    "check", "parse")))
+    if command == "eval":
+        argv = ["eval", draw(st.sampled_from(_MEANS + _OUTERS)), "--at=" + draw(vector)]
+    elif command == "solve":
+        small, big = draw(st.sampled_from(_FAMILIES)), draw(st.sampled_from(_FAMILIES))
+        argv = ["solve", f"T{{mu={draw(st.sampled_from(_OUTERS))}; S={small}; M={big}}}",
+                "--at=" + draw(vector)]
+    elif command == "embed":
+        argv = ["embed", draw(st.sampled_from(_FAMILIES)), draw(st.sampled_from(_FAMILIES)),
+                "--samples", str(draw(st.integers(-1, 20))),
+                "--arity", str(draw(st.integers(0, 4))),
+                "--seed", str(draw(st.integers(0, 9)))]
+        argv += draw(st.sampled_from(([], ["--domain=1,2"], ["--domain=0,inf"],
+                                      ["--domain=-5,5"], ["--domain=5,1"])))
+    elif command == "invariant":
+        argv = ["invariant", draw(st.sampled_from(_FAMILIES))]
+        if draw(st.booleans()):
+            argv.append("--at=" + draw(vector))
+        if draw(st.booleans()):
+            argv += ["--as-mean", draw(st.sampled_from(("gm", "agm", "beta", "1x")))]
+    elif command == "check":
+        argv = ["check", "--suite", draw(st.sampled_from(("vectors", "means", "nope"))),
+                "--samples", str(draw(st.integers(-1, 2))), "--seed", "0"]
+    else:
+        argv = ["parse", draw(st.sampled_from(_MEANS + _OUTERS + _FAMILIES))]
+    if command in ("solve", "invariant") and draw(st.booleans()):
+        argv.append("--tol=" + draw(st.sampled_from(_TOLS)))
+    argv += draw(st.sampled_from(([], ["--format", "json"])))
+    return argv, draw(st.sampled_from(_SESSIONS))
+
+
+class TestContractFuzz:
+    """Every argv and session file maps onto the exit-code contract."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv())
+    @example((["eval", "qa[exp]", "--at=800,1"], None))
+    @example((["eval", "prod", "--at=1e200,1e200", "--format", "json"], None))
+    @example((["invariant", "[P[1],P[0]]", "--at=1,2", "--tol=inf", "--format", "json"],
+              None))
+    @example((["invariant", "[P[1],P[0]]", "--at=1,2", "--tol=0"], None))
+    @example((["eval", "agm", "--at=1,2"], _SESSIONS[2]))
+    def test_exit_code_contract(self, case):
+        argv, session_text = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            session = Path(tmp) / "session.json"
+            if session_text is not None:
+                session.write_text(session_text, encoding="utf-8")
+            full = argv + ["--session", str(session)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(full)
+                except SystemExit as exc:  # argparse rejected the argv
+                    code = exc.code
+        assert code in range(6), (full, code, err.getvalue())
+        if "json" in argv:
+            for line in out.getvalue().splitlines():
+                _strict_json(line)
+        if any(a.startswith("--tol=") and _bad_tol(a[6:]) for a in argv):
+            assert code in (2, 3), (full, code, out.getvalue())

@@ -5,6 +5,7 @@ import pytest
 
 from meanforge import (
     ArityError,
+    DomainError,
     GeneralizedBetaMean,
     HypothesisViolation,
     MeanOuter,
@@ -72,6 +73,11 @@ class TestSolveScalar:
         with pytest.raises(HypothesisViolation) as err:
             solve_scalar(Sum(), (10.0,), (1.0, 2.0))
         assert err.value.witness["majorized"] is False
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, math.inf, math.nan])
+    def test_tolerance_must_lie_in_unit_interval(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            solve_scalar(Sum(), (1.0,), (0.5, 2.0), tol=tol)
 
     def test_prefix_must_be_shorter(self):
         with pytest.raises(ArityError):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -111,6 +112,16 @@ class TestInvariantMean:
                 eval_mean(compound, v)
             with pytest.raises(DomainError):
                 gauss_iterate((PowerMean(1), PowerMean(0)), v)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, math.inf, math.nan])
+    def test_tolerance_must_lie_in_unit_interval(self, tol):
+        family = (PowerMean(1), PowerMean(0))
+        with pytest.raises(DomainError, match="tolerance"):
+            invariant_mean(family, tol=tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            InvariantMean(family, tol=tol, name="agm")
+        with pytest.raises(DomainError, match="tolerance"):
+            gauss_iterate(family, (1.0, 2.0), tol=tol)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ArityError):

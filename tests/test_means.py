@@ -64,16 +64,50 @@ class TestPowerMean:
     def test_monotone_in_order(self, s, t, v):
         s, t = min(s, t), max(s, t)
         a, b = power_mean(s, v), power_mean(t, v)
-        # evaluation noise grows like eps/|order| just above the geometric
-        # cutoff (the 1/s exponent amplifies the per-term rounding)
-        noise = sum(2e-15 / max(abs(u), 1e-9) for u in (s, t))
-        assert a <= b + (1e-12 + noise) * max(1.0, abs(b))
+        assert a <= b + 1e-12 * max(1.0, abs(b))
 
     @given(positive_vectors)
     def test_continuity_at_zero(self, v):
         g = power_mean(0.0, v)
         for s in (1e-6, -1e-6):
             assert power_mean(s, v) == pytest.approx(g, rel=1e-4)
+
+    def test_mpmath_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+
+        def exact(s, v):
+            xs = [mpmath.mpf(x) for x in v]
+            if s == 0.0:
+                return mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
+            s = mpmath.mpf(s)
+            return (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
+
+        rng = random.Random(8)
+        worst = 0.0
+        for s in (1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.5, 1.0, 2.0, 7.5, 300.0):
+            for order in (s, -s, 0.0):
+                for scale in (1.0, 1e200, 1e-200):
+                    for _ in range(12):
+                        v = [scale * rng.uniform(0.01, 100.0)
+                             for _ in range(rng.randint(2, 6))]
+                        want = exact(order, v)
+                        worst = max(worst, float(abs(power_mean(order, v) - want) / want))
+        assert worst <= 4e-15
+
+    def test_orders_below_double_resolution_are_geometric(self):
+        v = (1.0, 2.0, 9.0)
+        g = power_mean(0.0, v)
+        for s in (5e-324, -1e-300, 1e-281):
+            assert power_mean(s, v) == pytest.approx(g, rel=1e-15)
+
+    def test_ratios_beyond_the_normal_floats(self):
+        v = (1e-200, 1e200)
+        assert power_mean(1, v) == pytest.approx(5e199, rel=1e-15)
+        assert power_mean(-1, v) == pytest.approx(2e-200, rel=1e-15)
+        assert power_mean(0, v) == pytest.approx(1.0, rel=1e-13)
+        assert power_mean(2, (1e-320, 1e200, 3.0)) == \
+            pytest.approx(1e200 / math.sqrt(3), rel=1e-15)
 
     def test_extreme_orders_do_not_overflow(self):
         v = (1e-8, 1.0, 1e8)
@@ -198,6 +232,15 @@ class TestOuterFunctions:
             MeanOuter(BetaMean())
         assert gauss_iterate((BetaMean(), PowerMean(1)), (1.0, 4.0)).converged
 
+    def test_overflow_is_a_domain_error(self):
+        for outer, v in ((QuasiAggregate(Generator("exp")), (800.0, 1.0)),
+                         (PowerSum(2), (1e200, 1.0)),
+                         (QuasiAggregate(Generator("pow", 3)), (1e200, 1.0)),
+                         (Product(), (1e200, 1e200)),
+                         (Sum(), (1.5e308, 1.5e308))):
+            with pytest.raises(DomainError, match="overflows"):
+                eval_outer(outer, v)
+
     def test_product_needs_positive(self):
         with pytest.raises(DomainError):
             eval_outer(Product(), (2.0, -3.0))
@@ -256,6 +299,15 @@ class TestNumberFormatting:
                      min_value=-1e12, max_value=1e12))
     def test_round_trip(self, x):
         assert float(format_number(x)) == x
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_decimal_formatting(self, x):
+        from decimal import Decimal
+        if x == int(x) and abs(x) < 1e16:
+            want = str(int(x))
+        else:
+            want = format(Decimal(repr(x)), "f")
+        assert format_number(x) == want
 
     def test_no_exponent_notation(self):
         assert "e" not in format_number(2.5e-7)
