@@ -29,21 +29,16 @@ from .ordering import (
     sort_descending,
 )
 from .means import (
-    POSITIVE_REALS,
     BetaMean,
     DerivedMean,
-    Generator,
     GeneralizedBetaMean,
-    Interval,
     InvariantMean,
     MeanExpr,
     MeanOuter,
     OuterFn,
     PowerMean,
-    PowerSum,
     ProblemSpec,
     Product,
-    QuasiAggregate,
     Sum,
     assert_strict,
     beta_mean,
@@ -79,10 +74,9 @@ __all__ = [
     "OrderingCheck", "OrderingVerdict", "as_vector", "sort_ascending",
     "sort_descending", "is_ordered_minorized", "is_ordered_majorized",
     "is_embedded", "is_embedded_within", "map_vector",
-    "Interval", "POSITIVE_REALS", "PowerMean", "BetaMean",
+    "PowerMean", "BetaMean",
     "GeneralizedBetaMean", "ProblemSpec", "InvariantMean", "DerivedMean",
-    "MeanExpr", "Sum", "Product",
-    "PowerSum", "Generator", "QuasiAggregate", "MeanOuter", "OuterFn",
+    "MeanExpr", "Sum", "Product", "MeanOuter", "OuterFn",
     "power_mean", "beta_mean", "eval_mean", "eval_outer", "assert_strict",
     "check_mean_property",
     "parse", "parse_mean", "parse_outer", "parse_mean_list",

@@ -9,8 +9,9 @@ across runs.  ``MEANFORGE_SEED`` supplies the seed when ``--seed`` is absent.
 
 A session file (``--session``) is a JSON map of registered derived means; it
 stores definitions (the DSL text of the iterated family), not values, and
-means are rebuilt on load.  Names registered there are usable as identifiers
-in any expression.
+means are rebuilt on load in file order, each entry seeing only the names
+before it.  Names registered there are usable as identifiers in any
+expression.  A registration after which the file would not load is refused.
 """
 
 from __future__ import annotations
@@ -90,15 +91,22 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 # session registry
 # ---------------------------------------------------------------------------
 
-def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
-    if path is None or not Path(path).exists():
+def _read_session(path: str) -> dict:
+    """The JSON object stored in the session file (empty when there is none)."""
+    file = Path(path)
+    if not file.exists():
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        data = json.loads(file.read_text(encoding="utf-8"), parse_int=float)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read session file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"session file {path} must hold a JSON object")
+    return data
+
+
+def _build_registry(data: dict) -> dict[str, MeanExpr]:
+    """Rebuild the registered means in file order; an entry sees only earlier names."""
     registry: dict[str, MeanExpr] = {}
     for name, entry in data.items():
         if not isinstance(entry, dict) or entry.get("kind") != "invariant":
@@ -117,11 +125,25 @@ def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
     return registry
 
 
+def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
+    return {} if path is None else _build_registry(_read_session(path))
+
+
 def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) -> None:
-    """Add one entry to the session file, replacing the file atomically."""
+    """Add one entry to the session file, replacing the file atomically.
+
+    The new contents must load; otherwise the file is left untouched.  The
+    entry's own faults (tolerance, strictness) raise as they would on load;
+    a text that no longer parses in file order is refused as a domain error.
+    """
     file = Path(path)
-    data = json.loads(file.read_text(encoding="utf-8")) if file.exists() else {}
+    data = _read_session(path)
     data[name] = {"kind": "invariant", "means": mean_texts, "tol": tol}
+    try:
+        _build_registry(data)
+    except ParseError as exc:
+        raise DomainError(f"refusing to register {name!r}: the session file "
+                          f"would no longer load ({exc})") from None
     try:
         fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=f".{file.name}.", suffix=".tmp")
     except OSError as exc:
@@ -220,7 +242,6 @@ def _cmd_invariant(args) -> int:
                               "(identifier syntax, not a reserved word)")
         if args.session is None:
             raise DomainError("--as-mean needs --session FILE to store the registration")
-        invariance.invariant_mean(family, tol=args.tol)  # the checks a later load applies
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
         record = {"kind": "invariant-register",

@@ -12,9 +12,12 @@ Grammar (whitespace-insensitive)::
 ``ident`` resolves named derived means registered at runtime (for example an
 invariant mean stored in a session file); an unknown name is an error.  A
 parsed ``problem`` is also the implicit mean its balance equation defines.
-``parse(format(x))`` reproduces ``x`` structurally for everything the grammar
-can construct.  Parsing is total: any input either parses or raises a
-structured error, never anything else.
+Every ``sum``/``powsum``/``qa`` outer is one ``Sum`` node, printed in its
+canonical spelling ``sum``, ``powsum[p]``, ``qa[log]`` or ``qa[exp]``;
+``qa[id]`` and ``qa[pow[p]]`` are accepted aliases of ``sum`` and
+``powsum[p]``.  ``parse(format(x))`` reproduces ``x`` structurally for
+everything the grammar can construct.  Parsing is total: any input either
+parses or raises a structured error, never anything else.
 """
 
 from __future__ import annotations
@@ -26,16 +29,13 @@ from typing import Mapping, Optional, Sequence, Union
 from .errors import ParseError
 from .means import (
     BetaMean,
-    Generator,
     GeneralizedBetaMean,
     MeanExpr,
     MeanOuter,
     OuterFn,
     PowerMean,
-    PowerSum,
     ProblemSpec,
     Product,
-    QuasiAggregate,
     Sum,
 )
 
@@ -212,25 +212,26 @@ class _Parser:
         if tok.text == "prod":
             return Product()
         if tok.text == "powsum":
-            return PowerSum(self._bracketed_number())
+            return Sum("pow", self._bracketed_number())
         if tok.text == "qa":
             self._expect_punct("[")
-            gen = self.generator()
+            outer = self.generator()
             self._expect_punct("]")
-            return QuasiAggregate(gen)
+            return outer
         self._expect_punct("[")
         inner = self.mean()
         self._expect_punct("]")
         return MeanOuter(inner)
 
-    def generator(self) -> Generator:
+    def generator(self) -> Sum:
+        """The ``gen`` of ``qa[gen]``, returned as the ``Sum`` it aggregates with."""
         tok = self._peek()
         if tok.kind == "ident" and tok.text in ("log", "exp", "id"):
             self._advance()
-            return Generator(tok.text)
+            return Sum(tok.text)
         if tok.kind == "ident" and tok.text == "pow":
             self._advance()
-            return Generator("pow", self._bracketed_number())
+            return Sum("pow", self._bracketed_number())
         raise self._fail(("log", "exp", "pow", "id"))
 
     def mean_list(self) -> tuple[MeanExpr, ...]:

@@ -106,8 +106,7 @@ def embedding_eps(w: Sequence[float]) -> float:
 
 
 def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float],
-                 tol: float = DEFAULT_TOL,
-                 max_iterations: int = MAX_BISECTION_STEPS) -> SolveResult:
+                 tol: float = DEFAULT_TOL) -> SolveResult:
     """Solve ``outer(prefix, x, ..., x) = outer(target)`` for ``x`` by bisection.
 
     Requires ``prefix`` embedded in ``target`` (checked with rounding
@@ -115,6 +114,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     the bracket guarantee is void without it.  Convergence is on relative
     bracket width, so the root is accurate to ``tol`` *relative* even when
     the initial bracket spans orders of magnitude; ``tol`` must lie in (0, 1).
+    After ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -159,7 +159,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         if width <= tol * max(abs(lo), abs(hi)):
             status = "converged"
             break
-        if iterations >= max_iterations:
+        if iterations >= MAX_BISECTION_STEPS:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # float resolution exhausted

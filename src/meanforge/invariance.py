@@ -23,13 +23,12 @@ from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector
 from .means import (
     DEFAULT_TOL,
-    POSITIVE_REALS,
     BetaMean,
     InvariantMean,
     MeanExpr,
     MeanOuter,
     ProblemSpec,
-    check_interval,
+    check_positive,
     check_tol,
     eval_mean,
     is_strict,
@@ -72,7 +71,7 @@ def _require_strict_family(family: Sequence[MeanExpr]) -> None:
 
 
 def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
-                  tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP) -> IterationTrace:
+                  tol: float = DEFAULT_TOL) -> IterationTrace:
     """Iterate v <- (M_1(v), ..., M_n(v)) until the coordinates collapse.
 
     Stops when max - min of the iterate drops below ``tol`` relative to the
@@ -81,7 +80,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     builds; a positive constant start converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
     a few ulp), which is what makes the spread nonincreasing.  ``tol`` must
-    lie in (0, 1).
+    lie in (0, 1); after ``DEFAULT_CAP`` steps the trace is unconverged.
     """
     check_tol(tol)
     family = tuple(family)
@@ -90,15 +89,14 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
     _require_strict_family(family)
-    check_interval(POSITIVE_REALS, u, "entry")
-
     lo, hi = min(u), max(u)
+    check_positive(lo, "Gauss iteration")
     iterations = 0
     while True:
         spread = hi - lo
         if spread <= tol * max(abs(lo), abs(hi)):
             return IterationTrace(iterations, spread, 0.5 * (lo + hi), True)
-        if iterations >= cap:
+        if iterations >= DEFAULT_CAP:
             return IterationTrace(iterations, spread, 0.5 * (lo + hi), False)
         nxt = tuple(eval_mean(m, u) for m in family)
         nlo, nhi = min(nxt), max(nxt)

@@ -9,11 +9,15 @@ frozen nodes that compare by value and that :func:`eval_mean` solves or
 iterates; ``DerivedMean`` wraps an opaque user callable.
 
 An *outer* function aggregates a vector symmetrically and strictly
-increasingly in each coordinate: sums, products, power sums, quasi-arithmetic
-aggregates ``sum(g(x_i))`` over a closed generator catalog, or a strict mean.
-Strict per-coordinate growth is what makes the scalar balance equation in
-:mod:`meanforge.implicit` uniquely solvable, so variants that would be
-decreasing (power exponents <= 0) are rejected at construction.
+increasingly in each coordinate.  There are three: :class:`Sum`, the
+quasi-arithmetic aggregate ``sum(g(x_i))`` with g from the closed catalog
+{id, log, exp, pow[p]} (plain sums and power sums are two of its
+generators); :class:`Product`, its exponential, kept apart so that its
+value stays ``math.prod`` of the entries rather than ``exp(sum(log x_i))``; and
+:class:`MeanOuter`, a strict mean.  Strict per-coordinate growth is what
+makes the scalar balance equation in :mod:`meanforge.implicit` uniquely
+solvable, so variants that would be decreasing (power exponents <= 0) are
+rejected at construction.
 
 Permutation invariance is bit-exact: aggregation uses ``math.fsum`` (exactly
 rounded, hence order-independent) and any remaining order-sensitive path
@@ -33,8 +37,6 @@ from .ordering import as_vector
 from .sampling import CheckReport, SamplePlan, sample_vectors
 
 __all__ = [
-    "Interval",
-    "POSITIVE_REALS",
     "PowerMean",
     "BetaMean",
     "GeneralizedBetaMean",
@@ -46,9 +48,6 @@ __all__ = [
     "is_strict",
     "Sum",
     "Product",
-    "PowerSum",
-    "Generator",
-    "QuasiAggregate",
     "MeanOuter",
     "OuterFn",
     "power_mean",
@@ -58,6 +57,7 @@ __all__ = [
     "declared_arity",
     "assert_strict",
     "check_mean_property",
+    "check_positive",
     "check_tol",
     "format_number",
 ]
@@ -79,6 +79,12 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
 
 
+def check_positive(lowest: float, what: str) -> None:
+    """Reject a vector whose smallest entry ``lowest`` is not positive."""
+    if lowest <= 0.0:
+        raise DomainError(f"{what} needs positive entries, got {lowest!r}")
+
+
 def format_number(x: float) -> str:
     """Canonical decimal text for a float: no exponent, round-trips exactly."""
     if x == int(x) and abs(x) < 1e16:
@@ -88,38 +94,6 @@ def format_number(x: float) -> str:
         return text
     from decimal import Decimal  # deferred: only exponent notation needs it
     return format(Decimal(text), "f")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An interval of reals; endpoints may be infinite."""
-
-    lower: float = 0.0
-    upper: float = math.inf
-    lower_open: bool = True
-    upper_open: bool = True
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise DomainError(f"empty interval: [{self.lower}, {self.upper}]")
-
-    def contains(self, x: float) -> bool:
-        if self.lower_open:
-            if not x > self.lower:
-                return False
-        elif not x >= self.lower:
-            return False
-        if self.upper_open:
-            return x < self.upper
-        return x <= self.upper
-
-    def __str__(self) -> str:
-        left = "(" if self.lower_open else "["
-        right = ")" if self.upper_open else "]"
-        return f"{left}{self.lower},{self.upper}{right}"
-
-
-POSITIVE_REALS = Interval(0.0, math.inf, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +214,6 @@ class DerivedMean:
 
     name: str
     fn: Callable[[tuple[float, ...]], float]
-    domain: Interval = POSITIVE_REALS
     arity: Optional[int] = None
     strict: bool = False
 
@@ -271,10 +244,41 @@ def is_strict(mean: MeanExpr) -> bool:
 # outer aggregate functions
 # ---------------------------------------------------------------------------
 
+_GENERATORS = ("id", "log", "exp", "pow")
+
+
 @dataclass(frozen=True)
 class Sum:
+    """The quasi-arithmetic aggregate ``sum(g(x_i))``, g from {id, log, exp, pow[p]}.
+
+    ``Sum()`` is the plain sum and ``Sum("pow", p)`` the power sum, p > 0
+    (p <= 0 would not be strictly increasing); log and pow need positive
+    entries.  Text: ``sum``, ``qa[log]``, ``qa[exp]``, ``powsum[p]``.
+    """
+
+    generator: str = "id"
+    exponent: Optional[float] = None
+
+    def __post_init__(self):
+        if self.generator not in _GENERATORS:
+            raise DomainError(f"unknown generator {self.generator!r}; "
+                              f"expected one of {', '.join(_GENERATORS)}")
+        if self.generator != "pow":
+            if self.exponent is not None:
+                raise DomainError(f"generator {self.generator!r} takes no exponent")
+        elif self.exponent is None or not math.isfinite(self.exponent):
+            raise DomainError(f"power-sum exponent must be finite, got {self.exponent!r}")
+        elif self.exponent <= 0.0:
+            raise DomainError(
+                f"power-sum exponent must be positive, got {self.exponent!r}: "
+                "a power with exponent <= 0 is not strictly increasing")
+
     def __str__(self) -> str:
-        return "sum"
+        if self.generator == "id":
+            return "sum"
+        if self.generator == "pow":
+            return f"powsum[{format_number(self.exponent)}]"
+        return f"qa[{self.generator}]"
 
 
 @dataclass(frozen=True)
@@ -283,76 +287,6 @@ class Product:
 
     def __str__(self) -> str:
         return "prod"
-
-
-@dataclass(frozen=True)
-class PowerSum:
-    """``sum(x_i**p)`` with p > 0 (p <= 0 would not be strictly increasing)."""
-
-    exponent: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.exponent) or self.exponent == 0.0:
-            raise DomainError("power-sum exponent must be finite and nonzero")
-        if self.exponent < 0.0:
-            raise DomainError(
-                "power-sum exponent must be positive: a negative exponent is "
-                "strictly decreasing in each variable")
-
-    def __str__(self) -> str:
-        return f"powsum[{format_number(self.exponent)}]"
-
-
-_GENERATOR_KINDS = ("log", "exp", "pow", "id")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named strictly increasing generator from the closed catalog."""
-
-    kind: str
-    exponent: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in _GENERATOR_KINDS:
-            raise DomainError(f"unknown generator {self.kind!r}; "
-                              f"expected one of {', '.join(_GENERATOR_KINDS)}")
-        if self.kind == "pow":
-            if self.exponent is None or not math.isfinite(self.exponent):
-                raise DomainError("pow generator needs a finite exponent")
-            if self.exponent <= 0.0:
-                raise DomainError("pow generator exponent must be positive "
-                                  "(nonpositive powers are not increasing)")
-        elif self.exponent is not None:
-            raise DomainError(f"generator {self.kind!r} takes no exponent")
-
-    def apply(self, x: float) -> float:
-        if self.kind == "log":
-            if x <= 0.0:
-                raise DomainError(f"log generator needs positive input, got {x!r}")
-            return math.log(x)
-        if self.kind == "exp":
-            return math.exp(x)
-        if self.kind == "pow":
-            if x <= 0.0:
-                raise DomainError(f"pow generator needs positive input, got {x!r}")
-            return x ** self.exponent
-        return x
-
-    def __str__(self) -> str:
-        if self.kind == "pow":
-            return f"pow[{format_number(self.exponent)}]"
-        return self.kind
-
-
-@dataclass(frozen=True)
-class QuasiAggregate:
-    """``sum(g(x_i))`` for a catalog generator g."""
-
-    generator: Generator
-
-    def __str__(self) -> str:
-        return f"qa[{self.generator}]"
 
 
 @dataclass(frozen=True)
@@ -376,7 +310,7 @@ class MeanOuter:
         return f"mean[{self.mean}]"
 
 
-OuterFn = Union[Sum, Product, PowerSum, QuasiAggregate, MeanOuter]
+OuterFn = Union[Sum, Product, MeanOuter]
 
 
 def declared_arity(outer: OuterFn) -> Optional[int]:
@@ -390,13 +324,6 @@ def declared_arity(outer: OuterFn) -> Optional[int]:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _positive(v: tuple[float, ...], what: str) -> tuple[float, ...]:
-    for x in v:
-        if x <= 0.0:
-            raise DomainError(f"{what} needs positive entries, got {x!r}")
-    return v
-
-
 def power_mean(order: float, entries: Sequence[float]) -> float:
     """((x1**s + ... + xn**s)/n)**(1/s); the geometric mean at s = 0.
 
@@ -409,8 +336,7 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
         raise DomainError("power-mean order must be finite")
     v = as_vector(entries)
     lo, hi = min(v), max(v)
-    if lo <= 0.0:
-        raise DomainError(f"power mean needs positive entries, got {lo!r}")
+    check_positive(lo, "power mean")
     if lo == hi:
         return lo
     anchor = hi if order > 0.0 else lo
@@ -440,13 +366,13 @@ def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float
 
 def beta_mean(entries: Sequence[float]) -> float:
     """(k * v1*...*vk / (v1+...+vk))**(1/(k-1)) on positive entries, k >= 2."""
-    v = _positive(as_vector(entries), "Beta-type mean")
-    k = len(v)
+    sv = sorted(as_vector(entries))
+    lo, hi = sv[0], sv[-1]
+    check_positive(lo, "Beta-type mean")
+    k = len(sv)
     if k < 2:
         raise ArityError("Beta-type mean needs at least 2 entries "
                          "(the exponent 1/(k-1) is undefined for k=1)")
-    sv = sorted(v)
-    lo, hi = sv[0], sv[-1]
     if lo == hi:
         return lo
     total = math.fsum(sv)
@@ -457,12 +383,6 @@ def beta_mean(entries: Sequence[float]) -> float:
                      - math.log(total)) / (k - 1)
         return math.exp(log_value)
     return (k * prod / total) ** (1.0 / (k - 1))
-
-
-def check_interval(domain: Interval, v: Sequence[float], what: str = "value") -> None:
-    for x in v:
-        if not domain.contains(x):
-            raise DomainError(f"{what} {x!r} outside domain {domain}")
 
 
 def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
@@ -481,8 +401,9 @@ def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
     if isinstance(mean, DerivedMean):
         if mean.arity is not None and len(v) != mean.arity:
             raise ArityError(f"{mean.name} takes {mean.arity} entries, got {len(v)}")
-        check_interval(mean.domain, v, "entry")
-        return mean.fn(tuple(sorted(v)))
+        sv = tuple(sorted(v))
+        check_positive(sv[0], mean.name)
+        return mean.fn(sv)
     raise TypeError(f"not a mean expression: {mean!r}")
 
 
@@ -495,15 +416,21 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
     sv = tuple(sorted(v))
     try:
         if isinstance(outer, Sum):
-            value = math.fsum(sv)
+            g = outer.generator
+            if g == "id":
+                value = math.fsum(sv)
+            elif g == "exp":
+                value = math.fsum(map(math.exp, sv))
+            else:
+                check_positive(sv[0], str(outer))
+                if g == "log":
+                    value = math.fsum(map(math.log, sv))
+                else:
+                    p = outer.exponent
+                    value = math.fsum([x ** p for x in sv])
         elif isinstance(outer, Product):
-            _positive(sv, "product outer")
+            check_positive(sv[0], str(outer))
             value = math.prod(sv)
-        elif isinstance(outer, PowerSum):
-            _positive(sv, "power-sum outer")
-            value = math.fsum(x ** outer.exponent for x in sv)
-        elif isinstance(outer, QuasiAggregate):
-            value = math.fsum(outer.generator.apply(x) for x in sv)
         elif isinstance(outer, MeanOuter):
             value = eval_mean(outer.mean, sv)
         else:

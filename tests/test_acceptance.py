@@ -14,14 +14,11 @@ import time
 from meanforge import (
     BetaMean,
     GeneralizedBetaMean,
-    Generator,
     MeanForgeError,
     MeanOuter,
     PowerMean,
-    PowerSum,
     ProblemSpec,
     Product,
-    QuasiAggregate,
     SamplePlan,
     Sum,
     beta_mean,
@@ -270,12 +267,12 @@ def _random_outer(rng, depth=0):
     if r < 0.5:
         return Product()
     if r < 0.7:
-        return PowerSum(round(rng.uniform(0.1, 10.0), 2))
+        return Sum("pow", round(rng.uniform(0.1, 10.0), 2))
     if r < 0.85:
         kind = rng.choice(("log", "exp", "id", "pow"))
         if kind == "pow":
-            return QuasiAggregate(Generator("pow", round(rng.uniform(0.1, 5.0), 2)))
-        return QuasiAggregate(Generator(kind))
+            return Sum("pow", round(rng.uniform(0.1, 5.0), 2))
+        return Sum(kind)
     return MeanOuter(PowerMean(round(rng.uniform(-9, 9), 2)))
 
 

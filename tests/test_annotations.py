@@ -1,8 +1,9 @@
-"""Every annotation in the package resolves (a stand-in for a type linter).
+"""Every public name and every annotation in the package resolves.
 
 ``from __future__ import annotations`` keeps annotations as strings, so a
 name used only in an annotation and never imported goes unnoticed until
-something asks for the hints.  This asks for all of them.
+something asks for the hints.  This asks for all of them, and checks that
+every name a module lists in ``__all__`` still exists.
 """
 
 import importlib
@@ -33,6 +34,14 @@ def _annotated_objects(module):
                     member = member.fget
                 if inspect.isfunction(member):
                     yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module_name", ["meanforge"] + MODULES)
+def test_public_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("module_name", ["meanforge"] + MODULES)

@@ -96,6 +96,15 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "P[2]", "--at", "1,4")
         assert code == 3
 
+    def test_bisection_step_limit_exit_5(self, capsys):
+        # the root is 1e-150; halving a bracket of 0.5 to reach it takes
+        # about 500 steps
+        code, out, _ = run(capsys, "solve", "T{mu=prod; S=[P[0]]; M=[P[-1],P[1]]}",
+                           "--at", "1e-300,1", "--format", "json")
+        record = json.loads(out)["output"]
+        assert code == 5 and record["status"] == "max-iterations"
+        assert record["iterations"] == 200
+
 
 class TestEmbed:
     def test_certified(self, capsys):
@@ -209,6 +218,27 @@ class TestSession:
         # registered names survive formatting
         code, out, _ = run(capsys, "parse", "gm", "--session", session)
         assert code == 0 and out.strip() == "mean: gm"
+
+    @pytest.mark.parametrize("steps", [
+        [("agm", "[P[1],P[0]]"), ("agm", "[agm,P[1]]")],
+        [("a", "[P[1],P[0]]"), ("b", "[a,P[1]]"), ("a", "[b,P[0]]")],
+    ], ids=["refers-to-itself", "refers-to-a-later-name"])
+    def test_registration_that_would_not_load_is_refused(self, capsys, tmp_path, steps):
+        session = tmp_path / "session.json"
+        *accepted, (name, family) = steps
+        for known, text in accepted:
+            code, _, _ = run(capsys, "invariant", text, "--as-mean", known,
+                             "--session", str(session))
+            assert code == 0
+        before = session.read_bytes()
+        code, _, err = run(capsys, "invariant", family, "--as-mean", name,
+                           "--session", str(session))
+        assert code == 3 and "would no longer load" in err
+        assert session.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["session.json"]
+        code, out, _ = run(capsys, "eval", name, "--at", "1,2",
+                           "--session", str(session))
+        assert code == 0
 
     def test_reserved_name_rejected(self, capsys, tmp_path):
         session = str(tmp_path / "session.json")

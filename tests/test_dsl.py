@@ -8,15 +8,12 @@ from meanforge import (
     BetaMean,
     DomainError,
     GeneralizedBetaMean,
-    Generator,
     MeanForgeError,
     MeanOuter,
     ParseError,
     PowerMean,
-    PowerSum,
     ProblemSpec,
     Product,
-    QuasiAggregate,
     Sum,
     eval_mean,
     format_expr,
@@ -44,10 +41,27 @@ class TestParsing:
     def test_outers(self):
         assert parse("sum") == Sum()
         assert parse("prod") == Product()
-        assert parse("powsum[3]") == PowerSum(3.0)
-        assert parse("qa[log]") == QuasiAggregate(Generator("log"))
-        assert parse("qa[pow[2.5]]") == QuasiAggregate(Generator("pow", 2.5))
+        assert parse("powsum[3]") == Sum("pow", 3.0)
+        assert parse("qa[log]") == Sum("log")
+        assert parse("qa[exp]") == Sum("exp")
         assert parse_outer("mean[P[2]]") == MeanOuter(PowerMean(2.0))
+
+    def test_quasi_arithmetic_aliases(self):
+        assert parse("qa[id]") == parse("sum") == Sum()
+        assert parse("qa[pow[2]]") == parse("powsum[2]") == Sum("pow", 2.0)
+        assert format_expr(parse("qa[id]")) == "sum"
+        assert format_expr(parse("qa[pow[2]]")) == "powsum[2]"
+        assert [format_expr(parse(t)) for t in ("qa[log]", "qa[exp]")] == \
+            ["qa[log]", "qa[exp]"]
+
+    def test_exponent_rule_is_shared_by_both_spellings(self):
+        for bad in ("0", "-2"):
+            messages = set()
+            for text in (f"powsum[{bad}]", f"qa[pow[{bad}]]"):
+                with pytest.raises(DomainError, match="must be positive") as err:
+                    parse(text)
+                messages.add(str(err.value))
+            assert len(messages) == 1
 
     def test_problem(self):
         spec = parse("T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}")
@@ -113,8 +127,8 @@ positive_exponents = st.floats(min_value=0.1, max_value=20,
                                allow_nan=False, allow_infinity=False)
 
 generators = st.one_of(
-    st.sampled_from([Generator("log"), Generator("exp"), Generator("id")]),
-    positive_exponents.map(lambda p: Generator("pow", p)),
+    st.sampled_from([Sum("log"), Sum("exp"), Sum("id")]),
+    positive_exponents.map(lambda p: Sum("pow", p)),
 )
 
 base_means = st.one_of(nice_orders.map(PowerMean), st.just(BetaMean()))
@@ -124,8 +138,8 @@ def outer_strategy(means):
     return st.one_of(
         st.just(Sum()),
         st.just(Product()),
-        positive_exponents.map(PowerSum),
-        generators.map(QuasiAggregate),
+        positive_exponents.map(lambda p: Sum("pow", p)),
+        generators,
         nice_orders.map(lambda s: MeanOuter(PowerMean(s))),
     )
 

@@ -10,7 +10,6 @@ from meanforge import (
     HypothesisViolation,
     MeanOuter,
     PowerMean,
-    PowerSum,
     ProblemSpec,
     Product,
     SamplePlan,
@@ -99,7 +98,7 @@ class TestSolveScalar:
 
     def test_strict_monotonicity_around_root(self):
         rng = random.Random(4)
-        for outer in (Sum(), Product(), PowerSum(3)):
+        for outer in (Sum(), Product(), Sum("pow", 3)):
             for _ in range(50):
                 v = tuple(rng.uniform(0.5, 100.0) for _ in range(3))
                 prefix = (power_mean(0, v),)

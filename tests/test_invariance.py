@@ -6,6 +6,7 @@ import pytest
 from meanforge import (
     ArityError,
     BetaMean,
+    ConvergenceError,
     DerivedMean,
     DomainError,
     HypothesisViolation,
@@ -112,6 +113,14 @@ class TestInvariantMean:
                 eval_mean(compound, v)
             with pytest.raises(DomainError):
                 gauss_iterate((PowerMean(1), PowerMean(0)), v)
+
+    def test_iteration_cap_reports_unconverged(self, monkeypatch):
+        from meanforge import invariance
+        monkeypatch.setattr(invariance, "DEFAULT_CAP", 2)
+        trace = gauss_iterate((PowerMean(1), PowerMean(-1)), (1.0, 100.0))
+        assert trace.iterations == 2 and not trace.converged
+        with pytest.raises(ConvergenceError):
+            eval_mean(invariant_mean((PowerMean(1), PowerMean(-1))), (1.0, 100.0))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, math.inf, math.nan])
     def test_tolerance_must_lie_in_unit_interval(self, tol):

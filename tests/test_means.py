@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +10,9 @@ from meanforge import (
     BetaMean,
     DerivedMean,
     DomainError,
-    Generator,
-    Interval,
     MeanOuter,
     PowerMean,
-    PowerSum,
     Product,
-    QuasiAggregate,
     SamplePlan,
     Sum,
     assert_strict,
@@ -177,38 +174,72 @@ class TestEvalMean:
             eval_mean(fixed, (1.0, 2.0, 3.0))
 
     def test_derived_domain_enforced(self):
-        bounded = DerivedMean(name="bounded", fn=lambda sv: sv[0],
-                              domain=Interval(0.0, 10.0))
-        with pytest.raises(DomainError):
-            eval_mean(bounded, (5.0, 50.0))
+        first = DerivedMean(name="first", fn=lambda sv: sv[0])
+        for v in ((5.0, 0.0), (-1.0, 2.0)):
+            with pytest.raises(DomainError, match="first needs positive entries"):
+                eval_mean(first, v)
 
 
 class TestOuterFunctions:
     def test_sum_product_powersum(self):
         assert eval_outer(Sum(), (1, 2, 3, 4)) == 10.0
         assert eval_outer(Product(), (2, 3, 4)) == 24.0
-        assert eval_outer(PowerSum(2), (1, 2, 3)) == 14.0
+        assert eval_outer(Sum("pow", 2), (1, 2, 3)) == 14.0
 
     def test_quasi_aggregate_log(self):
-        assert eval_outer(QuasiAggregate(Generator("log")), (2, 8)) == \
+        assert eval_outer(Sum("log"), (2, 8)) == \
             pytest.approx(math.log(16), rel=1e-14)
 
+    @given(st.lists(positive, min_size=1, max_size=6).map(tuple),
+           st.floats(min_value=0.1, max_value=20))
+    def test_sum_is_the_fsum_formula(self, v, p):
+        sv = sorted(v)
+        assert eval_outer(Sum(), v) == math.fsum(sv)
+        assert eval_outer(Sum("log"), v) == math.fsum(math.log(x) for x in sv)
+        assert eval_outer(Sum("pow", p), v) == math.fsum(x ** p for x in sv)
+        small = tuple(x / 1e5 for x in v)  # keeps exp finite
+        assert eval_outer(Sum("exp"), small) == \
+            math.fsum(math.exp(x) for x in sorted(small))
+
     def test_generator_catalog(self):
-        assert Generator("id").apply(3.5) == 3.5
-        assert Generator("exp").apply(0.0) == 1.0
-        assert Generator("pow", 2).apply(3.0) == 9.0
+        assert eval_outer(Sum("id"), (3.5,)) == 3.5
+        assert eval_outer(Sum("exp"), (0.0,)) == 1.0
+        assert eval_outer(Sum("pow", 2), (3.0,)) == 9.0
+        assert eval_outer(Sum("log"), (1.0,)) == 0.0
         with pytest.raises(DomainError):
-            Generator("pow", -1)
+            Sum("sinh")
         with pytest.raises(DomainError):
-            Generator("sinh")
-        with pytest.raises(DomainError):
-            Generator("log", 2.0)
+            Sum("log", 2.0)
 
     def test_power_sum_needs_positive_exponent(self):
         with pytest.raises(DomainError):
-            PowerSum(0.0)
+            Sum("pow", 0.0)
         with pytest.raises(DomainError):
-            PowerSum(-2.0)
+            Sum("pow", -2.0)
+
+    def test_one_message_per_exponent_rule(self):
+        rules = (("unknown generator", (("sinh",), ("pow2", 2.0))),
+                 ("takes no exponent", (("log", 2.0), ("id", 1.0), ("exp", 0.5))),
+                 ("must be finite", (("pow",), ("pow", math.inf), ("pow", math.nan))),
+                 ("must be positive", (("pow", 0.0), ("pow", -2.0), ("pow", -1e-300))))
+        for rule, cases in rules:
+            messages = set()
+            for args in cases:
+                with pytest.raises(DomainError, match=rule) as err:
+                    Sum(*args)
+                text = str(err.value)
+                for arg in args + (None,):  # the offending value, wherever named
+                    text = text.replace(repr(arg), "<value>")
+                messages.add(text)
+            assert len(messages) == 1, messages
+
+    def test_sum_domain(self):
+        for outer in (Sum("log"), Sum("pow", 2.0), Product()):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"{outer} needs positive entries, got -3.0")):
+                eval_outer(outer, (2.0, -3.0, 0.0))
+        assert eval_outer(Sum(), (-1.0, 2.0)) == 1.0
+        assert eval_outer(Sum("exp"), (0.0, -1.0)) == 1.0 + math.exp(-1.0)
 
     def test_mean_outer_admission(self):
         MeanOuter(PowerMean(0))  # fine: strictly increasing on the positive axis
@@ -233,9 +264,9 @@ class TestOuterFunctions:
         assert gauss_iterate((BetaMean(), PowerMean(1)), (1.0, 4.0)).converged
 
     def test_overflow_is_a_domain_error(self):
-        for outer, v in ((QuasiAggregate(Generator("exp")), (800.0, 1.0)),
-                         (PowerSum(2), (1e200, 1.0)),
-                         (QuasiAggregate(Generator("pow", 3)), (1e200, 1.0)),
+        for outer, v in ((Sum("exp"), (800.0, 1.0)),
+                         (Sum("pow", 2), (1e200, 1.0)),
+                         (Sum("pow", 3), (1e200, 1.0)),
                          (Product(), (1e200, 1e200)),
                          (Sum(), (1.5e308, 1.5e308))):
             with pytest.raises(DomainError, match="overflows"):
@@ -250,14 +281,14 @@ class TestOuterFunctions:
     def test_bit_exact_symmetry(self, v, rng):
         p = list(v)
         rng.shuffle(p)
-        for outer in (Sum(), Product(), PowerSum(3),
-                      QuasiAggregate(Generator("log")), MeanOuter(PowerMean(2))):
+        for outer in (Sum(), Product(), Sum("pow", 3),
+                      Sum("log"), MeanOuter(PowerMean(2))):
             assert eval_outer(outer, v) == eval_outer(outer, p)
 
     def test_strictly_increasing_per_coordinate(self):
         rng = random.Random(11)
-        for outer in (Sum(), Product(), PowerSum(3),
-                      QuasiAggregate(Generator("log")), MeanOuter(PowerMean(-2))):
+        for outer in (Sum(), Product(), Sum("pow", 3),
+                      Sum("log"), MeanOuter(PowerMean(-2))):
             for _ in range(50):
                 v = [rng.uniform(0.5, 100.0) for _ in range(4)]
                 base = eval_outer(outer, v)
