@@ -100,12 +100,15 @@ def _record(kind: str, inp: dict, passed: bool,
 # constructors for pairs with known ordering relations
 # ---------------------------------------------------------------------------
 
+# Ranges of the constructed vector entries and exponents.
+_PAIR_LOW, _PAIR_HIGH, _EXPONENT_SPAN = 0.5, 100.0, 3.0
+
+
 def _uniform_vector(rng: random.Random, n: int, lo: float, hi: float) -> tuple[float, ...]:
     return tuple(rng.uniform(lo, hi) for _ in range(n))
 
 
-def majorized_pair(rng: random.Random, m: int, n: int,
-                   lo: float = 0.5, hi: float = 100.0) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def majorized_pair(rng: random.Random, m: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """A pair (v, w) with v ordered majorized by w, for any lengths m, n.
 
     For m <= n, v is built pointwise below the m largest entries of w; for
@@ -113,22 +116,21 @@ def majorized_pair(rng: random.Random, m: int, n: int,
     w and the remaining entries are free (extra entries only lower each k-th
     smallest value).
     """
-    w = list(_uniform_vector(rng, n, lo, hi))
+    w = list(_uniform_vector(rng, n, _PAIR_LOW, _PAIR_HIGH))
     if m <= n:
         top = sorted(w, reverse=True)[:m]
-        v = [x - rng.random() * (x - lo) for x in top]
+        v = [x - rng.random() * (x - _PAIR_LOW) for x in top]
     else:
-        base = [x - rng.random() * (x - lo) for x in sorted(w)]
-        v = base + [rng.uniform(lo, hi) for _ in range(m - n)]
+        base = [x - rng.random() * (x - _PAIR_LOW) for x in sorted(w)]
+        v = base + [rng.uniform(_PAIR_LOW, _PAIR_HIGH) for _ in range(m - n)]
     rng.shuffle(v)
     rng.shuffle(w)
     return tuple(v), tuple(w)
 
 
-def embedded_pair(rng: random.Random, m: int, n: int,
-                  lo: float = 0.5, hi: float = 100.0) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def embedded_pair(rng: random.Random, m: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """A pair (v, w), len(v)=m <= len(w)=n, with v a sub-multiset of w (so v embedded)."""
-    w = list(_uniform_vector(rng, n, lo, hi))
+    w = list(_uniform_vector(rng, n, _PAIR_LOW, _PAIR_HIGH))
     asc = sorted(w)
     v = [asc[i] for i in sorted(rng.sample(range(n), m))]
     rng.shuffle(v)
@@ -136,21 +138,20 @@ def embedded_pair(rng: random.Random, m: int, n: int,
     return tuple(v), tuple(w)
 
 
-def embedded_exponents(rng: random.Random, m: int, n: int,
-                       span: float = 3.0) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def embedded_exponents(rng: random.Random, m: int, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Exponent vectors (alpha, beta) with alpha embedded in beta.
 
     Each alpha_k is drawn inside the window [beta_k, beta_{k+n-m}] of the
     ascending beta; any such draw is embedded as a multiset.
     """
-    beta = sorted(rng.uniform(-span, span) for _ in range(n))
+    beta = sorted(rng.uniform(-_EXPONENT_SPAN, _EXPONENT_SPAN) for _ in range(n))
     alpha = [beta[k] + rng.random() * (beta[k + n - m] - beta[k])
              for k in range(m)]
     rng.shuffle(alpha)
     return tuple(alpha), tuple(beta)
 
 
-def comparability_quadruple(rng: random.Random, m: int, n: int, span: float = 3.0):
+def comparability_quadruple(rng: random.Random, m: int, n: int):
     """Exponent families (sigma, beta, sigma_star, beta_star) for the comparability law.
 
     Construction guarantees: beta_star pointwise below beta (so ordered
@@ -158,7 +159,7 @@ def comparability_quadruple(rng: random.Random, m: int, n: int, span: float = 3.
     pointwise below sigma_star but still inside its beta windows (embedded in
     beta, and ordered majorized by sigma_star).
     """
-    beta = sorted(rng.uniform(-span, span) for _ in range(n))
+    beta = sorted(rng.uniform(-_EXPONENT_SPAN, _EXPONENT_SPAN) for _ in range(n))
     idx = sorted(rng.sample(range(n), m))
     gaps = [beta[i] - beta[k] for k, i in enumerate(idx)]
     drop_family = [rng.random() * g / 2 for g in gaps]
@@ -175,11 +176,10 @@ def comparability_quadruple(rng: random.Random, m: int, n: int, span: float = 3.
 
 
 _SOLVER_OUTERS: tuple[OuterFn, ...] = (Sum(), Product(), Sum("pow", 3))
+_SOLVER_ARITIES = (2, 3, 5)
 
 
-def solver_instances(seed: int, count: int,
-                     outers: Sequence[OuterFn] = _SOLVER_OUTERS,
-                     arities: Sequence[int] = (2, 3, 5)) -> Iterator[tuple]:
+def solver_instances(seed: int, count: int) -> Iterator[tuple]:
     """Admissible solver instances (outer, alpha, beta, v), embedding certified.
 
     The power-mean prefix family with exponents ``alpha`` is embedded in the
@@ -192,13 +192,13 @@ def solver_instances(seed: int, count: int,
         n = rng.randint(2, 5)
         m = rng.randint(1, n - 1)
         alpha, beta = embedded_exponents(rng, m, n)
-        k = rng.choice(list(arities))
+        k = rng.choice(_SOLVER_ARITIES)
         if index % 10 == 0:
             base = rng.uniform(0.5, 99.0)
             v = tuple(base + 1e-7 * rng.random() for _ in range(k))
         else:
             v = tuple(rng.uniform(0.5, 100.0) for _ in range(k))
-        outer = outers[index % len(outers)]
+        outer = _SOLVER_OUTERS[index % len(_SOLVER_OUTERS)]
         yield outer, alpha, beta, v
 
 

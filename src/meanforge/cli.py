@@ -1,5 +1,7 @@
 """Command-line front end: ``meanforge <eval|solve|embed|invariant|check|parse>``.
 
+``eval`` evaluates an outer function or any mean, a ``T{...}`` problem too:
+its value is the root that ``solve`` prints with bracket, residual and steps.
 Exit codes: 0 success, 1 a check suite reported failures, 2 unparseable
 input, 3 domain or arity violation, 4 a mathematical hypothesis failed
 (embedding refuted or violated), 5 non-convergence.  ``--format json``
@@ -17,7 +19,6 @@ expression.  A registration after which the file would not load is refused.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -118,10 +119,9 @@ def _build_registry(data: dict) -> dict[str, MeanExpr]:
                               "mean texts, and a numeric \"tol\"")
         family = tuple(dsl.parse_mean(text, registry) for text in texts)
         try:
-            mean = invariance.invariant_mean(family, tol=tol)
-        except DomainError as exc:
+            registry[name] = invariance.invariant_mean(family, tol, name)
+        except (DomainError, ArityError) as exc:
             raise DomainError(f"session entry {name!r}: {exc}") from None
-        registry[name] = dataclasses.replace(mean, name=name)
     return registry
 
 
@@ -165,8 +165,6 @@ def _cmd_eval(args) -> int:
     registry = _load_registry(args.session)
     expr = dsl.parse(args.expr, registry)
     at = _parse_floats(args.at, "vector")
-    if isinstance(expr, dsl.ProblemSpec):
-        raise DomainError("got a problem specification; use 'meanforge solve' for T{...}")
     value = eval_mean(expr, at) if is_mean_expr(expr) else eval_outer(expr, at)
     record = {"kind": "eval",
               "input": {"expr": dsl.format_expr(expr), "at": list(at)},
@@ -224,8 +222,12 @@ def _cmd_embed(args) -> int:
         record["witness"] = report.counterexample
         at = ",".join(f"{x!r}" for x in report.counterexample["vector"])
         lines.append("counterexample vector: " + at)
+        session = ""
+        if args.session is not None:
+            import shlex  # deferred: only a refutation replays
+            session = " --session " + shlex.quote(args.session)
         for mean in tuple(small) + tuple(big):
-            lines.append(f'  meanforge eval "{mean}" --at {at}')
+            lines.append(f'  meanforge eval "{mean}" --at {at}{session}')
     _emit(args, record, lines)
     return EXIT_HYPOTHESIS if report.mode == "refuted" else EXIT_OK
 
@@ -326,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a mean or outer-function expression")
-    p.add_argument("expr", help='DSL text, e.g. "P[0]" or "qa[log]"')
+    p.add_argument("expr", help='DSL text, e.g. "P[0]", "T{...}" or "qa[log]"')
     p.add_argument("--at", required=True, metavar="V",
                    help="comma-separated vector, e.g. 2,8")
     _add_common(p)

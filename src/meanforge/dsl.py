@@ -2,7 +2,8 @@
 
 Grammar (whitespace-insensitive)::
 
-    mean    := "P" "[" number "]" | "B" | "beta" "{" "S=" mean ";" "mu=" outer "}" | ident
+    mean    := "P" "[" number "]" | "B" | "beta" "{" "S=" mean ";" "mu=" outer "}"
+             | problem | ident
     outer   := "sum" | "prod" | "powsum" "[" number "]" | "qa" "[" gen "]" | "mean" "[" mean "]"
     gen     := "log" | "exp" | "pow" "[" number "]" | "id"
     list    := "[" mean { "," mean } "]"
@@ -11,7 +12,8 @@ Grammar (whitespace-insensitive)::
 
 ``ident`` resolves named derived means registered at runtime (for example an
 invariant mean stored in a session file); an unknown name is an error.  A
-parsed ``problem`` is also the implicit mean its balance equation defines.
+``problem`` is the implicit mean its balance equation defines, so it parses
+wherever a mean does: at the top level, in a mean list, inside ``beta{...}``.
 Every ``sum``/``powsum``/``qa`` outer is one ``Sum`` node, printed in its
 canonical spelling ``sum``, ``powsum[p]``, ``qa[log]`` or ``qa[exp]``;
 ``qa[id]`` and ``qa[pow[p]]`` are accepted aliases of ``sum`` and
@@ -132,8 +134,8 @@ class _Parser:
         self.pos = 0
         self.registry = dict(registry) if registry else {}
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def _advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -184,6 +186,19 @@ class _Parser:
         if tok.text == "B":
             self._advance()
             return BetaMean()
+        if tok.text == "T":
+            self._advance()
+            self._expect_punct("{")
+            self._expect_label("mu")
+            outer = self.outer()
+            self._expect_punct(";")
+            self._expect_label("S")
+            small = self.mean_list()
+            self._expect_punct(";")
+            self._expect_label("M")
+            big = self.mean_list()
+            self._expect_punct("}")
+            return ProblemSpec(outer, small, big)
         if tok.text == "beta":
             self._advance()
             self._expect_punct("{")
@@ -247,23 +262,6 @@ class _Parser:
         self._expect_punct("]")
         return tuple(items)
 
-    def problem(self) -> ProblemSpec:
-        tok = self._peek()
-        if not (tok.kind == "ident" and tok.text == "T"):
-            raise self._fail(("'T'",))
-        self._advance()
-        self._expect_punct("{")
-        self._expect_label("mu")
-        outer = self.outer()
-        self._expect_punct(";")
-        self._expect_label("S")
-        small = self.mean_list()
-        self._expect_punct(";")
-        self._expect_label("M")
-        big = self.mean_list()
-        self._expect_punct("}")
-        return ProblemSpec(outer=outer, small=small, big=big)
-
     def _done(self) -> None:
         tok = self._peek()
         if tok.kind != "end":
@@ -271,46 +269,39 @@ class _Parser:
 
     def expression(self) -> Expr:
         tok = self._peek()
-        if tok.kind == "ident" and tok.text == "T" and \
-                self._peek(1).kind == "punct" and self._peek(1).text == "{":
-            result: Expr = self.problem()
-        elif tok.kind == "ident" and tok.text in _OUTER_KEYWORDS:
-            result = self.outer()
-        else:
-            result = self.mean()
-        self._done()
-        return result
+        if tok.kind == "ident" and tok.text in _OUTER_KEYWORDS:
+            return self.outer()
+        return self.mean()
+
+
+def _parse_whole(text: str, registry: Optional[Mapping[str, MeanExpr]], rule):
+    """Apply the grammar rule ``rule`` (a ``_Parser`` method) to all of ``text``."""
+    parser = _Parser(text, registry)
+    result = rule(parser)
+    parser._done()
+    return result
 
 
 def parse(text: str, registry: Optional[Mapping[str, MeanExpr]] = None) -> Expr:
-    """Parse a problem, mean, or outer-function expression."""
-    return _Parser(text, registry).expression()
+    """Parse a mean (a problem included) or an outer-function expression."""
+    return _parse_whole(text, registry, _Parser.expression)
 
 
 def parse_mean(text: str, registry: Optional[Mapping[str, MeanExpr]] = None) -> MeanExpr:
-    parser = _Parser(text, registry)
-    result = parser.mean()
-    parser._done()
-    return result
+    return _parse_whole(text, registry, _Parser.mean)
 
 
 def parse_outer(text: str, registry: Optional[Mapping[str, MeanExpr]] = None) -> OuterFn:
-    parser = _Parser(text, registry)
-    result = parser.outer()
-    parser._done()
-    return result
+    return _parse_whole(text, registry, _Parser.outer)
 
 
 def parse_mean_list(text: str,
                     registry: Optional[Mapping[str, MeanExpr]] = None) -> tuple[MeanExpr, ...]:
-    parser = _Parser(text, registry)
-    result = parser.mean_list()
-    parser._done()
-    return result
+    return _parse_whole(text, registry, _Parser.mean_list)
 
 
 def format_expr(obj: Union[Expr, Sequence[MeanExpr]]) -> str:
-    """Canonical text for a problem, mean, outer function, or mean list."""
+    """Canonical text for a mean (a problem included), outer function, or mean list."""
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(str(m) for m in obj) + "]"
     return str(obj)

@@ -5,7 +5,7 @@ all coordinates to a common limit; the limit as a function of the starting
 vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
-asserted every step.  ``invariant_mean`` builds ``K`` as an ``InvariantMean``.
+asserted every step.  ``invariant_mean`` is the ``InvariantMean`` node ``K``.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
@@ -23,15 +23,14 @@ from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector
 from .means import (
     DEFAULT_TOL,
-    BetaMean,
     InvariantMean,
     MeanExpr,
     MeanOuter,
     ProblemSpec,
     check_positive,
+    check_strict_family,
     check_tol,
     eval_mean,
-    is_strict,
 )
 from .implicit import verify_embedding
 from .sampling import CheckReport, SamplePlan, sample_vectors
@@ -62,14 +61,6 @@ class IterationTrace:
     converged: bool
 
 
-def _require_strict_family(family: Sequence[MeanExpr]) -> None:
-    for m in family:
-        if not (isinstance(m, BetaMean) or is_strict(m)):
-            raise HypothesisViolation(
-                f"{m} is not known to be strict; wrap it with assert_strict() "
-                "to record the caller's strictness assertion")
-
-
 def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
                   tol: float = DEFAULT_TOL) -> IterationTrace:
     """Iterate v <- (M_1(v), ..., M_n(v)) until the coordinates collapse.
@@ -88,7 +79,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     if len(family) != len(u):
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
-    _require_strict_family(family)
+    check_strict_family(family)
     lo, hi = min(u), max(u)
     check_positive(lo, "Gauss iteration")
     iterations = 0
@@ -110,18 +101,8 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         iterations += 1
 
 
-def invariant_mean(family: Sequence[MeanExpr],
-                   tol: float = DEFAULT_TOL) -> InvariantMean:
-    """The mean invariant under the mapping v -> (M_1(v), ..., M_n(v)).
-
-    Evaluation runs the iteration from the given point.  The result is
-    strict: for a family of strict continuous means the invariant mean is
-    itself strictly increasing in each variable, which lets it serve as the
-    outer function of a balance equation.
-    """
-    family = tuple(family)
-    _require_strict_family(family)
-    return InvariantMean(family, tol)
+# invariant_mean(family, tol=DEFAULT_TOL): the node validates its own family.
+invariant_mean = InvariantMean
 
 
 def invariant_value(mean: InvariantMean, v: tuple[float, ...]) -> float:

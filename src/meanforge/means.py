@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union, get_args
 
-from .errors import ArityError, DomainError
+from .errors import ArityError, DomainError, HypothesisViolation
 from .ordering import as_vector
 from .sampling import CheckReport, SamplePlan, sample_vectors
 
@@ -46,6 +46,7 @@ __all__ = [
     "MeanExpr",
     "is_mean_expr",
     "is_strict",
+    "check_strict_family",
     "Sum",
     "Product",
     "MeanOuter",
@@ -176,7 +177,7 @@ class InvariantMean:
 
     Its value at ``v`` is the limit of Gauss iteration from ``v`` (relative
     spread ``tol``, 0 < tol < 1); it takes ``arity = len(family)`` entries
-    and is strict.
+    and, its family passing :func:`check_strict_family`, is strict.
     ``name``, a session registration, replaces the label but not equality.
     """
 
@@ -189,6 +190,7 @@ class InvariantMean:
     def __post_init__(self):
         object.__setattr__(self, "family", tuple(self.family))
         check_tol(self.tol)
+        check_strict_family(self.family)
 
     @property
     def arity(self) -> int:
@@ -238,6 +240,17 @@ def is_strict(mean: MeanExpr) -> bool:
     admission set of :class:`MeanOuter`.  Gauss iteration also admits ``B``.
     """
     return isinstance(mean, PowerMean) or getattr(mean, "strict", False)
+
+
+def check_strict_family(family: tuple[MeanExpr, ...]) -> None:
+    """Reject a Gauss-iteration family that is empty or has a member neither strict nor B."""
+    if not family:
+        raise ArityError("a mean-type family needs at least one mean")
+    for m in family:
+        if not (isinstance(m, BetaMean) or is_strict(m)):
+            raise HypothesisViolation(
+                f"{m} is not known to be strict; wrap it with assert_strict() "
+                "to record the caller's strictness assertion")
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +368,19 @@ def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float
 
     Used only where min(v)/max(v) is below the normal floats; elsewhere the
     ratio is more accurate, since the error of ``log(x)`` grows with |log x|.
+    ``exp(m)`` can leave the normal floats where ``anchor*exp(m)`` does not
+    (|m| < 1455), so beyond |m| = 700 it is applied as three factors.
     """
     shift = math.log(anchor)
     t = [math.log(x) - shift for x in v]
     if abs(order) < GEOMETRIC_ORDER:
-        return anchor * math.exp(math.fsum(t) / len(v))
-    mean_expm1 = math.fsum([math.expm1(order * u) for u in t]) / len(v)
-    return anchor * math.exp(math.log1p(mean_expm1) / order)
+        m = math.fsum(t) / len(v)
+    else:
+        m = math.log1p(math.fsum([math.expm1(order * u) for u in t]) / len(v)) / order
+    if abs(m) <= 700.0:
+        return anchor * math.exp(m)
+    third = m / 3.0  # m - 2*third is exact (Sterbenz), so the parts sum to m
+    return anchor * math.exp(third) * math.exp(third) * math.exp(m - 2.0 * third)
 
 
 def beta_mean(entries: Sequence[float]) -> float:
@@ -375,12 +394,17 @@ def beta_mean(entries: Sequence[float]) -> float:
                          "(the exponent 1/(k-1) is undefined for k=1)")
     if lo == hi:
         return lo
-    total = math.fsum(sv)
+    try:
+        total = math.fsum(sv)
+    except OverflowError:
+        total = math.inf
     prod = math.prod(sv)
-    if prod == 0.0 or math.isinf(prod):
-        # product under/overflowed: same value through logarithms
+    if prod == 0.0 or math.isinf(prod) or math.isinf(total):
+        # product or sum under/overflowed: same value through logarithms
+        log_total = (math.log(total) if total < math.inf
+                     else math.log(hi) + math.log(math.fsum([x / hi for x in sv])))
         log_value = (math.log(k) + math.fsum(map(math.log, sv))
-                     - math.log(total)) / (k - 1)
+                     - log_total) / (k - 1)
         return math.exp(log_value)
     return (k * prod / total) ** (1.0 / (k - 1))
 
@@ -442,21 +466,20 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
     return value
 
 
-def assert_strict(mean: MeanExpr, name: Optional[str] = None) -> MeanExpr:
-    """Wrap a mean with the caller's assertion that it is strict.
+def assert_strict(mean: MeanExpr) -> MeanExpr:
+    """Record the caller's assertion that an opaque mean is strict.
 
     Power, Beta and invariant means and means already asserted strict pass
-    through unchanged; anything else is wrapped into a :class:`DerivedMean`
-    with ``strict=True`` so it becomes admissible in mean-type iterations and
-    as an outer mean.  The assertion itself is not checked.
+    through unchanged; a :class:`DerivedMean` comes back with ``strict=True``,
+    admissible in mean-type iterations and as an outer mean.  The assertion
+    itself is not checked.  Any other node raises :class:`DomainError`.
     """
     if isinstance(mean, BetaMean) or is_strict(mean):
         return mean
-    label = name if name is not None else str(mean)
     if isinstance(mean, DerivedMean):
-        return replace(mean, name=label, strict=True)
-    return DerivedMean(name=label, fn=lambda sv, _m=mean: eval_mean(_m, sv),
-                       strict=True)
+        return replace(mean, strict=True)
+    raise DomainError(f"{mean} cannot be asserted strict; to assert it, wrap "
+                      "its evaluation in a DerivedMean and pass that")
 
 
 def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:

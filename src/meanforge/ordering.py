@@ -73,12 +73,12 @@ class OrderingVerdict:
 
 def as_vector(entries: Sequence[float]) -> tuple[float, ...]:
     """Validate and normalize a vector: length >= 1, every entry finite."""
-    v = tuple(float(x) for x in entries)
+    v = tuple(map(float, entries))
     if not v:
         raise DomainError("vector must have at least one entry")
-    for x in v:
-        if not math.isfinite(x):
-            raise DomainError(f"vector entries must be finite, got {x!r}")
+    if not all(map(math.isfinite, v)):
+        bad = next(x for x in v if not math.isfinite(x))
+        raise DomainError(f"vector entries must be finite, got {bad!r}")
     return v
 
 
@@ -92,22 +92,27 @@ def sort_descending(v: Sequence[float]) -> tuple[float, ...]:
     return tuple(sorted(as_vector(v), reverse=True))
 
 
-def _dominates(v: tuple[float, ...], w: tuple[float, ...], eps: float,
+_HOLDS = OrderingCheck(True)  # immutable, so one instance serves every call
+
+
+def _dominates(a: list[float], b: list[float], eps: float,
                *, minorize: bool) -> OrderingCheck:
-    m, n = len(v), len(w)
-    # The shorter length is compared; the sort order flips when v is longer.
-    short = min(m, n)
-    ascending = minorize == (m <= n)
-    a = tuple(sorted(v, reverse=not ascending))
-    b = tuple(sorted(w, reverse=not ascending))
-    for k in range(short):
-        if minorize:
-            ok = a[k] >= b[k] - eps
-        else:
-            ok = a[k] <= b[k] + eps
-        if not ok:
-            return OrderingCheck(False, k + 1)
-    return OrderingCheck(True)
+    # a, b ascending; compared on the shorter length from the bottom, or from
+    # the top for the descending order (the order flips when a is longer)
+    if minorize != (len(a) <= len(b)):
+        a, b = a[::-1], b[::-1]
+    k = 0
+    if minorize:
+        for x, y in zip(a, b):
+            k += 1
+            if not x >= y - eps:
+                return OrderingCheck(False, k)
+    else:
+        for x, y in zip(a, b):
+            k += 1
+            if not x <= y + eps:
+                return OrderingCheck(False, k)
+    return _HOLDS
 
 
 def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
@@ -118,7 +123,7 @@ def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
     ``len(v)`` positions; for a longer ``v`` the descending sorts are compared
     on the first ``len(w)`` positions.
     """
-    return _dominates(as_vector(v), as_vector(w), eps, minorize=True)
+    return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=True)
 
 
 def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
@@ -129,7 +134,7 @@ def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
     ``len(v)`` positions; for a longer ``v`` the ascending sorts are compared
     on the first ``len(w)`` positions.
     """
-    return _dominates(as_vector(v), as_vector(w), eps, minorize=False)
+    return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=False)
 
 
 def is_embedded(v: Sequence[float], w: Sequence[float]) -> OrderingVerdict:
@@ -141,17 +146,13 @@ def is_embedded_within(v: Sequence[float], w: Sequence[float], eps: float) -> Or
     """Embeddability with every inequality relaxed by ``eps >= 0``."""
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
-    vv, ww = as_vector(v), as_vector(w)
-    lower = _dominates(vv, ww, eps, minorize=True)
-    upper = _dominates(vv, ww, eps, minorize=False)
-    embedded = lower.holds and upper.holds and len(vv) <= len(ww)
-    witnesses = [c.witness_index for c in (lower, upper) if c.witness_index is not None]
-    return OrderingVerdict(
-        minorized=lower.holds,
-        majorized=upper.holds,
-        embedded=embedded,
-        witness_index=min(witnesses) if witnesses else None,
-    )
+    a, b = sorted(as_vector(v)), sorted(as_vector(w))
+    lower = _dominates(a, b, eps, minorize=True)
+    upper = _dominates(a, b, eps, minorize=False)
+    embedded = lower.holds and upper.holds and len(a) <= len(b)
+    # failing positions are 1-based, so filter(None, ...) drops only the Nones
+    witness = min(filter(None, (lower.witness_index, upper.witness_index)), default=None)
+    return OrderingVerdict(lower.holds, upper.holds, embedded, witness)
 
 
 def map_vector(f: Callable[[float], float], v: Sequence[float]) -> tuple[float, ...]:

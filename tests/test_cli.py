@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,27 @@ class TestEval:
         assert record["kind"] == "eval"
         assert record["input"] == {"expr": "P[1]", "at": [2.0, 8.0]}
         assert record["output"] == 5.0
+
+    def test_problem_is_a_mean(self, capsys):
+        problem = "T{mu=sum; S=[P[0]]; M=[P[-1],P[1]]}"
+        code, out, _ = run(capsys, "eval", problem, "--at", "2,8", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["output"]
+        code, out, _ = run(capsys, "solve", problem, "--at", "2,8", "--format", "json")
+        assert code == 0
+        assert value == json.loads(out)["output"]["root"] == 4.200000000000181
+
+    def test_wide_ratio_values(self, capsys):
+        for expr, at, want in (("P[0]", "1e-310,1.7e308", 0.13038404810405),
+                               ("P[0]", "1e-300,1e300,1e300", 1e100),
+                               ("B", "1e200,1.7e308,1.7e308", 1.5968719422671312e254)):
+            code, out, err = run(capsys, "eval", expr, "--at", at)
+            assert code == 0, err
+            assert float(out) == pytest.approx(want, rel=1e-12)
+        code, out, err = run(capsys, "solve", "T{mu=sum; S=[P[0]]; M=[P[-1],P[1]]}",
+                             "--at", "1e-300,1e300,1e300", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["output"]["root"] == pytest.approx(2e300 / 3, rel=1e-12)
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "P[", "--at", "2,8")
@@ -125,6 +147,22 @@ class TestEmbed:
         assert "refuted" in out
         assert 'meanforge eval "P[5]" --at ' in out
 
+    def test_replay_keeps_the_session(self, capsys, tmp_path):
+        session = str(tmp_path / "session.json")
+        code, _, _ = run(capsys, "invariant", "[P[1],P[0]]", "--as-mean", "agm",
+                         "--session", session)
+        assert code == 0
+        code, out, _ = run(capsys, "embed", "[P[3]]", "[agm,P[1]]", "--session", session,
+                           "--samples", "16", "--arity", "2")
+        assert code == 4
+        replays = [shlex.split(line) for line in out.splitlines()
+                   if line.lstrip().startswith("meanforge eval")]
+        assert [argv[2] for argv in replays] == ["P[3]", "agm", "P[1]"]
+        for argv in replays:
+            assert argv[-2:] == ["--session", session]
+            code, out, err = run(capsys, *argv[1:])
+            assert code == 0 and float(out) > 0.0, err
+
     def test_json_witness(self, capsys):
         code, out, _ = run(capsys, "embed", "[P[5]]", "[P[-2],P[-1],P[1],P[3]]",
                            "--seed", "1", "--format", "json")
@@ -178,8 +216,9 @@ class TestSession:
         '{"gm": {"kind": "invariant", "means": [1]}}',
         '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": "x"}}',
         '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": Infinity}}',
+        '{"gm": {"kind": "invariant", "means": []}}',
     ], ids=["list", "entry-not-object", "no-means", "means-not-list",
-            "means-not-strings", "bad-tol", "infinite-tol"])
+            "means-not-strings", "bad-tol", "infinite-tol", "empty-family"])
     def test_malformed_session_exit_3(self, capsys, tmp_path, content):
         session = tmp_path / "session.json"
         session.write_text(content, encoding="utf-8")
@@ -441,6 +480,8 @@ class TestContractFuzz:
               None))
     @example((["invariant", "[P[1],P[0]]", "--at=1,2", "--tol=0"], None))
     @example((["eval", "agm", "--at=1,2"], _SESSIONS[2]))
+    @example((["eval", "P[0]", "--at=1e-320,1e200,1e200"], None))
+    @example((["eval", "B", "--at=1e200,1.7e308,1.7e308"], None))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()

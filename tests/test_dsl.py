@@ -74,6 +74,18 @@ class TestParsing:
     def test_mean_list(self):
         assert parse_mean_list("[P[1], B]") == (PowerMean(1.0), BetaMean())
 
+    def test_problem_parses_wherever_a_mean_does(self):
+        spec = ProblemSpec(Sum(), (PowerMean(0.0),), (PowerMean(-1.0), PowerMean(1.0)))
+        text = str(spec)
+        assert parse_mean(text) == parse(text) == spec
+        assert parse_mean_list(f"[{text}, B]") == (spec, BetaMean())
+        assert parse(f"beta{{S={text}; mu=sum}}") == GeneralizedBetaMean(spec, Sum())
+        outer = ProblemSpec(Product(), (spec,), (PowerMean(-1.0), PowerMean(2.0)))
+        assert parse(str(outer)) == outer
+        with pytest.raises(ParseError) as err:
+            parse("T[1]")
+        assert err.value.expected == ("'{'",)
+
     def test_registry_idents(self):
         named = invariant_mean((PowerMean(1), PowerMean(-1)))
         registry = {"agh": named}
@@ -161,10 +173,34 @@ problems = st.builds(
 expressions = st.one_of(mean_exprs, outer_strategy(base_means), problems)
 
 
+def problems_of(means):
+    return st.builds(
+        lambda outer, small, big: ProblemSpec(outer, tuple(small), tuple(big)),
+        outer_strategy(base_means),
+        st.lists(means, min_size=1, max_size=2),
+        st.lists(means, min_size=3, max_size=3),
+    )
+
+
+# problems nested in mean lists and in beta{...}, and beta{...} in problems
+nested_means = st.recursive(
+    base_means,
+    lambda children: st.one_of(
+        problems_of(children),
+        st.builds(GeneralizedBetaMean, children, outer_strategy(children))),
+    max_leaves=6,
+)
+
+
 class TestRoundTrip:
     @given(expressions)
     def test_parse_format_identity(self, expr):
         assert parse(format_expr(expr)) == expr
+
+    @given(nested_means)
+    def test_nested_problem_round_trip(self, mean):
+        assert parse(str(mean)) == mean
+        assert parse_mean_list(format_expr([mean, mean])) == (mean, mean)
 
     def test_worked_example_round_trip(self):
         text = "T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,6 +16,7 @@ from meanforge import (
     PowerMean,
     ProblemSpec,
     SamplePlan,
+    Sum,
     assert_strict,
     complementary_mean,
     eval_mean,
@@ -75,6 +77,14 @@ class TestGaussIterate:
         # the assertion path unlocks it
         trace = gauss_iterate((PowerMean(1), assert_strict(opaque)), (1.0, 2.0))
         assert trace.converged
+
+    def test_assert_strict_takes_only_opaque_means(self):
+        opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
+        asserted = assert_strict(opaque)
+        assert asserted.strict and asserted.name == "opaque" and asserted.fn is opaque.fn
+        problem = ProblemSpec(Sum(), (PowerMean(0),), (PowerMean(-1), PowerMean(1)))
+        with pytest.raises(DomainError, match="wrap its evaluation in a DerivedMean"):
+            assert_strict(problem)
 
     def test_non_mean_escape_detected(self):
         runaway = DerivedMean(name="runaway", fn=lambda sv: 2.0 * sv[-1],
@@ -149,6 +159,21 @@ class TestInvariantMean:
         opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
         with pytest.raises(HypothesisViolation):
             invariant_mean((PowerMean(1), opaque))
+
+    def test_node_checks_its_own_family(self):
+        assert invariant_mean is InvariantMean
+        opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
+        problem = ProblemSpec(Sum(), (PowerMean(0),), (PowerMean(-1), PowerMean(1)))
+        for member in (opaque, problem):
+            with pytest.raises(HypothesisViolation, match="not known to be strict"):
+                InvariantMean((PowerMean(1), member))
+            with pytest.raises(HypothesisViolation, match="not known to be strict"):
+                MeanOuter(InvariantMean((PowerMean(1), member)))
+        with pytest.raises(ArityError, match="at least one mean"):
+            InvariantMean(())
+        agm = InvariantMean((PowerMean(1), PowerMean(0)))
+        with pytest.raises(HypothesisViolation):
+            dataclasses.replace(agm, family=(PowerMean(1), opaque))
 
     def test_symmetry_is_exact(self):
         compound = invariant_mean((PowerMean(1), PowerMean(0)))

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +107,36 @@ class TestPowerMean:
         assert power_mean(2, (1e-320, 1e200, 3.0)) == \
             pytest.approx(1e200 / math.sqrt(3), rel=1e-15)
 
+    def test_wide_ratio_mpmath_oracle(self):
+        # min/max below the normal floats with a normal result: exp of the
+        # mean log-ratio can overflow or underflow although the mean cannot
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(0.0, (1e-310, 1.7e308)), (0.0, (1e-300, 1e300, 1e300)),
+                 (1e-5, (1e-250, 1.7e308, 4.736943812155205e-271)),
+                 (0.0, (5e-324,) + (1.7e308,) * 99)]
+        rng = random.Random(21)
+        while len(cases) < 1500:
+            v = tuple(math.exp(rng.uniform(-744.0, 709.0))
+                      for _ in range(rng.randint(2, 6)))
+            if min(v) / max(v) < sys.float_info.min:
+                cases.append((rng.choice((0.0, 1e-5, -1e-5, rng.uniform(-3.0, 3.0),
+                                          rng.uniform(-300.0, 300.0))), v))
+        worst = 0.0
+        with mpmath.workdps(60):
+            for order, v in cases:
+                xs = [mpmath.mpf(x) for x in v]
+                if order == 0.0:
+                    want = mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
+                else:
+                    s = mpmath.mpf(order)
+                    want = (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
+                if not sys.float_info.min <= want <= sys.float_info.max:
+                    continue
+                got = power_mean(order, v)
+                assert min(v) <= got <= max(v), (order, v, got)
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 5e-13
+
     def test_extreme_orders_do_not_overflow(self):
         v = (1e-8, 1.0, 1e8)
         assert power_mean(500, v) <= 1e8
@@ -150,6 +181,31 @@ class TestBetaMean:
         v = (1e300, 1e300, 1e300, 1e200)
         value = beta_mean(v)
         assert math.isfinite(value) and 1e200 <= value <= 1e300
+
+    def test_sum_overflow_mpmath_oracle(self):
+        # the sum overflows while the mean is finite: (k * prod / sum) goes
+        # through logarithms, also when the product alone stays finite
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(1e200, 1.7e308, 1.7e308), (1e-300, 1e-10, 1.7e308, 1.7e308)]
+        rng = random.Random(22)
+        while len(cases) < 400:
+            v = tuple(math.exp(rng.uniform(-690.0, 709.0))
+                      for _ in range(rng.randint(0, 4))) + \
+                tuple(rng.uniform(0.9e308, 1.79e308) for _ in range(2))
+            try:
+                math.fsum(v)
+            except OverflowError:
+                cases.append(v)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for v in cases:
+                xs = [mpmath.mpf(x) for x in v]
+                k = len(xs)
+                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                got = beta_mean(v)
+                assert min(v) <= got <= max(v), (v, got)
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 5e-13
 
     def test_underflow_falls_back_to_logs(self):
         v = (1e-300, 1e-300, 1e-250)
