@@ -19,7 +19,9 @@ canonical spelling ``sum``, ``powsum[p]``, ``qa[log]`` or ``qa[exp]``;
 ``qa[id]`` and ``qa[pow[p]]`` are accepted aliases of ``sum`` and
 ``powsum[p]``.  ``parse(format(x))`` reproduces ``x`` structurally for
 everything the grammar can construct.  Parsing is total: any input either
-parses or raises a structured error, never anything else.
+parses or raises a structured error, never anything else.  Brackets nest at
+most ``MAX_NESTING`` deep, which bounds the recursion of the parser and of
+printing and evaluating what it builds.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .means import (
 __all__ = [
     "ProblemSpec",
     "RESERVED_WORDS",
+    "MAX_NESTING",
     "parse",
     "parse_mean",
     "parse_outer",
@@ -74,6 +77,8 @@ Expr = Union[MeanExpr, OuterFn]
 _NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _PUNCT = "[]{};,="
+# Every recursive rule opens a bracket, so this also caps the parse depth.
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
     i = 0
+    depth = 0
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -100,6 +106,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch in _PUNCT:
+            depth += (ch in "[{") - (ch in "]}")
+            if depth > MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", line, col)
             tokens.append(_Token("punct", ch, line, col))
             col += 1
             i += 1

@@ -37,6 +37,7 @@ from .means import (
     OuterFn,
     PowerMean,
     ProblemSpec,
+    _eval_mean,
     check_tol,
     declared_arity,
     eval_mean,
@@ -192,10 +193,10 @@ def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
     if isinstance(mean, GeneralizedBetaMean):  # inner(v) in [min v, max v]: embedded
         if len(v) < 2:
             raise ArityError("the balanced mean needs at least 2 entries")
-        prefix, target = (eval_mean(mean.base, v),), v
+        prefix, target = (_eval_mean(mean.base, v),), v
     else:
-        prefix = tuple(eval_mean(s, v) for s in mean.small)
-        target = tuple(eval_mean(b, v) for b in mean.big)
+        prefix = tuple(_eval_mean(s, v) for s in mean.small)
+        target = tuple(_eval_mean(b, v) for b in mean.big)
     result = solve_scalar(mean.outer, prefix, target)
     if result.status != "converged":
         raise ConvergenceError(f"{mean}: no convergence within "

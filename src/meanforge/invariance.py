@@ -6,6 +6,8 @@ vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
 asserted every step.  ``invariant_mean`` is the ``InvariantMean`` node ``K``.
+:func:`gauss_iterate` validates once, then evaluates the family through the
+unchecked mean kernels on its own iterates.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
@@ -27,6 +29,7 @@ from .means import (
     MeanExpr,
     MeanOuter,
     ProblemSpec,
+    _eval_mean,
     check_positive,
     check_strict_family,
     check_tol,
@@ -89,7 +92,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
             return IterationTrace(iterations, spread, 0.5 * (lo + hi), True)
         if iterations >= DEFAULT_CAP:
             return IterationTrace(iterations, spread, 0.5 * (lo + hi), False)
-        nxt = tuple(eval_mean(m, u) for m in family)
+        nxt = tuple(_eval_mean(m, u) for m in family)
         nlo, nhi = min(nxt), max(nxt)
         slack = _CONTAINMENT_SLACK * max(1.0, abs(lo), abs(hi))
         if nlo < lo - slack or nhi > hi + slack:

@@ -22,6 +22,11 @@ rejected at construction.
 Permutation invariance is bit-exact: aggregation uses ``math.fsum`` (exactly
 rounded, hence order-independent) and any remaining order-sensitive path
 sorts its input first.
+
+The public evaluators (:func:`power_mean`, :func:`beta_mean`, :func:`eval_mean`,
+:func:`eval_outer`) validate a vector once and hand the tuple to private
+kernels, which derived means call on the values they compute.  Kernels still
+reject non-positive entries and a ``DerivedMean`` result that is not a finite float.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
 
 
-def check_positive(lowest: float, what: str) -> None:
-    """Reject a vector whose smallest entry ``lowest`` is not positive."""
+def check_positive(lowest: float, what: object) -> None:
+    """Reject a smallest entry ``lowest`` <= 0; ``what`` is formatted only when raising."""
     if lowest <= 0.0:
         raise DomainError(f"{what} needs positive entries, got {lowest!r}")
 
@@ -347,7 +352,11 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
     """
     if not math.isfinite(order):
         raise DomainError("power-mean order must be finite")
-    v = as_vector(entries)
+    return _power_mean(order, as_vector(entries))
+
+
+def _power_mean(order: float, v: tuple[float, ...]) -> float:
+    """:func:`power_mean` at a finite ``order`` and a validated vector ``v``."""
     lo, hi = min(v), max(v)
     check_positive(lo, "power mean")
     if lo == hi:
@@ -385,7 +394,12 @@ def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float
 
 def beta_mean(entries: Sequence[float]) -> float:
     """(k * v1*...*vk / (v1+...+vk))**(1/(k-1)) on positive entries, k >= 2."""
-    sv = sorted(as_vector(entries))
+    return _beta_mean(as_vector(entries))
+
+
+def _beta_mean(v: tuple[float, ...]) -> float:
+    """:func:`beta_mean` at a validated vector ``v``."""
+    sv = sorted(v)
     lo, hi = sv[0], sv[-1]
     check_positive(lo, "Beta-type mean")
     k = len(sv)
@@ -411,11 +425,15 @@ def beta_mean(entries: Sequence[float]) -> float:
 
 def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
     """Evaluate a mean expression at a vector."""
-    v = as_vector(entries)
+    return _eval_mean(mean, as_vector(entries))
+
+
+def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
+    """:func:`eval_mean` at a validated vector ``v``: the kernel derived means call."""
     if isinstance(mean, PowerMean):
-        return power_mean(mean.order, v)
+        return _power_mean(mean.order, v)
     if isinstance(mean, BetaMean):
-        return beta_mean(v)
+        return _beta_mean(v)
     if isinstance(mean, (ProblemSpec, GeneralizedBetaMean)):
         from . import implicit  # deferred: implicit builds on this module
         return implicit.balance_value(mean, v)
@@ -427,7 +445,10 @@ def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
             raise ArityError(f"{mean.name} takes {mean.arity} entries, got {len(v)}")
         sv = tuple(sorted(v))
         check_positive(sv[0], mean.name)
-        return mean.fn(sv)
+        value = mean.fn(sv)
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise DomainError(f"{mean.name} returned {value!r}, not a finite float")
+        return value
     raise TypeError(f"not a mean expression: {mean!r}")
 
 
@@ -446,17 +467,17 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
             elif g == "exp":
                 value = math.fsum(map(math.exp, sv))
             else:
-                check_positive(sv[0], str(outer))
+                check_positive(sv[0], outer)
                 if g == "log":
                     value = math.fsum(map(math.log, sv))
                 else:
                     p = outer.exponent
                     value = math.fsum([x ** p for x in sv])
         elif isinstance(outer, Product):
-            check_positive(sv[0], str(outer))
+            check_positive(sv[0], outer)
             value = math.prod(sv)
         elif isinstance(outer, MeanOuter):
-            value = eval_mean(outer.mean, sv)
+            value = _eval_mean(outer.mean, sv)
         else:
             raise TypeError(f"not an outer function: {outer!r}")
     except OverflowError:  # fsum, ** and exp raise it; prod returns inf

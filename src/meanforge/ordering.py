@@ -95,6 +95,12 @@ def sort_descending(v: Sequence[float]) -> tuple[float, ...]:
 _HOLDS = OrderingCheck(True)  # immutable, so one instance serves every call
 
 
+def _check_eps(eps: float) -> None:
+    # NaN would make every inequality fail and inf make every one hold
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
+
+
 def _dominates(a: list[float], b: list[float], eps: float,
                *, minorize: bool) -> OrderingCheck:
     # a, b ascending; compared on the shorter length from the bottom, or from
@@ -121,8 +127,9 @@ def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
 
     For ``len(v) <= len(w)`` the ascending sorts are compared on the first
     ``len(v)`` positions; for a longer ``v`` the descending sorts are compared
-    on the first ``len(w)`` positions.
+    on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
     """
+    _check_eps(eps)
     return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=True)
 
 
@@ -132,8 +139,9 @@ def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
 
     For ``len(v) <= len(w)`` the descending sorts are compared on the first
     ``len(v)`` positions; for a longer ``v`` the ascending sorts are compared
-    on the first ``len(w)`` positions.
+    on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
     """
+    _check_eps(eps)
     return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=False)
 
 
@@ -143,9 +151,8 @@ def is_embedded(v: Sequence[float], w: Sequence[float]) -> OrderingVerdict:
 
 
 def is_embedded_within(v: Sequence[float], w: Sequence[float], eps: float) -> OrderingVerdict:
-    """Embeddability with every inequality relaxed by ``eps >= 0``."""
-    if eps < 0.0:
-        raise DomainError("eps must be nonnegative")
+    """Embeddability with every inequality relaxed by a finite ``eps >= 0``."""
+    _check_eps(eps)
     a, b = sorted(as_vector(v)), sorted(as_vector(w))
     lower = _dominates(a, b, eps, minorize=True)
     upper = _dominates(a, b, eps, minorize=False)

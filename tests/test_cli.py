@@ -16,6 +16,10 @@ M1_AT_1_4 = 1.8738824415736874
 EXAMPLE_PROBLEM = "T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}"
 
 
+# 400 nested generalized-Beta means: past the DSL nesting limit
+DEEP_PARSE_ARGV = ["parse", "beta{S=" * 400 + "P[1]" + "; mu=sum}" * 400]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -369,6 +373,14 @@ class TestBadInputExitCodes:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
+    def test_deep_nesting_exit_2_without_traceback(self):
+        done = subprocess.run([sys.executable, "-m", "meanforge.cli", *DEEP_PARSE_ARGV],
+                              capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert "nested deeper than" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
 
 class TestSubprocessEntry:
     def test_module_invocation_byte_identical(self):
@@ -482,6 +494,7 @@ class TestContractFuzz:
     @example((["eval", "agm", "--at=1,2"], _SESSIONS[2]))
     @example((["eval", "P[0]", "--at=1e-320,1e200,1e200"], None))
     @example((["eval", "B", "--at=1e200,1.7e308,1.7e308"], None))
+    @example((DEEP_PARSE_ARGV, None))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()

@@ -23,7 +23,7 @@ from meanforge import (
     parse_mean_list,
     parse_outer,
 )
-from meanforge.dsl import is_valid_name
+from meanforge.dsl import MAX_NESTING, is_valid_name
 
 
 class TestParsing:
@@ -239,6 +239,61 @@ class TestTotality:
                 parse("".join(chars))
             except MeanForgeError:
                 pass
+
+
+def _beta_chain(depth: int) -> str:
+    """``depth`` generalized-Beta means nested in each other's S slot."""
+    return "beta{S=" * depth + "P[1]" + "; mu=sum}" * depth
+
+
+def _problem_chain(depth: int) -> str:
+    """``depth`` implicit means nested in each other's S list."""
+    text = "P[1]"
+    for _ in range(depth):
+        text = f"T{{mu=sum; S=[{text}]; M=[P[0],P[2]]}}"
+    return text
+
+
+# every bracket-opening fragment of the grammar, and some that close or break it
+_OPENERS = ("beta{S=", "T{mu=sum; S=[", "mean[", "qa[", "[", "{", "P[")
+_FRAGMENTS = _OPENERS + ("P[1]", "B", "]", "}", ";", ",", "; mu=sum}", "]; M=[P[0],P[2]]}",
+                         "mu=", "S=", "agm", "@", "-", "9" * 400, " ", "\n")
+
+
+class TestNesting:
+    def test_past_the_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested deeper than") as err:
+            parse(_beta_chain(400))
+        # the first "{" past the limit: 7 characters per "beta{S=", "{" the 5th
+        assert (err.value.line, err.value.column) == (1, 7 * MAX_NESTING + 5)
+
+    def test_deepest_accepted_nodes_print_and_evaluate(self):
+        # MAX_NESTING - 1 beta{ and the innermost P[ fill the limit exactly
+        beta = parse(_beta_chain(MAX_NESTING - 1))
+        problem = parse(_problem_chain(MAX_NESTING // 2 - 1))
+        # at (2, 8) each T lies between P[0] = 4 and P[2] = sqrt(34)
+        for node, lo, hi in ((beta, 2.0, 8.0), (problem, 4.0, 34 ** 0.5)):
+            assert parse(str(node)) == node
+            assert lo <= eval_mean(node, (2.0, 8.0)) <= hi
+        with pytest.raises(ParseError):
+            parse(_beta_chain(MAX_NESTING))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3 * MAX_NESTING), st.sampled_from(_OPENERS),
+           st.lists(st.sampled_from(_FRAGMENTS), max_size=30))
+    def test_any_text_raises_only_structured_errors(self, depth, opener, tail):
+        # syntax and depth fail with ParseError; a node constructor may still
+        # refuse what parsed (DomainError, ArityError), never anything else.
+        # Each opener nests one bracket deeper, so past the limit only
+        # ParseError is possible.
+        text = opener * depth + "".join(tail)
+        try:
+            parse(text)
+        except ParseError:
+            return
+        except (DomainError, ArityError):
+            pass
+        assert depth <= MAX_NESTING
 
 
 class TestNames:

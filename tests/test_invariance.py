@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from meanforge import (
     ArityError,
@@ -25,6 +26,7 @@ from meanforge import (
     power_mean,
     verify_invariance,
 )
+from meanforge.means import DEFAULT_TOL
 
 # self-oracle: two-term iteration (a,b) <- ((a+b)/2, sqrt(ab)) run to 1e-15
 AGM_1_2 = 1.4567910310469068
@@ -91,6 +93,16 @@ class TestGaussIterate:
                               strict=True)
         with pytest.raises(HypothesisViolation):
             gauss_iterate((PowerMean(1), runaway), (1.0, 2.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
+    def test_derived_result_checked_in_a_family(self, value):
+        # a NaN iterate would pass the containment check (its comparisons are
+        # False) and run to the iteration cap, were the result not checked
+        broken = assert_strict(DerivedMean(name="broken", fn=lambda sv: value))
+        with pytest.raises(DomainError, match="broken returned .*not a finite float"):
+            gauss_iterate((PowerMean(1), broken), (1.0, 2.0))
+        with pytest.raises(DomainError, match="broken returned .*not a finite float"):
+            eval_mean(invariant_mean((PowerMean(1), broken)), (1.0, 2.0))
 
     def test_beta_mean_is_admissible(self):
         trace = gauss_iterate((BetaMean(), PowerMean(2)), (1.0, 9.0))
@@ -277,3 +289,111 @@ class TestMeanPropertyOfLimits:
         plan = SamplePlan(arity=2, count=200, seed=77)
         report = verify_invariance(compound, family, plan, tol=1e-10)
         assert report.passed
+
+
+def _reference_gauss(family, v, tol):
+    """Gauss iteration written with public eval_mean calls only."""
+    u = tuple(map(float, v))
+    lo, hi = min(u), max(u)
+    for _ in range(10_000):
+        if hi - lo <= tol * max(abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+        u = tuple(eval_mean(m, u) for m in family)
+        lo, hi = min(u), max(u)
+    raise AssertionError("reference iteration did not converge")
+
+
+members = st.one_of(
+    st.integers(-16, 16).map(lambda k: PowerMean(k / 4)),
+    st.floats(min_value=-6, max_value=6, allow_nan=False).map(PowerMean),
+    st.just(BetaMean()),
+)
+
+
+class TestKernelBitIdentity:
+    @given(st.lists(members, min_size=2, max_size=4).flatmap(lambda fam: st.tuples(
+        st.just(tuple(fam)),
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=len(fam),
+                 max_size=len(fam)))))
+    def test_invariant_value_equals_public_reference_loop(self, case):
+        family, v = case
+        got = eval_mean(InvariantMean(family), v)
+        want = _reference_gauss(family, v, DEFAULT_TOL)
+        assert got == want  # bit for bit: the kernels are the public means
+
+
+def _mp_power_mean(mpmath, order, v):
+    xs = [mpmath.mpf(x) for x in v]
+    if order == 0:
+        return mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
+    s = mpmath.mpf(order)
+    return (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
+
+
+def _mp_root(mpmath, f, lo, hi):
+    """Root of the increasing ``f`` on [lo, hi] by 200 bisection steps."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+class TestHighPrecisionOracles:
+    """Invariant and complementary means against mpmath at 50 digits.
+
+    Budgets: a limit stops at relative spread DEFAULT_TOL and reports the
+    midpoint, so it is within DEFAULT_TOL of the true limit.  A complementary
+    mean adds the solver's relative bracket width (DEFAULT_TOL) to the error
+    of the invariant mean on both sides of its equation: 2e-12 in total.
+    """
+
+    def test_arithmetic_geometric_limit_is_agm(self):
+        mpmath = pytest.importorskip("mpmath")
+        ag = invariant_mean((PowerMean(1), PowerMean(0)))
+        rng = random.Random(31)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(300):
+                scale = rng.choice((1.0, 1e200, 1e-200))
+                v = tuple(scale * math.exp(rng.uniform(-7.0, 7.0)) for _ in range(2))
+                want = mpmath.agm(*map(mpmath.mpf, v))
+                worst = max(worst, float(abs(eval_mean(ag, v) - want) / want))
+        assert worst <= DEFAULT_TOL
+
+    def test_complementary_means_of_the_agm(self):
+        # K(P_s(v), T) = agm(v) with K the AGM, solved at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(32)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for s in (0.25, 0.5, 0.75):
+                complement = complementary_mean((PowerMean(s),),
+                                                (PowerMean(1), PowerMean(0)))
+                for _ in range(10):
+                    v = (rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0))
+                    goal = mpmath.agm(*map(mpmath.mpf, v))
+                    prefix = _mp_power_mean(mpmath, s, v)
+                    want = _mp_root(mpmath, lambda t: mpmath.agm(prefix, t) - goal,
+                                    min(v), max(v))
+                    worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
+        assert worst <= 2e-12
+
+    def test_complementary_means_of_the_geometric(self):
+        # the arithmetic-harmonic invariant mean is sqrt(v1*v2), so the
+        # complement of P_s is v1*v2 / P_s(v)
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(33)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                complement = complementary_mean((PowerMean(s),),
+                                                (PowerMean(1), PowerMean(-1)))
+                for _ in range(20):
+                    v = (rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0))
+                    want = mpmath.mpf(v[0]) * v[1] / _mp_power_mean(mpmath, s, v)
+                    worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
+        assert worst <= 2e-12

@@ -235,6 +235,18 @@ class TestEvalMean:
             with pytest.raises(DomainError, match="first needs positive entries"):
                 eval_mean(first, v)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "2.0", None, 2])
+    def test_derived_result_must_be_a_finite_float(self, value):
+        broken = DerivedMean(name="broken", fn=lambda sv: value)
+        with pytest.raises(DomainError, match="broken returned .*not a finite float"):
+            eval_mean(broken, (1.0, 2.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
+    def test_derived_result_checked_under_an_outer(self, value):
+        outer = MeanOuter(assert_strict(DerivedMean(name="broken", fn=lambda sv: value)))
+        with pytest.raises(DomainError, match="broken returned .*not a finite float"):
+            eval_outer(outer, (1.0, 2.0))
+
 
 class TestOuterFunctions:
     def test_sum_product_powersum(self):

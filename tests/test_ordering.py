@@ -124,6 +124,14 @@ class TestRelaxedVariant:
         with pytest.raises(DomainError):
             is_embedded_within((1,), (1, 2), -1e-3)
 
+    # NaN would fail every relaxed inequality and inf would satisfy every one
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-3])
+    @pytest.mark.parametrize("predicate", [is_embedded_within, is_ordered_minorized,
+                                           is_ordered_majorized])
+    def test_bad_eps_rejected(self, predicate, eps):
+        with pytest.raises(DomainError, match="eps must be finite and nonnegative"):
+            predicate((1.0,), (1.0,), eps)
+
 
 class TestMonotoneTransport:
     def test_negation_preserves_embedding(self):
