@@ -24,6 +24,7 @@ reported as such.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -38,9 +39,9 @@ from .means import (
     PowerMean,
     ProblemSpec,
     _eval_mean,
+    _eval_outer,
     check_tol,
     declared_arity,
-    eval_mean,
     eval_outer,
 )
 from .sampling import CheckReport, SamplePlan, sample_vectors
@@ -116,6 +117,8 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     bracket width, so the root is accurate to ``tol`` *relative* even when
     the initial bracket spans orders of magnitude; ``tol`` must lie in (0, 1).
     After ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.
+    The inputs are validated and the prefix sorted once; every step evaluates
+    the outer kernel, while the goal and the residual use :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -139,19 +142,25 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     lo, hi = min(w), max(w)
     bracket = (lo, hi)
     fill = n - m
+    sv = tuple(sorted(v))
 
     def f(x: float) -> float:
-        return eval_outer(outer, v + (x,) * fill)
+        # sorted(v + (x,) * fill), built by inserting the copies after equal entries
+        at = bisect_right(sv, x)
+        return _eval_outer(outer, sv[:at] + (x,) * fill + sv[at:])
+
+    def residual(x: float) -> float:
+        return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
     if lo == hi:
-        return SolveResult(lo, bracket, abs(f(lo) - goal), 0, "converged")
+        return SolveResult(lo, bracket, residual(lo), 0, "converged")
     # Boundary roots: rounding can place the target at (or just past) an end
     # of the bracket even though the exact root is interior.
     if f(lo) - goal >= 0.0:
-        return SolveResult(lo, bracket, abs(f(lo) - goal), 0, "converged")
+        return SolveResult(lo, bracket, residual(lo), 0, "converged")
     if f(hi) - goal <= 0.0:
-        return SolveResult(hi, bracket, abs(f(hi) - goal), 0, "converged")
+        return SolveResult(hi, bracket, residual(hi), 0, "converged")
 
     iterations = 0
     status = "max-iterations"
@@ -172,7 +181,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    return SolveResult(root, bracket, abs(f(root) - goal), iterations, status)
+    return SolveResult(root, bracket, residual(root), iterations, status)
 
 
 def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
@@ -253,8 +262,8 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        small_values = tuple(eval_mean(s, v) for s in small)
-        big_values = tuple(eval_mean(b, v) for b in big)
+        small_values = tuple(_eval_mean(s, v) for s in small)
+        big_values = tuple(_eval_mean(b, v) for b in big)
         relaxed = is_embedded_within(small_values, big_values,
                                      embedding_eps(big_values))
         if not relaxed.embedded:
@@ -293,8 +302,8 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
         return {"rule": "power-mean-exponents", "low": list(lo_exp),
                 "high": list(hi_exp), "witness_index": check.witness_index}
     for v in sample_vectors(plan):
-        low_values = tuple(eval_mean(m, v) for m in low)
-        high_values = tuple(eval_mean(m, v) for m in high)
+        low_values = tuple(_eval_mean(m, v) for m in low)
+        high_values = tuple(_eval_mean(m, v) for m in high)
         check = is_ordered_majorized(low_values, high_values,
                                      embedding_eps(high_values))
         if not check.holds:
@@ -343,8 +352,8 @@ def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        a = eval_mean(plain, v)
-        a_star = eval_mean(starred, v)
+        a = _eval_mean(plain, v)
+        a_star = _eval_mean(starred, v)
         gap = a_star - a
         worst = max(worst, gap)
         if gap > tol:

@@ -33,7 +33,6 @@ from .means import (
     check_positive,
     check_strict_family,
     check_tol,
-    eval_mean,
 )
 from .implicit import verify_embedding
 from .sampling import CheckReport, SamplePlan, sample_vectors
@@ -73,8 +72,9 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     range.  The start must be positive, the domain of every mean the library
     builds; a positive constant start converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
-    a few ulp), which is what makes the spread nonincreasing.  ``tol`` must
-    lie in (0, 1); after ``DEFAULT_CAP`` steps the trace is unconverged.
+    a few ulp of max, at every scale), which is what makes the spread
+    nonincreasing.  ``tol`` must lie in (0, 1); after ``DEFAULT_CAP`` steps
+    the trace is unconverged.
     """
     check_tol(tol)
     family = tuple(family)
@@ -94,7 +94,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
             return IterationTrace(iterations, spread, 0.5 * (lo + hi), False)
         nxt = tuple(_eval_mean(m, u) for m in family)
         nlo, nhi = min(nxt), max(nxt)
-        slack = _CONTAINMENT_SLACK * max(1.0, abs(lo), abs(hi))
+        slack = _CONTAINMENT_SLACK * hi  # relative: the entries are positive
         if nlo < lo - slack or nhi > hi + slack:
             raise HypothesisViolation(
                 "iterate escaped the previous range: some member of the "
@@ -128,9 +128,9 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        direct = eval_mean(candidate, v)
-        mapped = tuple(eval_mean(m, v) for m in family)
-        through = eval_mean(candidate, mapped)
+        direct = _eval_mean(candidate, v)
+        mapped = tuple(_eval_mean(m, v) for m in family)
+        through = _eval_mean(candidate, mapped)
         residual = abs(through - direct) / max(1.0, abs(direct))
         worst = max(worst, residual)
         if residual > tol:

@@ -25,8 +25,9 @@ sorts its input first.
 
 The public evaluators (:func:`power_mean`, :func:`beta_mean`, :func:`eval_mean`,
 :func:`eval_outer`) validate a vector once and hand the tuple to private
-kernels, which derived means call on the values they compute.  Kernels still
-reject non-positive entries and a ``DerivedMean`` result that is not a finite float.
+kernels, which derived means, the balance solver and the sampled verifiers
+call on the values they compute or draw.  Kernels still reject non-positive
+entries and a ``DerivedMean`` result that is not a finite float.
 """
 
 from __future__ import annotations
@@ -377,8 +378,6 @@ def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float
 
     Used only where min(v)/max(v) is below the normal floats; elsewhere the
     ratio is more accurate, since the error of ``log(x)`` grows with |log x|.
-    ``exp(m)`` can leave the normal floats where ``anchor*exp(m)`` does not
-    (|m| < 1455), so beyond |m| = 700 it is applied as three factors.
     """
     shift = math.log(anchor)
     t = [math.log(x) - shift for x in v]
@@ -386,6 +385,15 @@ def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float
         m = math.fsum(t) / len(v)
     else:
         m = math.log1p(math.fsum([math.expm1(order * u) for u in t]) / len(v)) / order
+    return _anchored_exp(anchor, m)
+
+
+def _anchored_exp(anchor: float, m: float) -> float:
+    """``anchor*exp(m)``, also where ``exp(m)`` alone leaves the normal floats.
+
+    That happens for |m| > 708 although the product need not (|m| < 1455),
+    so beyond |m| = 700 the factor is applied in three parts.
+    """
     if abs(m) <= 700.0:
         return anchor * math.exp(m)
     third = m / 3.0  # m - 2*third is exact (Sterbenz), so the parts sum to m
@@ -412,15 +420,20 @@ def _beta_mean(v: tuple[float, ...]) -> float:
         total = math.fsum(sv)
     except OverflowError:
         total = math.inf
-    prod = math.prod(sv)
-    if prod == 0.0 or math.isinf(prod) or math.isinf(total):
-        # product or sum under/overflowed: same value through logarithms
-        log_total = (math.log(total) if total < math.inf
-                     else math.log(hi) + math.log(math.fsum([x / hi for x in sv])))
-        log_value = (math.log(k) + math.fsum(map(math.log, sv))
-                     - log_total) / (k - 1)
-        return math.exp(log_value)
-    return (k * prod / total) ** (1.0 / (k - 1))
+    prod = math.prod(sv)  # ascending: no partial product is below min(1, lo)**k
+    if min(1.0, lo) ** k >= _MIN_NORMAL and prod < math.inf:
+        ratio = k * prod / total
+        if _MIN_NORMAL <= ratio < math.inf:
+            return ratio ** (1.0 / (k - 1))
+    # A product, the sum or their ratio left the normal floats (a subnormal has
+    # lost digits).  B is homogeneous, B(v) = hi*B(v/hi): through logarithms.
+    if lo / hi < _MIN_NORMAL:  # some x/hi would leave the normal floats
+        shift = math.log(hi)
+        t = [math.log(x) - shift for x in sv]
+    else:
+        t = [math.log(x / hi) for x in sv]
+    share = math.fsum([x / hi for x in sv])
+    return _anchored_exp(hi, (math.log(k) + math.fsum(t) - math.log(share)) / (k - 1))
 
 
 def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
@@ -458,7 +471,11 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
     n = declared_arity(outer)
     if n is not None and len(v) != n:
         raise ArityError(f"{outer} takes {n} entries, got {len(v)}")
-    sv = tuple(sorted(v))
+    return _eval_outer(outer, tuple(sorted(v)))
+
+
+def _eval_outer(outer: OuterFn, sv: tuple[float, ...]) -> float:
+    """:func:`eval_outer` at an ascending validated tuple ``sv`` of the outer's arity."""
     try:
         if isinstance(outer, Sum):
             g = outer.generator
@@ -513,7 +530,7 @@ def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:
     perm_rng = random.Random(plan.seed ^ 0x5DEECE66D)
     worst = 0.0
     for index, v in enumerate(sample_vectors(plan)):
-        value = eval_mean(mean, v)
+        value = _eval_mean(mean, v)
         lo, hi = min(v), max(v)
         slack = SYMMETRY_RTOL * max(1.0, abs(lo), abs(hi))
         if not (lo - slack <= value <= hi + slack):
@@ -522,7 +539,7 @@ def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:
                 "violated": "mean property"})
         shuffled = list(v)
         perm_rng.shuffle(shuffled)
-        other = eval_mean(mean, shuffled)
+        other = _eval_mean(mean, tuple(shuffled))
         gap = abs(other - value)
         worst = max(worst, gap)
         if gap > SYMMETRY_RTOL * max(1.0, abs(value)):

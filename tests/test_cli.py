@@ -18,6 +18,15 @@ EXAMPLE_PROBLEM = "T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}"
 
 # 400 nested generalized-Beta means: past the DSL nesting limit
 DEEP_PARSE_ARGV = ["parse", "beta{S=" * 400 + "P[1]" + "; mu=sum}" * 400]
+# Sampling domains far below 1 and narrower than 1e-6: every sample lies
+# inside, so B, P[0] and P[2] (all homogeneous) are refuted on the tiny domain
+# as on the default one, and on the narrow one every vector is near-constant.
+TINY_DOMAIN_ARGV = ["embed", "[B]", "[P[0],P[2]]", "--domain", "1e-12,1e-10",
+                    "--format", "json"]
+NARROW_DOMAIN_ARGV = ["embed", "[B]", "[P[0],P[2]]", "--domain", "5,5.0000001",
+                      "--format", "json"]
+EXPECTED_OUTCOME = {tuple(TINY_DOMAIN_ARGV): (4, "refuted"),
+                    tuple(NARROW_DOMAIN_ARGV): (0, "sampled")}
 
 
 def run(capsys, *argv):
@@ -150,6 +159,12 @@ class TestEmbed:
         assert code == 4
         assert "refuted" in out
         assert 'meanforge eval "P[5]" --at ' in out
+
+    def test_tiny_domain_witness_lies_inside(self, capsys):
+        code, out, _ = run(capsys, *TINY_DOMAIN_ARGV)
+        assert code == 4
+        record = json.loads(out)
+        assert all(1e-12 < x < 1e-10 for x in record["witness"]["vector"])
 
     def test_replay_keeps_the_session(self, capsys, tmp_path):
         session = str(tmp_path / "session.json")
@@ -495,6 +510,8 @@ class TestContractFuzz:
     @example((["eval", "P[0]", "--at=1e-320,1e200,1e200"], None))
     @example((["eval", "B", "--at=1e200,1.7e308,1.7e308"], None))
     @example((DEEP_PARSE_ARGV, None))
+    @example((TINY_DOMAIN_ARGV, None))
+    @example((NARROW_DOMAIN_ARGV, None))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()
@@ -514,3 +531,7 @@ class TestContractFuzz:
                 _strict_json(line)
         if any(a.startswith("--tol=") and _bad_tol(a[6:]) for a in argv):
             assert code in (2, 3), (full, code, out.getvalue())
+        expected = EXPECTED_OUTCOME.get(tuple(argv))
+        if expected is not None:
+            record = json.loads(out.getvalue())
+            assert (code, record["output"]["mode"]) == expected, (full, err.getvalue())

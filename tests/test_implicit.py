@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanforge import (
     ArityError,
+    BetaMean,
     DomainError,
     GeneralizedBetaMean,
     HypothesisViolation,
+    InvariantMean,
     MeanOuter,
     PowerMean,
     ProblemSpec,
@@ -32,6 +35,8 @@ from meanforge.checks import (
     comparability_quadruple,
     solver_instances,
 )
+from meanforge.dsl import parse_outer
+from meanforge.implicit import DEFAULT_TOL, MAX_BISECTION_STEPS
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
@@ -121,6 +126,165 @@ class TestSolveScalar:
         exact = math.sqrt(v[0] * v[1] * v[2] / arithmetic)
         assert exact < 2e-3  # genuinely near the bottom of [1e-3, 90]
         assert result.root == pytest.approx(exact, rel=1e-10)
+
+
+def _reference_solve(outer, prefix, target, tol=DEFAULT_TOL):
+    """solve_scalar's bisection written with public eval_outer calls only."""
+    v, w = tuple(prefix), tuple(target)
+    fill = len(w) - len(v)
+
+    def f(x):
+        return eval_outer(outer, v + (x,) * fill)
+
+    goal = eval_outer(outer, w)
+    lo, hi = min(w), max(w)
+    if lo == hi or f(lo) - goal >= 0.0:
+        return lo, abs(f(lo) - goal), 0, "converged"
+    if f(hi) - goal <= 0.0:
+        return hi, abs(f(hi) - goal), 0, "converged"
+    iterations, status = 0, "max-iterations"
+    while True:
+        if hi - lo <= tol * max(abs(lo), abs(hi)):
+            status = "converged"
+            break
+        if iterations >= MAX_BISECTION_STEPS:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            status = "converged"
+            break
+        iterations += 1
+        if f(mid) - goal < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    return root, abs(f(root) - goal), iterations, status
+
+
+# One outer of every kind; "invariant" is mean[<invariant>] over n members.
+SOLVER_OUTERS = ("sum", "prod", "powsum[0.5]", "powsum[2]", "qa[log]", "qa[exp]",
+                 "qa[pow[1.5]]", "mean[P[-1.5]]", "mean[P[0]]", "mean[P[2]]", "invariant")
+INVARIANT_MEMBERS = (PowerMean(1), PowerMean(-1), PowerMean(0), BetaMean(),
+                     PowerMean(2), PowerMean(-2))
+
+
+@st.composite
+def solver_cases(draw):
+    """(outer, prefix, target): m < n <= 6, ties within the target and with its ends."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n - 1))
+    text = draw(st.sampled_from(SOLVER_OUTERS))
+    outer = (MeanOuter(InvariantMean(INVARIANT_MEMBERS[:n])) if text == "invariant"
+             else parse_outer(text))
+    high = 8.0 if text == "qa[exp]" else 1e3
+    if draw(st.booleans()):
+        entry = st.one_of(st.floats(1e-3, high), st.sampled_from((1.0, 2.0, high)))
+    else:  # near-constant: the boundary steps decide at the outer's rounding level
+        base = draw(st.floats(1e-3, high))
+        entry = st.floats(base, base * (1.0 + draw(st.sampled_from((1e-14, 1e-11)))))
+    target = draw(st.lists(entry, min_size=n, max_size=n))
+    # entry k of a sorted embedded prefix may be anything in [w_k, w_{k+n-m}]
+    w = sorted(target)
+    prefix = [draw(st.one_of(st.sampled_from((w[k], w[k + n - m])),
+                             st.floats(w[k], w[k + n - m])))
+              for k in range(m)]
+    return outer, tuple(draw(st.permutations(prefix))), tuple(target)
+
+
+class TestSolverBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(solver_cases())
+    def test_solve_scalar_equals_public_reference_loop(self, case):
+        outer, prefix, target = case
+        result = solve_scalar(outer, prefix, target)
+        want = _reference_solve(outer, prefix, target)
+        # bit for bit: a bisection step sees the vector the public path sorts
+        assert (result.root, result.residual, result.iterations, result.status) == want
+
+    def test_near_constant_targets(self):
+        # ties at rounding level decide the boundary steps; there an outer
+        # that rounds by order (prod) tells a mis-sorted step vector apart
+        rng = random.Random(44)
+        outers = [parse_outer(t) for t in SOLVER_OUTERS if t != "invariant"]
+        for _ in range(3000):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, n - 1)
+            base = rng.uniform(1e-3, 8.0)
+            target = tuple(base * (1.0 + rng.random() * 1e-14) for _ in range(n))
+            w = sorted(target)
+            prefix = [rng.choice((w[k], w[k + n - m], rng.uniform(w[k], w[k + n - m])))
+                      for k in range(m)]
+            rng.shuffle(prefix)
+            outer = rng.choice(outers)
+            result = solve_scalar(outer, prefix, target)
+            want = _reference_solve(outer, tuple(prefix), target)
+            assert (result.root, result.residual, result.iterations, result.status) == want
+
+
+def _mp_balance_root(mpmath, outer, prefix, target):
+    """The root of outer(prefix, x, .., x) = outer(target), at mpmath precision.
+
+    Every outer here is Phi(sum g(x_i)) with a strictly monotone g, so the
+    root is g^-1((sum g(w) - sum g(v)) / fill); a power-mean outer has
+    g = x**s (log x at s = 0) and the product g = log.
+    """
+    fill = len(target) - len(prefix)
+    if isinstance(outer, MeanOuter):
+        s = mpmath.mpf(outer.mean.order)
+        g, g_inv = ((mpmath.log, mpmath.exp) if s == 0
+                    else (lambda x: x ** s, lambda y: y ** (1 / s)))
+    elif isinstance(outer, Product) or outer.generator == "log":
+        g, g_inv = mpmath.log, mpmath.exp
+    elif outer.generator == "exp":
+        g, g_inv = mpmath.exp, mpmath.log
+    elif outer.generator == "pow":
+        p = mpmath.mpf(outer.exponent)
+        g, g_inv = (lambda x: x ** p), (lambda y: y ** (1 / p))
+    else:
+        g = g_inv = lambda x: x
+    total = (mpmath.fsum(g(mpmath.mpf(x)) for x in target)
+             - mpmath.fsum(g(mpmath.mpf(x)) for x in prefix))
+    return g_inv(total / fill)
+
+
+class TestRootOracles:
+    """solve_scalar roots against the root of the same equation at 50 digits.
+
+    Instances are built as the balance workload builds them: power means at
+    embedded exponent windows of vectors from (0.5, 100), one in ten
+    near-constant, and from (0.5, 8) for qa[exp], whose root is otherwise not
+    determined in double precision.  Budget: the solver stops at relative
+    bracket width DEFAULT_TOL and returns the midpoint, so DEFAULT_TOL
+    relative leaves room for the rounding of the outer near the root.
+    """
+
+    @pytest.mark.parametrize("text", [t for t in SOLVER_OUTERS if t != "invariant"])
+    def test_against_mpmath(self, text):
+        mpmath = pytest.importorskip("mpmath")
+        outer = parse_outer(text)
+        grid = tuple(k / 4 for k in range(-16, 17))
+        high = 8.0 if text == "qa[exp]" else 100.0
+        rng = random.Random(43)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for index in range(200):
+                n = rng.randint(2, 6)
+                m = rng.randint(1, n - 1)
+                beta = sorted(rng.sample(grid, n))
+                alpha = [rng.choice([g for g in grid if beta[k] <= g <= beta[k + n - m]])
+                         for k in range(m)]
+                if index % 10 == 0:
+                    base = rng.uniform(0.5, high - 1e-6)
+                    v = tuple(base + 1e-7 * rng.random() for _ in range(3))
+                else:
+                    v = tuple(rng.uniform(0.5, high) for _ in range(rng.randint(2, 4)))
+                prefix = tuple(power_mean(a, v) for a in alpha)
+                target = tuple(power_mean(b, v) for b in beta)
+                root = solve_scalar(outer, prefix, target).root
+                want = _mp_balance_root(mpmath, outer, prefix, target)
+                worst = max(worst, float(abs(root - want) / want))
+        assert worst <= DEFAULT_TOL
 
 
 class TestImplicitMean:

@@ -94,6 +94,16 @@ class TestGaussIterate:
         with pytest.raises(HypothesisViolation):
             gauss_iterate((PowerMean(1), runaway), (1.0, 2.0))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_escape_caught_on_the_first_step_at_every_scale(self, scale):
+        # the containment slack is relative, so the witness iterate is the
+        # start vector, also far below 1
+        runaway = DerivedMean(name="runaway", fn=lambda sv: 2.0 * sv[-1],
+                              strict=True)
+        with pytest.raises(HypothesisViolation) as caught:
+            gauss_iterate((PowerMean(1), runaway), (scale, 2.0 * scale))
+        assert caught.value.witness["iterate"] == [scale, 2.0 * scale]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
     def test_derived_result_checked_in_a_family(self, value):
         # a NaN iterate would pass the containment check (its comparisons are
@@ -320,6 +330,22 @@ class TestKernelBitIdentity:
         got = eval_mean(InvariantMean(family), v)
         want = _reference_gauss(family, v, DEFAULT_TOL)
         assert got == want  # bit for bit: the kernels are the public means
+
+
+class TestScaledStarts:
+    @given(st.lists(members, min_size=2, max_size=4).flatmap(lambda fam: st.tuples(
+        st.just(tuple(fam)),
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=len(fam),
+                 max_size=len(fam)),
+        st.integers(-250, 250))))
+    def test_builtin_families_never_escape(self, case):
+        # the containment slack scales with the iterate, and the built-in
+        # means stay inside [min, max] to a few ulp at every scale
+        family, v, k = case
+        start = tuple(x * 10.0 ** k for x in v)
+        trace = gauss_iterate(family, start)
+        assert trace.converged
+        assert min(start) * (1 - 1e-12) <= trace.limit <= max(start) * (1 + 1e-12)
 
 
 def _mp_power_mean(mpmath, order, v):

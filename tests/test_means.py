@@ -212,6 +212,37 @@ class TestBetaMean:
         value = beta_mean(v)
         assert math.isfinite(value) and value > 0.0
 
+    def test_extreme_scales_mpmath_oracle(self):
+        # B is homogeneous, so scaling a vector by 10**k scales the mean; the
+        # product must not pass through subnormals (a running product of
+        # ascending entries can, even when the final product is normal) and
+        # k * prod must not overflow.
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(5.346069680757384e+102, 5.346069671141807e+102, 5.346069671202936e+102),
+                 (6.078814674336241e-162, 6.156731810816258e-162),
+                 (1.1702650353800282e-176, 3.0934880786514272e-148,
+                  6.968387262616463e+63, 3.1455193915752357e+189, 6.087629080000905e+251),
+                 (1e-300, 1e-300, 1e300)]
+        rng = random.Random(23)
+        while len(cases) < 600:
+            k = rng.randint(2, 6)
+            scale = 10.0 ** rng.randint(-300, 300)
+            base = rng.uniform(1.0, 10.0)
+            cases.append(rng.choice((
+                tuple(scale * base * (1.0 + rng.random() * 1e-6) for _ in range(k)),
+                tuple(scale * rng.uniform(1.0, 1e3) for _ in range(k)),
+                tuple(math.exp(rng.uniform(-700.0, 700.0)) for _ in range(k)))))
+        worst = 0.0
+        with mpmath.workdps(60):
+            for v in cases:
+                xs = [mpmath.mpf(x) for x in v]
+                k = len(xs)
+                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                got = beta_mean(v)
+                assert math.isfinite(got), v
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 5e-13
+
 
 class TestEvalMean:
     def test_dispatch(self):
@@ -363,6 +394,51 @@ class TestOuterFunctions:
                 i = rng.randrange(4)
                 v[i] += 1e-3 * v[i]
                 assert eval_outer(outer, v) > base
+
+
+class TestOuterOracles:
+    """Outer aggregates against mpmath at 50 digits.
+
+    Budgets, in units of eps = 2.2e-16: ``sum`` is exactly rounded (1 eps
+    relative); ``qa[exp]`` and ``powsum[p]`` add one rounding per term to an
+    exactly rounded sum of positive terms (2 eps relative); ``prod`` rounds
+    once per multiplication (n eps relative).  A ``qa[log]`` sum can cancel,
+    so its error is bounded absolutely, by 2 eps * sum(|log x|).
+    """
+
+    @pytest.mark.parametrize("outer", [Sum(), Sum("exp"), Sum("pow", 0.5), Sum("pow", 2),
+                                       Sum("pow", 3), Sum("log"), Product()],
+                             ids=str)
+    def test_against_mpmath(self, outer):
+        mpmath = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        g = {"id": lambda x: x, "log": mpmath.log, "exp": mpmath.exp,
+             "pow": lambda x: x ** outer.exponent}.get(getattr(outer, "generator", None))
+        rng = random.Random(24)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(500):
+                n = rng.randint(1, 8)
+                if isinstance(outer, Sum) and outer.generator == "exp":
+                    v = tuple(rng.uniform(-700.0, 700.0) for _ in range(n))
+                else:
+                    # log-uniform over 1e-100..1e100, without overflowing the aggregate
+                    reach = 100.0 / (n if isinstance(outer, Product) else
+                                     getattr(outer, "exponent", None) or 1.0)
+                    v = tuple(10.0 ** rng.uniform(-reach, reach) for _ in range(n))
+                xs = [mpmath.mpf(x) for x in v]
+                got = eval_outer(outer, v)
+                if isinstance(outer, Product):
+                    error = abs(got - mpmath.fprod(xs)) / mpmath.fprod(xs) / (n * eps)
+                elif outer.generator == "log":
+                    error = (abs(got - mpmath.fsum(map(g, xs)))
+                             / (2 * eps * max(mpmath.fsum(abs(mpmath.log(x)) for x in xs),
+                                              mpmath.mpf(1e-300))))
+                else:
+                    want = mpmath.fsum(map(g, xs))
+                    error = abs(got - want) / want / ((1 if outer.generator == "id" else 2) * eps)
+                worst = max(worst, float(error))
+        assert worst <= 1.0
 
 
 class TestMeanPropertyChecker:
