@@ -8,6 +8,11 @@ characterization, monotone transport), the mean/outer invariants, the scalar
 solver contract with its closed-form oracles, and the invariant-mean
 identities.
 
+A property is added as one function ``prop(rng, samples, seed)`` under
+``@_check(kind, stream)``: the kind's prefix names its suite, ``rng`` is
+seeded by ``seed`` and the stream name, and the function returns its PASS
+residual (or None) or raises ``_Fail(residual, witness)``.
+
 The pair/instance constructors double as test fixtures: they build vector
 pairs with a *known* ordering relation (pointwise domination after sorting
 implies ordered majorization; selecting a sub-multiset implies embedding;
@@ -85,15 +90,23 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}/{name}")
 
 
-def _record(kind: str, inp: dict, passed: bool,
-            residual: Optional[float] = None,
-            witness: Optional[dict] = None) -> dict:
-    rec = {"kind": kind, "input": inp, "output": "PASS" if passed else "FAIL"}
-    if residual is not None:
-        rec["residual"] = residual
-    if witness is not None:
-        rec["witness"] = witness
-    return rec
+class _Fail(Exception):
+    """Raised by a property: its record reads FAIL with this residual and witness."""
+
+    def __init__(self, residual: Optional[float] = None, witness: Optional[dict] = None):
+        self.residual, self.witness = residual, witness
+
+
+# suite name -> its (kind, stream, property) triples in registration order
+_SUITES: dict[str, list] = {name: [] for name in SUITE_NAMES}
+
+
+def _check(kind: str, stream: str = ""):
+    """File a property under the suite named by ``kind``'s prefix, in source order."""
+    def register(prop):
+        _SUITES[kind.split(".")[0]].append((kind, stream, prop))
+        return prop
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +233,23 @@ def closed_form_prod_mean(v: Sequence[float]) -> float:
 # vectors suite
 # ---------------------------------------------------------------------------
 
-def _vectors_duality(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "duality")
+@_check("vectors.duality", "duality")
+def _vectors_duality(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for _ in range(samples):
         n = rng.randint(2, 6)
         v = _uniform_vector(rng, n, -100.0, 100.0)
         w = _uniform_vector(rng, n, -100.0, 100.0)
         if is_ordered_majorized(v, w).holds != is_ordered_minorized(w, v).holds:
-            return _record("vectors.duality", {"samples": samples, "seed": seed},
-                           False, witness={"v": list(v), "w": list(w)})
-    return _record("vectors.duality", {"samples": samples, "seed": seed}, True)
+            raise _Fail(witness={"v": list(v), "w": list(w)})
 
 
-def _vectors_reflexive_transitive(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "reflexive-transitive")
-    kind = "vectors.reflexivity_transitivity"
-    inp = {"samples": samples, "seed": seed}
+@_check("vectors.reflexivity_transitivity", "reflexive-transitive")
+def _vectors_reflexive_transitive(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for _ in range(samples):
         n = rng.randint(2, 6)
         u = _uniform_vector(rng, n, -100.0, 100.0)
         if not (is_ordered_majorized(u, u).holds and is_ordered_minorized(u, u).holds):
-            return _record(kind, inp, False, witness={"v": list(u)})
+            raise _Fail(witness={"v": list(u)})
         # chain u <= v <= w pointwise, shuffled: ordered majorization must chain
         v = tuple(x + rng.uniform(0.0, 10.0) for x in u)
         w = tuple(x + rng.uniform(0.0, 10.0) for x in v)
@@ -248,15 +257,11 @@ def _vectors_reflexive_transitive(samples: int, seed: int) -> dict:
         w = tuple(sorted(w, key=lambda _: rng.random()))
         if not (is_ordered_majorized(u, v).holds and is_ordered_majorized(v, w).holds
                 and is_ordered_majorized(u, w).holds):
-            return _record(kind, inp, False,
-                           witness={"u": list(u), "v": list(v), "w": list(w)})
-    return _record(kind, inp, True)
+            raise _Fail(witness={"u": list(u), "v": list(v), "w": list(w)})
 
 
-def _vectors_permutation(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "permutation")
-    kind = "vectors.permutation_characterization"
-    inp = {"samples": samples, "seed": seed}
+@_check("vectors.permutation_characterization", "permutation")
+def _vectors_permutation(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for index in range(samples):
         n = rng.randint(1, 6)
         v = _uniform_vector(rng, n, -100.0, 100.0)
@@ -268,8 +273,7 @@ def _vectors_permutation(samples: int, seed: int) -> dict:
             w = _uniform_vector(rng, n, -100.0, 100.0)
         expected = sort_ascending(v) == sort_ascending(w)
         if is_embedded(v, w).embedded != expected:
-            return _record(kind, inp, False, witness={"v": list(v), "w": list(w)})
-    return _record(kind, inp, True)
+            raise _Fail(witness={"v": list(v), "w": list(w)})
 
 
 _COMPARISON_OUTERS: tuple[OuterFn, ...] = (
@@ -277,10 +281,8 @@ _COMPARISON_OUTERS: tuple[OuterFn, ...] = (
     MeanOuter(PowerMean(2)))
 
 
-def _vectors_monotone_comparison(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "monotone-comparison")
-    kind = "vectors.monotone_comparison"
-    inp = {"samples": samples, "seed": seed}
+@_check("vectors.monotone_comparison", "monotone-comparison")
+def _vectors_monotone_comparison(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     per_outer = max(1, samples // len(_COMPARISON_OUTERS))
     for outer in _COMPARISON_OUTERS:
         for _ in range(per_outer):
@@ -288,10 +290,9 @@ def _vectors_monotone_comparison(samples: int, seed: int) -> dict:
             v, w = majorized_pair(rng, n, n)
             a, b = eval_outer(outer, v), eval_outer(outer, w)
             if a > b + 1e-9 * max(1.0, abs(b)):
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "v": list(v), "w": list(w),
                     "value_v": a, "value_w": b})
-    return _record(kind, inp, True)
 
 
 _TRANSPORT_FUNCTIONS = (
@@ -302,10 +303,8 @@ _TRANSPORT_FUNCTIONS = (
 )
 
 
-def _vectors_monotone_transport(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "monotone-transport")
-    kind = "vectors.monotone_transport"
-    inp = {"samples": samples, "seed": seed}
+@_check("vectors.monotone_transport", "monotone-transport")
+def _vectors_monotone_transport(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     per_fn = max(1, samples // len(_TRANSPORT_FUNCTIONS))
     for name, fn, nondecreasing in _TRANSPORT_FUNCTIONS:
         for _ in range(per_fn):
@@ -316,71 +315,59 @@ def _vectors_monotone_transport(samples: int, seed: int) -> dict:
             ok = (is_ordered_majorized(fv, fw).holds if nondecreasing
                   else is_ordered_majorized(fw, fv).holds)
             if not ok:
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "function": name, "v": list(v), "w": list(w)})
             lo, hi = sorted((m, n))
             ev, ew = embedded_pair(rng, lo, hi)
             if not is_embedded(map_vector(fn, ev), map_vector(fn, ew)).embedded:
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "function": name, "v": list(ev), "w": list(ew),
                     "relation": "embedding"})
-    return _record(kind, inp, True)
 
 
-def _vectors_sorting(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "sorting")
-    kind = "vectors.sort_permutation"
-    inp = {"samples": samples, "seed": seed}
+@_check("vectors.sort_permutation", "sorting")
+def _vectors_sorting(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for _ in range(samples):
         n = rng.randint(1, 8)
         v = tuple(rng.choice([rng.uniform(-5, 5), rng.randint(-3, 3)])
                   for _ in range(n))
         asc = sort_ascending(v)
         if sorted(v) != list(asc) or sort_descending(v) != tuple(reversed(asc)):
-            return _record(kind, inp, False, witness={"v": list(v)})
-    return _record(kind, inp, True)
+            raise _Fail(witness={"v": list(v)})
 
 
 # ---------------------------------------------------------------------------
 # means suite
 # ---------------------------------------------------------------------------
 
-def _means_mean_property(samples: int, seed: int) -> dict:
-    kind = "means.mean_property"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.mean_property")
+def _means_mean_property(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for mean, arity in ((PowerMean(3), 2), (PowerMean(-2), 3), (BetaMean(), 3)):
         plan = SamplePlan(arity=arity, count=samples, seed=seed, lower=0.0, upper=10.0)
         report = check_mean_property(mean, plan)
         if not report.passed:
-            return _record(kind, inp, False, witness=report.counterexample)
+            raise _Fail(witness=report.counterexample)
     # a non-mean must be caught
     pair_sum = DerivedMean(name="pair_sum", fn=lambda sv: sv[0] + sv[1], arity=2)
     caught = check_mean_property(pair_sum, SamplePlan(arity=2, count=samples, seed=seed,
                                                       lower=0.0, upper=10.0))
     if caught.passed:
-        return _record(kind, inp, False,
-                       witness={"detail": "sum of two entries passed as a mean"})
-    return _record(kind, inp, True)
+        raise _Fail(witness={"detail": "sum of two entries passed as a mean"})
 
 
-def _means_order_monotonicity(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "order-monotonicity")
-    kind = "means.power_order_monotonicity"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.power_order_monotonicity", "order-monotonicity")
+def _means_order_monotonicity(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for _ in range(samples):
         s, t = sorted((rng.uniform(-6, 6), rng.uniform(-6, 6)))
         v = _uniform_vector(rng, rng.randint(2, 5), 0.01, 100.0)
         a, b = power_mean(s, v), power_mean(t, v)
         if a > b + 1e-12 * max(1.0, abs(b)):
-            return _record(kind, inp, False, witness={
+            raise _Fail(witness={
                 "s": s, "t": t, "vector": list(v), "lower": a, "upper": b})
-    return _record(kind, inp, True)
 
 
-def _means_geometric_continuity(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "geometric-continuity")
-    kind = "means.geometric_continuity"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.geometric_continuity", "geometric-continuity")
+def _means_geometric_continuity(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     worst = 0.0
     for _ in range(samples):
         v = _uniform_vector(rng, rng.randint(2, 5), 0.01, 100.0)
@@ -389,15 +376,13 @@ def _means_geometric_continuity(samples: int, seed: int) -> dict:
             gap = abs(power_mean(s, v) - g) / abs(g)
             worst = max(worst, gap)
             if gap > 1e-4:
-                return _record(kind, inp, False, residual=gap,
-                               witness={"order": s, "vector": list(v)})
-    return _record(kind, inp, True, residual=worst)
+                raise _Fail(residual=gap,
+                            witness={"order": s, "vector": list(v)})
+    return worst
 
 
-def _means_beta_harmonic(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "beta-harmonic")
-    kind = "means.beta_harmonic_identity"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.beta_harmonic_identity", "beta-harmonic")
+def _means_beta_harmonic(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     worst = 0.0
     for _ in range(samples):
         v = _uniform_vector(rng, 2, 0.01, 100.0)
@@ -405,14 +390,12 @@ def _means_beta_harmonic(samples: int, seed: int) -> dict:
         gap = abs(b - h) / abs(h)
         worst = max(worst, gap)
         if gap > 1e-12:
-            return _record(kind, inp, False, residual=gap, witness={"vector": list(v)})
-    return _record(kind, inp, True, residual=worst)
+            raise _Fail(residual=gap, witness={"vector": list(v)})
+    return worst
 
 
-def _means_outer_strictness(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "outer-strictness")
-    kind = "means.outer_strict_monotonicity"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.outer_strict_monotonicity", "outer-strictness")
+def _means_outer_strictness(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     per_outer = max(1, samples // len(_COMPARISON_OUTERS))
     for outer in _COMPARISON_OUTERS:
         for _ in range(per_outer):
@@ -422,15 +405,12 @@ def _means_outer_strictness(samples: int, seed: int) -> dict:
             i = rng.randrange(n)
             v[i] += max(1e-3, 1e-3 * v[i])
             if not eval_outer(outer, v) > base:
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "vector": list(v), "coordinate": i})
-    return _record(kind, inp, True)
 
 
-def _means_symmetry(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "symmetry")
-    kind = "means.permutation_symmetry"
-    inp = {"samples": samples, "seed": seed}
+@_check("means.permutation_symmetry", "symmetry")
+def _means_symmetry(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     subjects = [PowerMean(2.5), PowerMean(-1.5), PowerMean(0), BetaMean()]
     for _ in range(samples):
         n = rng.randint(2, 6)
@@ -439,28 +419,25 @@ def _means_symmetry(samples: int, seed: int) -> dict:
         rng.shuffle(p)
         for mean in subjects:
             if eval_mean(mean, v) != eval_mean(mean, p):
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "mean": str(mean), "v": list(v), "permuted": p})
         for outer in _COMPARISON_OUTERS:
             if eval_outer(outer, v) != eval_outer(outer, p):
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "v": list(v), "permuted": p})
-    return _record(kind, inp, True)
 
 
 # ---------------------------------------------------------------------------
 # pexider suite (scalar solver and implicit means)
 # ---------------------------------------------------------------------------
 
-def _pexider_solver_contract(samples: int, seed: int) -> dict:
-    kind = "pexider.solver_contract"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.solver_contract")
+def _pexider_solver_contract(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     worst = 0.0
     for outer, alpha, beta, v in solver_instances(seed, samples):
         if not power_mean_embedded(alpha, beta):
-            return _record(kind, inp, False,
-                           witness={"detail": "instance generator broke certification",
-                                    "alpha": list(alpha), "beta": list(beta)})
+            raise _Fail(witness={"detail": "instance generator broke certification",
+                                 "alpha": list(alpha), "beta": list(beta)})
         prefix = tuple(power_mean(a, v) for a in alpha)
         target = tuple(power_mean(b, v) for b in beta)
         result = solve_scalar(outer, prefix, target)
@@ -469,16 +446,15 @@ def _pexider_solver_contract(samples: int, seed: int) -> dict:
         worst = max(worst, rel)
         lo, hi = result.bracket
         if result.status != "converged" or not lo <= result.root <= hi or rel > 1e-10:
-            return _record(kind, inp, False, residual=rel, witness={
+            raise _Fail(residual=rel, witness={
                 "outer": str(outer), "alpha": list(alpha), "beta": list(beta),
                 "vector": list(v), "root": result.root, "bracket": [lo, hi],
                 "status": result.status})
-    return _record(kind, inp, True, residual=worst)
+    return worst
 
 
-def _pexider_strict_separation(samples: int, seed: int) -> dict:
-    kind = "pexider.root_strict_separation"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.root_strict_separation")
+def _pexider_strict_separation(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for outer, alpha, beta, v in solver_instances(seed + 1, samples):
         prefix = tuple(power_mean(a, v) for a in alpha)
         target = tuple(power_mean(b, v) for b in beta)
@@ -492,16 +468,13 @@ def _pexider_strict_separation(samples: int, seed: int) -> dict:
         below = eval_outer(outer, prefix + (result.root - delta,) * fill)
         above = eval_outer(outer, prefix + (result.root + delta,) * fill)
         if not below < goal < above:
-            return _record(kind, inp, False, witness={
+            raise _Fail(witness={
                 "outer": str(outer), "vector": list(v), "root": result.root,
                 "below": below, "goal": goal, "above": above})
-    return _record(kind, inp, True)
 
 
-def _pexider_mean_property(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "implicit-mean-property")
-    kind = "pexider.implicit_mean_property"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.implicit_mean_property", "implicit-mean-property")
+def _pexider_mean_property(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for outer in (Sum(), Product()):
         derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, outer)
         plan = SamplePlan(arity=rng.choice((2, 3, 5)), count=max(1, samples // 2),
@@ -510,29 +483,24 @@ def _pexider_mean_property(samples: int, seed: int) -> dict:
             value = eval_mean(derived, v)
             targets = [eval_mean(b, v) for b in EXAMPLE_BIG]
             if not min(targets) <= value <= max(targets):
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "vector": list(v), "value": value,
                     "targets": targets})
-    return _record(kind, inp, True)
 
 
-def _pexider_symmetry(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "implicit-symmetry")
-    kind = "pexider.implicit_symmetry"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.implicit_symmetry", "implicit-symmetry")
+def _pexider_symmetry(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, Sum())
     for _ in range(max(1, samples // 2)):
         v = _uniform_vector(rng, rng.randint(2, 5), 0.5, 100.0)
         p = list(v)
         rng.shuffle(p)
         if eval_mean(derived, v) != eval_mean(derived, p):
-            return _record(kind, inp, False, witness={"v": list(v), "permuted": p})
-    return _record(kind, inp, True)
+            raise _Fail(witness={"v": list(v), "permuted": p})
 
 
-def _pexider_oracles(samples: int, seed: int) -> dict:
-    kind = "pexider.closed_form_oracles"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.closed_form_oracles")
+def _pexider_oracles(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     worst = 0.0
     cases = ((Sum(), closed_form_sum_mean), (Product(), closed_form_prod_mean))
     for arity in (2, 3, 5):
@@ -545,15 +513,14 @@ def _pexider_oracles(samples: int, seed: int) -> dict:
                 rel = abs(got - want) / abs(want)
                 worst = max(worst, rel)
                 if rel > 1e-9:
-                    return _record(kind, inp, False, residual=rel, witness={
+                    raise _Fail(residual=rel, witness={
                         "outer": str(outer), "vector": list(v),
                         "solver": got, "oracle": want})
-    return _record(kind, inp, True, residual=worst)
+    return worst
 
 
-def _pexider_sandwich(samples: int, seed: int) -> dict:
-    kind = "pexider.power_mean_sandwich"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.power_mean_sandwich")
+def _pexider_sandwich(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for outer in (Sum(), Product()):
         derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, outer)
         plan = SamplePlan(arity=3, count=max(1, samples // 2), seed=seed)
@@ -562,15 +529,13 @@ def _pexider_sandwich(samples: int, seed: int) -> dict:
             lo, hi = power_mean(-2, v), power_mean(3, v)
             slack = 1e-12 * max(1.0, abs(hi))
             if not lo - slack <= value <= hi + slack:
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "vector": list(v), "value": value,
                     "low": lo, "high": hi})
-    return _record(kind, inp, True)
 
 
-def _pexider_beta_identity(samples: int, seed: int) -> dict:
-    kind = "pexider.beta_identity"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.beta_identity")
+def _pexider_beta_identity(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     outer = MeanOuter(PowerMean(0))
     worst = 0.0
     derived = GeneralizedBetaMean(PowerMean(1), outer)
@@ -582,16 +547,14 @@ def _pexider_beta_identity(samples: int, seed: int) -> dict:
             rel = abs(got - want) / abs(want)
             worst = max(worst, rel)
             if rel > 1e-10:
-                return _record(kind, inp, False, residual=rel,
-                               witness={"arity": arity, "vector": list(v),
-                                        "solver": got, "direct": want})
-    return _record(kind, inp, True, residual=worst)
+                raise _Fail(residual=rel,
+                            witness={"arity": arity, "vector": list(v),
+                                     "solver": got, "direct": want})
+    return worst
 
 
-def _pexider_comparability(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "comparability")
-    kind = "pexider.comparability"
-    inp = {"samples": samples, "seed": seed}
+@_check("pexider.comparability", "comparability")
+def _pexider_comparability(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     pairs = max(1, samples // 10)
     for _ in range(pairs):
         n = rng.randint(2, 4)
@@ -607,20 +570,18 @@ def _pexider_comparability(samples: int, seed: int) -> dict:
             report = compare_implicit_means(small, big, small_star, big_star,
                                             outer, plan)
             if not report.passed:
-                return _record(kind, inp, False, witness={
+                raise _Fail(witness={
                     "outer": str(outer), "sigma": list(sigma), "beta": list(beta),
                     "sigma_star": list(sigma_star), "beta_star": list(beta_star),
                     "counterexample": report.counterexample})
-    return _record(kind, inp, True)
 
 
 # ---------------------------------------------------------------------------
 # invariance suite
 # ---------------------------------------------------------------------------
 
-def _invariance_geometric(samples: int, seed: int) -> dict:
-    kind = "invariance.arithmetic_harmonic_geometric"
-    inp = {"samples": samples, "seed": seed}
+@_check("invariance.arithmetic_harmonic_geometric")
+def _invariance_geometric(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     compound = invariant_mean((PowerMean(1), PowerMean(-1)))
     plan = SamplePlan(arity=2, count=samples, seed=seed)
     worst = 0.0
@@ -630,15 +591,13 @@ def _invariance_geometric(samples: int, seed: int) -> dict:
         rel = abs(got - want) / abs(want)
         worst = max(worst, rel)
         if rel > 1e-10:
-            return _record(kind, inp, False, residual=rel,
-                           witness={"vector": list(v), "limit": got, "geometric": want})
-    return _record(kind, inp, True, residual=worst)
+            raise _Fail(residual=rel,
+                        witness={"vector": list(v), "limit": got, "geometric": want})
+    return worst
 
 
-def _invariance_complementary(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "complementary")
-    kind = "invariance.complementary_residual"
-    inp = {"samples": samples, "seed": seed}
+@_check("invariance.complementary_residual", "complementary")
+def _invariance_complementary(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     families = 4
     per_family = max(1, samples // families)
     for _ in range(families):
@@ -653,15 +612,12 @@ def _invariance_complementary(samples: int, seed: int) -> dict:
         plan = SamplePlan(arity=n, count=per_family, seed=rng.randrange(2 ** 32))
         report = verify_invariance(invariant, extended, plan, tol=1e-8)
         if not report.passed:
-            return _record(kind, inp, False, residual=report.max_residual,
-                           witness=report.counterexample)
-    return _record(kind, inp, True)
+            raise _Fail(residual=report.max_residual,
+                        witness=report.counterexample)
 
 
-def _invariance_limit_range(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "limit-range")
-    kind = "invariance.limit_within_range"
-    inp = {"samples": samples, "seed": seed}
+@_check("invariance.limit_within_range", "limit-range")
+def _invariance_limit_range(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     for _ in range(samples):
         n = rng.randint(2, 4)
         family = tuple(PowerMean(rng.uniform(-4, 4)) for _ in range(n))
@@ -669,29 +625,23 @@ def _invariance_limit_range(samples: int, seed: int) -> dict:
         trace = gauss_iterate(family, v)
         slack = 1e-12 * max(1.0, max(v))
         if not (trace.converged and min(v) - slack <= trace.limit <= max(v) + slack):
-            return _record(kind, inp, False, witness={
+            raise _Fail(witness={
                 "family": [str(f) for f in family], "vector": list(v),
                 "limit": trace.limit, "converged": trace.converged})
-    return _record(kind, inp, True)
 
 
-def _invariance_symmetry(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "iteration-symmetry")
-    kind = "invariance.limit_symmetry"
-    inp = {"samples": samples, "seed": seed}
+@_check("invariance.limit_symmetry", "iteration-symmetry")
+def _invariance_symmetry(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     compound = invariant_mean((PowerMean(1), PowerMean(0)))
     for _ in range(samples):
         v = _uniform_vector(rng, 2, 0.01, 100.0)
         p = tuple(reversed(v))
         if eval_mean(compound, v) != eval_mean(compound, p):
-            return _record(kind, inp, False, witness={"v": list(v)})
-    return _record(kind, inp, True)
+            raise _Fail(witness={"v": list(v)})
 
 
-def _invariance_convergence(samples: int, seed: int) -> dict:
-    rng = _rng(seed, "pair-convergence")
-    kind = "invariance.power_pair_convergence"
-    inp = {"samples": samples, "seed": seed}
+@_check("invariance.power_pair_convergence", "pair-convergence")
+def _invariance_convergence(rng: random.Random, samples: int, seed: int) -> Optional[float]:
     worst = 0
     for _ in range(samples):
         s, t = rng.uniform(-5, 5), rng.uniform(-5, 5)
@@ -699,64 +649,37 @@ def _invariance_convergence(samples: int, seed: int) -> dict:
         trace = gauss_iterate((PowerMean(s), PowerMean(t)), v)
         worst = max(worst, trace.iterations)
         if not trace.converged or trace.iterations > 200:
-            return _record(kind, inp, False, witness={
+            raise _Fail(witness={
                 "orders": [s, t], "vector": list(v),
                 "iterations": trace.iterations})
-    return _record(kind, inp, True, residual=float(worst))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
 
-_SUITES = {
-    "vectors": (
-        _vectors_duality,
-        _vectors_reflexive_transitive,
-        _vectors_permutation,
-        _vectors_monotone_comparison,
-        _vectors_monotone_transport,
-        _vectors_sorting,
-    ),
-    "means": (
-        _means_mean_property,
-        _means_order_monotonicity,
-        _means_geometric_continuity,
-        _means_beta_harmonic,
-        _means_outer_strictness,
-        _means_symmetry,
-    ),
-    "pexider": (
-        _pexider_solver_contract,
-        _pexider_strict_separation,
-        _pexider_mean_property,
-        _pexider_symmetry,
-        _pexider_oracles,
-        _pexider_sandwich,
-        _pexider_beta_identity,
-        _pexider_comparability,
-    ),
-    "invariance": (
-        _invariance_geometric,
-        _invariance_complementary,
-        _invariance_limit_range,
-        _invariance_symmetry,
-        _invariance_convergence,
-    ),
-}
-
-
 def run_suite(suite: str, samples: int = 200, seed: int = 0) -> list[dict]:
     """Run one named suite (or ``all``); records come back in a fixed order."""
     if suite == "all":
-        names = list(SUITE_NAMES)
+        names = SUITE_NAMES
     elif suite in _SUITES:
-        names = [suite]
+        names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES)} or all")
     records = []
     for name in names:
-        for prop in _SUITES[name]:
-            records.append(prop(samples, seed))
+        for kind, stream, prop in _SUITES[name]:
+            record = {"kind": kind, "input": {"samples": samples, "seed": seed}}
+            try:
+                residual = prop(_rng(seed, stream), samples, seed)
+                witness, record["output"] = None, "PASS"
+            except _Fail as fail:
+                residual, witness, record["output"] = fail.residual, fail.witness, "FAIL"
+            if residual is not None:
+                record["residual"] = residual
+            if witness is not None:
+                record["witness"] = witness
+            records.append(record)
     return records

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .implicit import solve_scalar, verify_embedding
-from .means import MeanExpr, eval_mean, eval_outer, is_mean_expr
+from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _build_registry(data: dict) -> dict[str, MeanExpr]:
     for name, entry in data.items():
         if not isinstance(entry, dict) or entry.get("kind") != "invariant":
             raise DomainError(f"session entry {name!r} is not an invariant-mean object")
-        texts, tol = entry.get("means"), entry.get("tol", 1e-12)
+        texts, tol = entry.get("means"), entry.get("tol", DEFAULT_TOL)
         if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)
                 and isinstance(tol, float)):
             raise DomainError(f"session entry {name!r} needs \"means\", a list of "
@@ -337,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the balance equation of a T{...} problem")
     p.add_argument("problem", help='problem text: "T{mu=...; S=[...]; M=[...]}"')
     p.add_argument("--at", required=True, metavar="V", help="comma-separated vector")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative root tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"relative root tolerance (default {DEFAULT_TOL})")
     _add_common(p)
     p.set_defaults(handler=_cmd_solve)
 
@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, metavar="V", help="evaluate at this vector")
     p.add_argument("--as-mean", dest="as_mean", default=None, metavar="NAME",
                    help="register the invariant mean under NAME (needs --session)")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(handler=_cmd_invariant)
 

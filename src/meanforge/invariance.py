@@ -131,7 +131,7 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
         direct = _eval_mean(candidate, v)
         mapped = tuple(_eval_mean(m, v) for m in family)
         through = _eval_mean(candidate, mapped)
-        residual = abs(through - direct) / max(1.0, abs(direct))
+        residual = abs(through - direct) / abs(direct) if direct else float("inf")
         worst = max(worst, residual)
         if residual > tol:
             return CheckReport(False, checked, counterexample={

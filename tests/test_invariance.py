@@ -218,6 +218,20 @@ class TestVerifyInvariance:
         assert not report.passed
         assert report.counterexample is not None
 
+    def test_residual_is_relative_below_one(self):
+        # an absolute floor of 1 would let the arithmetic mean pass here
+        plan = SamplePlan(arity=2, count=50, seed=1, lower=1e-20, upper=1e-18)
+        family = (PowerMean(1), PowerMean(-1))
+        assert not verify_invariance(PowerMean(1), family, plan).passed
+        assert verify_invariance(PowerMean(0), family, plan).passed
+
+    @pytest.mark.parametrize("fn", [lambda sv: 0.0, lambda sv: -sv[0]])
+    def test_non_positive_candidate_fails(self, fn):
+        plan = SamplePlan(arity=2, count=20, seed=1)
+        candidate = DerivedMean(name="bad", fn=fn)
+        report = verify_invariance(candidate, (PowerMean(1), PowerMean(-1)), plan)
+        assert not report.passed
+
     def test_every_mean_fixes_its_own_duplicate_family(self):
         plan = SamplePlan(arity=3, count=100, seed=4)
         for mean in (PowerMean(2.5), BetaMean()):

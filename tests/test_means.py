@@ -222,7 +222,10 @@ class TestBetaMean:
                  (6.078814674336241e-162, 6.156731810816258e-162),
                  (1.1702650353800282e-176, 3.0934880786514272e-148,
                   6.968387262616463e+63, 3.1455193915752357e+189, 6.087629080000905e+251),
-                 (1e-300, 1e-300, 1e300)]
+                 (1e-300, 1e-300, 1e300),
+                 # the direct formula's rounded power fell below the minimum
+                 (2.7376733570596885e+50, 2.7376733570596844e+50,
+                  2.737673357059694e+50, 2.7376733570596935e+50)]
         rng = random.Random(23)
         while len(cases) < 600:
             k = rng.randint(2, 6)
@@ -240,6 +243,7 @@ class TestBetaMean:
                 want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
                 got = beta_mean(v)
                 assert math.isfinite(got), v
+                assert min(v) <= got <= max(v), v
                 worst = max(worst, float(abs(got - want) / want))
         assert worst <= 5e-13
 
@@ -467,6 +471,21 @@ class TestMeanPropertyChecker:
         plan = SamplePlan(arity=2, count=200, seed=5, lower=0.0, upper=10.0)
         # bit-exact symmetric thanks to pre-sorting, so this one passes...
         assert check_mean_property(lopsided, plan).passed
+
+    def test_bounds_are_relative_below_one(self):
+        # an absolute floor of 1e-12 would let twice the maximum pass here
+        twice_max = DerivedMean(name="twice_max", fn=lambda sv: 2.0 * sv[-1])
+        plan = SamplePlan(arity=3, count=50, seed=1, lower=1e-20, upper=1e-18)
+        report = check_mean_property(twice_max, plan)
+        assert not report.passed and report.samples_checked == 1
+        assert report.counterexample["violated"] == "mean property"
+
+    @pytest.mark.parametrize("lower, upper", [(1e-20, 1e-18), (1e-300, 1e-290),
+                                              (1e290, 1e300)])
+    def test_means_pass_at_every_scale(self, lower, upper):
+        for mean, arity in ((PowerMean(3), 2), (PowerMean(-2), 3), (BetaMean(), 4)):
+            plan = SamplePlan(arity=arity, count=300, seed=2, lower=lower, upper=upper)
+            assert check_mean_property(mean, plan).passed, mean
 
 
 class TestNumberFormatting:
