@@ -35,7 +35,7 @@ from .errors import (
     MeanForgeError,
     ParseError,
 )
-from .implicit import solve_scalar, verify_embedding
+from .implicit import _sample_arity, solve_scalar, verify_embedding
 from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr
 from .sampling import SamplePlan
 
@@ -199,11 +199,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     registry = _load_registry(args.session)
     small = dsl.parse_mean_list(args.small, registry)
     big = dsl.parse_mean_list(args.big, registry)
     lo, hi = _parse_domain(args.domain)
-    plan = SamplePlan(arity=args.arity, count=args.samples, seed=_seed(args),
+    arity = _sample_arity(small + big) if args.arity is None else args.arity
+    plan = SamplePlan(arity=arity, count=args.samples, seed=_seed(args),
                       lower=lo, upper=hi)
     report = verify_embedding(small, big, plan)
     output = {"mode": report.mode, "samples_checked": report.samples_checked}
@@ -212,7 +215,7 @@ def _cmd_embed(args) -> int:
     record = {"kind": "embed",
               "input": {"S": dsl.format_expr(small), "M": dsl.format_expr(big),
                         "samples": args.samples, "seed": _seed(args),
-                        "arity": args.arity},
+                        "arity": arity},
               "output": output}
     lines = [report.mode]
     if report.mode == "sampled":
@@ -348,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("big", help='target family, e.g. "[P[-2],P[-1],P[1],P[3]]"')
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--arity", type=int, default=3,
-                   help="vector length for sampled checks (default 3)")
+    p.add_argument("--arity", type=int, default=None,
+                   help="vector length for sampled checks (default: the arity "
+                        "the means pin, else 3)")
     p.add_argument("--domain", default=None, metavar="LO,HI",
                    help="sampling interval (default 0,100)")
     _add_common(p)
@@ -388,9 +392,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, ArityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except HypothesisViolation as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         if exc.witness is not None:

@@ -18,17 +18,19 @@ Every ``sum``/``powsum``/``qa`` outer is one ``Sum`` node, printed in its
 canonical spelling ``sum``, ``powsum[p]``, ``qa[log]`` or ``qa[exp]``;
 ``qa[id]`` and ``qa[pow[p]]`` are accepted aliases of ``sum`` and
 ``powsum[p]``.  ``parse(format(x))`` reproduces ``x`` structurally for
-everything the grammar can construct.  Parsing is total: any input either
-parses or raises a structured error, never anything else.  Brackets nest at
-most ``MAX_NESTING`` deep, which bounds the recursion of the parser and of
-printing and evaluating what it builds.
+everything the grammar can construct, with one exception: an unnamed
+``InvariantMean`` prints the label ``invariant{M=[...]}``, which does not
+parse and omits a non-default ``tol`` (a registered one prints its name).
+Parsing is total: any input either parses or raises a structured error,
+never anything else.  Brackets nest at most ``MAX_NESTING`` deep, which
+bounds the recursion of the parser and of printing and evaluating what it
+builds.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParseError
 from .means import (
@@ -74,15 +76,15 @@ Expr = Union[MeanExpr, OuterFn]
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = "[]{};,="
+# One alternative per lexical class, tried in order; "other" takes any character left.
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
+                       r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[][{};,=])|(?P<other>.)")
 # Every recursive rule opens a bracket, so this also caps the parse depth.
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "punct" | "end"
     text: str
     line: int
@@ -91,42 +93,24 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0  # the column of index i is i - line_start + 1
     depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in _PUNCT:
+        ch, col = m.group(), m.start() - line_start + 1
+        if kind == "punct":
             depth += (ch in "[{") - (ch in "]}")
             if depth > MAX_NESTING:
                 raise ParseError(f"brackets nested deeper than {MAX_NESTING}", line, col)
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch in "+-"):
-            tokens.append(_Token("number", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append(_Token(kind, ch, line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -146,31 +130,32 @@ class _Parser:
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
+    def _advance(self) -> None:  # only past a token already checked, never past "end"
+        self.pos += 1
 
     def _fail(self, expected: tuple[str, ...]) -> ParseError:
         tok = self._peek()
         found = "end of input" if tok.kind == "end" else repr(tok.text)
         return ParseError(f"unexpected {found}", tok.line, tok.column, expected)
 
-    def _expect_punct(self, ch: str) -> None:
+    def _accept(self, ch: str) -> bool:
+        """Consume the punctuation ``ch`` if it comes next."""
         tok = self._peek()
         if tok.kind == "punct" and tok.text == ch:
             self._advance()
-            return
-        raise self._fail((repr(ch),))
+            return True
+        return False
+
+    def _expect_punct(self, ch: str) -> None:
+        if not self._accept(ch):
+            raise self._fail((repr(ch),))
 
     def _expect_label(self, label: str) -> None:
         tok = self._peek()
-        if tok.kind == "ident" and tok.text == label:
-            self._advance()
-            self._expect_punct("=")
-            return
-        raise self._fail((f"'{label}='",))
+        if tok.kind != "ident" or tok.text != label:
+            raise self._fail((f"'{label}='",))
+        self._advance()
+        self._expect_punct("=")
 
     def _number(self) -> float:
         tok = self._peek()
@@ -179,9 +164,10 @@ class _Parser:
         self._advance()
         return float(tok.text)
 
-    def _bracketed_number(self) -> float:
+    def _bracketed(self, rule):
+        """``"[" rule "]"``: the value of the grammar rule ``rule`` in brackets."""
         self._expect_punct("[")
-        value = self._number()
+        value = rule()
         self._expect_punct("]")
         return value
 
@@ -191,7 +177,7 @@ class _Parser:
             raise self._fail(("mean expression",))
         if tok.text == "P":
             self._advance()
-            return PowerMean(self._bracketed_number())
+            return PowerMean(self._bracketed(self._number))
         if tok.text == "B":
             self._advance()
             return BetaMean()
@@ -236,45 +222,28 @@ class _Parser:
         if tok.text == "prod":
             return Product()
         if tok.text == "powsum":
-            return Sum("pow", self._bracketed_number())
+            return Sum("pow", self._bracketed(self._number))
         if tok.text == "qa":
-            self._expect_punct("[")
-            outer = self.generator()
-            self._expect_punct("]")
-            return outer
-        self._expect_punct("[")
-        inner = self.mean()
-        self._expect_punct("]")
-        return MeanOuter(inner)
+            return self._bracketed(self.generator)
+        return MeanOuter(self._bracketed(self.mean))
 
     def generator(self) -> Sum:
         """The ``gen`` of ``qa[gen]``, returned as the ``Sum`` it aggregates with."""
         tok = self._peek()
-        if tok.kind == "ident" and tok.text in ("log", "exp", "id"):
-            self._advance()
-            return Sum(tok.text)
-        if tok.kind == "ident" and tok.text == "pow":
-            self._advance()
-            return Sum("pow", self._bracketed_number())
-        raise self._fail(("log", "exp", "pow", "id"))
+        if tok.kind != "ident" or tok.text not in ("log", "exp", "pow", "id"):
+            raise self._fail(("log", "exp", "pow", "id"))
+        self._advance()
+        if tok.text == "pow":
+            return Sum("pow", self._bracketed(self._number))
+        return Sum(tok.text)
 
     def mean_list(self) -> tuple[MeanExpr, ...]:
         self._expect_punct("[")
         items = [self.mean()]
-        while True:
-            tok = self._peek()
-            if tok.kind == "punct" and tok.text == ",":
-                self._advance()
-                items.append(self.mean())
-            else:
-                break
+        while self._accept(","):
+            items.append(self.mean())
         self._expect_punct("]")
         return tuple(items)
-
-    def _done(self) -> None:
-        tok = self._peek()
-        if tok.kind != "end":
-            raise self._fail(("end of input",))
 
     def expression(self) -> Expr:
         tok = self._peek()
@@ -287,7 +256,8 @@ def _parse_whole(text: str, registry: Optional[Mapping[str, MeanExpr]], rule):
     """Apply the grammar rule ``rule`` (a ``_Parser`` method) to all of ``text``."""
     parser = _Parser(text, registry)
     result = rule(parser)
-    parser._done()
+    if parser._peek().kind != "end":
+        raise parser._fail(("end of input",))
     return result
 
 

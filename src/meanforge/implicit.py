@@ -74,9 +74,8 @@ class SolveResult:
     ``bracket`` is [min(w), max(w)]; the root always lies inside it, even
     when the iteration cap was hit.  ``residual`` is
     ``|mu(v_1,..,v_m,root,..,root) - mu(w)|`` re-evaluated after the solve.
-    ``status`` is one of ``"converged"``, ``"max-iterations"``,
-    ``"hypothesis-violated"`` (the last only appears in CLI records; the
-    library raises :class:`HypothesisViolation` instead of returning it).
+    ``status`` is ``"converged"`` or ``"max-iterations"``; a violated
+    embedding raises :class:`HypothesisViolation` instead.
     """
 
     root: float
@@ -225,6 +224,14 @@ def power_mean_embedded(alpha: Sequence[float], beta: Sequence[float]) -> bool:
     return is_embedded(alpha, beta).embedded
 
 
+def _sample_arity(means: Sequence[MeanExpr]) -> int:
+    """The arity the arity-pinned members of ``means`` share, or 3 when none pins one."""
+    pins = {m.arity for m in means if getattr(m, "arity", None) is not None}
+    if len(pins) > 1:
+        raise ArityError(f"the means pin different arities: {sorted(pins)}")
+    return pins.pop() if pins else 3
+
+
 def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                      plan: Optional[SamplePlan] = None) -> EmbedReport:
     """Certify, sample, or refute embeddability of ``small`` in ``big``.
@@ -233,12 +240,15 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     (selecting values from a vector always embeds) or when both families are
     power means (exponent rule).  A refutation always carries a witness
     vector at which the exact embedding check on the computed mean values
-    fails.  The default plan samples 256 vectors of 3 entries from (0, 100).
+    fails.  The default plan samples 256 vectors from (0, 100) with as many
+    entries as the members pin (an ``InvariantMean``, a ``DerivedMean`` built
+    with ``arity``), or 3 when none does; pins that disagree raise
+    :class:`ArityError`.
     """
     small = tuple(small)
     big = tuple(big)
     if plan is None:
-        plan = SamplePlan(arity=3, count=256)
+        plan = SamplePlan(arity=_sample_arity(small + big), count=256)
 
     if len(small) <= len(big):
         counts_small, counts_big = Counter(small), Counter(big)
@@ -280,12 +290,10 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                     "witness_index": exact.witness_index,
                 },
                 certificate=exponent_verdict)
-    if all_power:
-        # Exponent rule says "not embedded" but no sampled witness appeared
-        # (conceivable only for extremely close exponents); report honestly.
-        return EmbedReport(mode="sampled", samples_checked=checked,
-                           certificate=exponent_verdict)
-    return EmbedReport(mode="sampled", samples_checked=checked)
+    # With all power means the exponent rule said "not embedded" but no sampled
+    # witness appeared (conceivable only for extremely close exponents).
+    return EmbedReport(mode="sampled", samples_checked=checked,
+                       certificate=exponent_verdict)
 
 
 def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],

@@ -140,6 +140,13 @@ class TestSolve:
         assert code == 5 and record["status"] == "max-iterations"
         assert record["iterations"] == 200
 
+    def test_eval_of_the_same_problem_exit_5(self, capsys):
+        # eval reaches the step limit through balance_value's ConvergenceError
+        code, out, err = run(capsys, "eval", "T{mu=prod; S=[P[0]]; M=[P[-1],P[1]]}",
+                             "--at", "1e-300,1", "--format", "json")
+        assert code == 5 and out == ""
+        assert err.startswith("no convergence: ") and "200 bisection steps" in err
+
 
 class TestEmbed:
     def test_certified(self, capsys):
@@ -189,6 +196,22 @@ class TestEmbed:
         record = json.loads(out)
         assert record["output"]["mode"] == "refuted"
         assert "witness" in record and "vector" in record["witness"]
+
+    def test_arity_defaults_to_the_pinned_arity(self, capsys, tmp_path):
+        session = str(tmp_path / "session.json")
+        for name, means in (("agm", "[P[1],P[0]]"), ("tri", "[P[1],P[0],P[-1]]")):
+            code, _, _ = run(capsys, "invariant", means, "--as-mean", name,
+                             "--session", session)
+            assert code == 0
+        code, out, _ = run(capsys, "embed", "[P[3]]", "[agm,P[1]]", "--session", session,
+                           "--format", "json")
+        record = json.loads(out)
+        assert code == 4 and record["input"]["arity"] == 2
+        assert len(record["witness"]["vector"]) == 2
+        code, out, _ = run(capsys, "embed", "[B]", "[P[-1],P[1]]", "--format", "json")
+        assert code == 0 and json.loads(out)["input"]["arity"] == 3
+        code, out, err = run(capsys, "embed", "[agm]", "[tri,P[1]]", "--session", session)
+        assert code == 3 and out == "" and "pin different arities" in err
 
     def test_json_certificate(self, capsys):
         code, out, _ = run(capsys, "embed", "[P[0],P[2]]",
@@ -344,6 +367,12 @@ class TestCheck:
         assert all(json.loads(line)["input"]["seed"] == 11
                    for line in out.splitlines())
 
+    def test_env_seed_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANFORGE_SEED", "abc")
+        code, out, err = run(capsys, "check", "--suite", "means", "--samples", "5")
+        assert code == 3 and out == ""
+        assert err == "error: MEANFORGE_SEED must be an integer, got 'abc'\n"
+
     def test_deterministic_in_process(self, capsys):
         _, first, _ = run(capsys, "check", "--suite", "invariance",
                           "--samples", "40", "--seed", "7")
@@ -380,6 +409,7 @@ class TestBadInputExitCodes:
         ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=-1e-9"],
         ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=nan"],
         ["solve", "T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "--at", "1,2", "--tol=0"],
+        ["embed", "[P[0]]", "[P[1],P[2]]", "--samples", "0"],
     ])
     def test_exit_3_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],

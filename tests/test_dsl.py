@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,8 @@ from meanforge import (
     parse_outer,
 )
 from meanforge.dsl import MAX_NESTING, is_valid_name
+
+CORPUS = Path(__file__).parent / "data" / "dsl_corpus.json"
 
 
 class TestParsing:
@@ -294,6 +298,36 @@ class TestNesting:
         except (DomainError, ArityError):
             pass
         assert depth <= MAX_NESTING
+
+
+class TestGoldenCorpus:
+    """Every recorded text gives the recorded canonical text or error, exactly.
+
+    ``data/dsl_corpus.json`` holds grammar-valid, mutated, multi-line and
+    odd-whitespace texts, texts past ``MAX_NESTING`` and texts using
+    registered names; ``data/make_dsl_corpus.py`` documents and re-records it.
+    """
+
+    RULES = {"parse": parse, "mean": parse_mean, "outer": parse_outer,
+             "list": parse_mean_list}
+
+    def outcome(self, rule, text, registry):
+        try:
+            return "ok: " + format_expr(self.RULES[rule](text, registry))
+        except MeanForgeError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_recorded_outcomes(self):
+        corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+        assert corpus["max_nesting"] == MAX_NESTING
+        assert len(corpus["cases"]) >= 5000
+        registry = {name: invariant_mean(tuple(PowerMean(p) for p in orders), name=name)
+                    for name, orders in corpus["registry"].items()}
+        moved = [(text, expected, got)
+                 for rule, with_registry, text, expected in corpus["cases"]
+                 if (got := self.outcome(rule, text, registry if with_registry else None))
+                 != expected]
+        assert moved == []
 
 
 class TestNames:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from meanforge import (
     ArityError,
     BetaMean,
+    DerivedMean,
     DomainError,
     GeneralizedBetaMean,
     HypothesisViolation,
@@ -412,6 +413,22 @@ class TestVerifyEmbedding:
                                   plan=SamplePlan(arity=2, count=32, seed=2))
         assert report.mode == "refuted"
 
+    def test_default_plan_samples_at_the_pinned_arity(self):
+        agm = InvariantMean((PowerMean(1), PowerMean(0)))
+        report = verify_embedding((PowerMean(0),), (agm, PowerMean(-1)))
+        assert (report.mode, report.samples_checked) == ("sampled", 256)
+        report = verify_embedding((PowerMean(3),), (agm, PowerMean(1)))
+        assert report.mode == "refuted" and len(report.counterexample["vector"]) == 2
+        pinned = DerivedMean("mean4", lambda sv: sum(sv) / 4.0, arity=4)
+        report = verify_embedding((pinned,), (PowerMean(-1), PowerMean(2)))
+        assert report.mode == "sampled"
+
+    def test_disagreeing_pins_raise(self):
+        agm = InvariantMean((PowerMean(1), PowerMean(0)))
+        tri = InvariantMean((PowerMean(1), PowerMean(0), PowerMean(-1)))
+        with pytest.raises(ArityError, match="pin different arities"):
+            verify_embedding((agm,), (tri, PowerMean(1)))
+
 
 class TestComparability:
     def test_reflexive_case(self):
@@ -454,3 +471,19 @@ class TestComparability:
         with pytest.raises(HypothesisViolation):
             # claimed big* < big but the star family dominates
             compare_implicit_means(small, big, small, big_bigger, Sum(), plan)
+
+    def test_non_power_prefixes_are_sampled(self):
+        # B is not a power mean, so small < small* is checked on samples
+        big = (PowerMean(-2), PowerMean(2))
+        big_star = (PowerMean(-3), PowerMean(1))
+        plan = SamplePlan(arity=2, count=20, seed=1)
+        report = compare_implicit_means((BetaMean(),), big, (BetaMean(),), big_star,
+                                        Sum(), plan)
+        assert report.passed and report.samples_checked == 20
+        # at two entries B is the harmonic mean, below the arithmetic one
+        with pytest.raises(HypothesisViolation, match="small < small") as err:
+            compare_implicit_means((PowerMean(1),), big, (BetaMean(),), big_star,
+                                   Sum(), plan)
+        witness = err.value.witness
+        assert witness["rule"] == "sampled" and len(witness["vector"]) == 2
+        assert witness["low_values"][0] > witness["high_values"][0]

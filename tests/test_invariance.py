@@ -281,6 +281,16 @@ class TestComplementaryMean:
         with pytest.raises(HypothesisViolation):
             complementary_mean((PowerMean(9),), (PowerMean(1), PowerMean(-1)))
 
+    def test_embedding_is_sampled_at_the_family_arity(self):
+        # an invariant mean in the family takes 2 entries, so the embedding
+        # check samples 2-vectors: H <= G <= AGM embeds P[0], while P[1] >= AGM
+        family = (invariant_mean((PowerMean(1), PowerMean(0))), PowerMean(-1))
+        complement = complementary_mean((PowerMean(0),), family)
+        assert 2.0 <= eval_mean(complement, (2.0, 8.0)) <= 8.0
+        with pytest.raises(HypothesisViolation) as err:
+            complementary_mean((PowerMean(1),), family)
+        assert len(err.value.witness["vector"]) == 2
+
     def test_classical_two_term_complement(self):
         # with the family (M1, K-fixed-point pair) and prefix (M1), the
         # complement solves K(M1(v), x) = K(v) -- the classical setting
