@@ -13,7 +13,9 @@ A session file (``--session``) is a JSON map of registered derived means; it
 stores definitions (the DSL text of the iterated family), not values, and
 means are rebuilt on load in file order, each entry seeing only the names
 before it.  Names registered there are usable as identifiers in any
-expression.  A registration after which the file would not load is refused.
+expression.  ``main`` reads the file once, before any command runs, so every
+command that takes ``--session`` (``check`` included) rejects a malformed file
+with exit 3.  A registration after which the file would not load is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ EXIT_HYPOTHESIS = 4
 EXIT_NO_CONVERGENCE = 5
 
 DEFAULT_SAMPLES = 200
-DEFAULT_SAMPLING_DOMAIN = (0.0, 100.0)
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -61,7 +62,7 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 def _parse_domain(text: Optional[str]) -> tuple[float, float]:
     if text is None:
-        return DEFAULT_SAMPLING_DOMAIN
+        return SamplePlan.lower, SamplePlan.upper
     values = _parse_floats(text, "domain")
     if len(values) != 2 or not values[0] < values[1]:
         raise ParseError(f"bad domain {text!r}", 1, 1, ("lo,hi with lo < hi",))
@@ -125,10 +126,6 @@ def _build_registry(data: dict) -> dict[str, MeanExpr]:
     return registry
 
 
-def _load_registry(path: Optional[str]) -> dict[str, MeanExpr]:
-    return {} if path is None else _build_registry(_read_session(path))
-
-
 def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) -> None:
     """Add one entry to the session file, replacing the file atomically.
 
@@ -161,8 +158,7 @@ def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) 
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(args) -> int:
-    registry = _load_registry(args.session)
+def _cmd_eval(args, registry: dict[str, MeanExpr]) -> int:
     expr = dsl.parse(args.expr, registry)
     at = _parse_floats(args.at, "vector")
     value = eval_mean(expr, at) if is_mean_expr(expr) else eval_outer(expr, at)
@@ -173,8 +169,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    registry = _load_registry(args.session)
+def _cmd_solve(args, registry: dict[str, MeanExpr]) -> int:
     problem = dsl.parse(args.problem, registry)
     if not isinstance(problem, dsl.ProblemSpec):
         raise DomainError("expected a problem specification T{mu=...; S=[...]; M=[...]}")
@@ -198,10 +193,9 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if result.status == "converged" else EXIT_NO_CONVERGENCE
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args, registry: dict[str, MeanExpr]) -> int:
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
-    registry = _load_registry(args.session)
     small = dsl.parse_mean_list(args.small, registry)
     big = dsl.parse_mean_list(args.big, registry)
     lo, hi = _parse_domain(args.domain)
@@ -235,8 +229,7 @@ def _cmd_embed(args) -> int:
     return EXIT_HYPOTHESIS if report.mode == "refuted" else EXIT_OK
 
 
-def _cmd_invariant(args) -> int:
-    registry = _load_registry(args.session)
+def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
     family = dsl.parse_mean_list(args.means, registry)
     if args.as_mean is None and args.at is None:
         raise DomainError("nothing to do: pass --at VECTOR and/or --as-mean NAME")
@@ -273,7 +266,7 @@ def _cmd_invariant(args) -> int:
     return exit_code
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, registry: dict[str, MeanExpr]) -> int:
     from . import checks  # deferred: no other command compiles the suites
     if args.suite not in checks.SUITE_NAMES + ("all",):
         print(f"error: unknown suite {args.suite!r}; choose from "
@@ -295,8 +288,7 @@ def _cmd_check(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _cmd_parse(args) -> int:
-    registry = _load_registry(args.session)
+def _cmd_parse(args, registry: dict[str, MeanExpr]) -> int:
     expr = dsl.parse(args.text, registry)
     if isinstance(expr, dsl.ProblemSpec):
         kind = "problem"
@@ -388,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        registry = {} if args.session is None else _build_registry(_read_session(args.session))
+        return args.handler(args, registry)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

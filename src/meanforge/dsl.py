@@ -119,6 +119,7 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 _OUTER_KEYWORDS = ("sum", "prod", "powsum", "qa", "mean")
+_GENERATORS = ("log", "exp", "pow", "id")
 
 
 class _Parser:
@@ -150,19 +151,17 @@ class _Parser:
         if not self._accept(ch):
             raise self._fail((repr(ch),))
 
-    def _expect_label(self, label: str) -> None:
+    def _take(self, kind: str, expected: tuple[str, ...],
+              texts: Optional[tuple[str, ...]] = None) -> str:
+        """Consume and return the next token's text if it is a ``kind`` among ``texts``."""
         tok = self._peek()
-        if tok.kind != "ident" or tok.text != label:
-            raise self._fail((f"'{label}='",))
+        if tok.kind != kind or (texts is not None and tok.text not in texts):
+            raise self._fail(expected)
         self._advance()
-        self._expect_punct("=")
+        return tok.text
 
     def _number(self) -> float:
-        tok = self._peek()
-        if tok.kind != "number":
-            raise self._fail(("number",))
-        self._advance()
-        return float(tok.text)
+        return float(self._take("number", ("number",)))
 
     def _bracketed(self, rule):
         """``"[" rule "]"``: the value of the grammar rule ``rule`` in brackets."""
@@ -170,6 +169,18 @@ class _Parser:
         value = rule()
         self._expect_punct("]")
         return value
+
+    def _record(self, *fields):
+        """``"{" label "=" rule { ";" label "=" rule } "}"``, one (label, rule) pair
+        of ``fields`` per field in order: the list of the rules' values."""
+        values = []
+        for i, (label, rule) in enumerate(fields):
+            self._expect_punct(";" if i else "{")
+            self._take("ident", (f"'{label}='",), (label,))
+            self._expect_punct("=")
+            values.append(rule())
+        self._expect_punct("}")
+        return values
 
     def mean(self) -> MeanExpr:
         tok = self._peek()
@@ -183,27 +194,11 @@ class _Parser:
             return BetaMean()
         if tok.text == "T":
             self._advance()
-            self._expect_punct("{")
-            self._expect_label("mu")
-            outer = self.outer()
-            self._expect_punct(";")
-            self._expect_label("S")
-            small = self.mean_list()
-            self._expect_punct(";")
-            self._expect_label("M")
-            big = self.mean_list()
-            self._expect_punct("}")
-            return ProblemSpec(outer, small, big)
+            return ProblemSpec(*self._record(("mu", self.outer), ("S", self.mean_list),
+                                             ("M", self.mean_list)))
         if tok.text == "beta":
             self._advance()
-            self._expect_punct("{")
-            self._expect_label("S")
-            base = self.mean()
-            self._expect_punct(";")
-            self._expect_label("mu")
-            outer = self.outer()
-            self._expect_punct("}")
-            return GeneralizedBetaMean(base, outer)
+            return GeneralizedBetaMean(*self._record(("S", self.mean), ("mu", self.outer)))
         if tok.text in RESERVED_WORDS:
             raise self._fail(("mean expression",))
         if tok.text in self.registry:
@@ -213,29 +208,23 @@ class _Parser:
                          tok.line, tok.column, ("registered name",))
 
     def outer(self) -> OuterFn:
-        tok = self._peek()
-        if tok.kind != "ident" or tok.text not in _OUTER_KEYWORDS:
-            raise self._fail(_OUTER_KEYWORDS)
-        self._advance()
-        if tok.text == "sum":
+        keyword = self._take("ident", _OUTER_KEYWORDS, _OUTER_KEYWORDS)
+        if keyword == "sum":
             return Sum()
-        if tok.text == "prod":
+        if keyword == "prod":
             return Product()
-        if tok.text == "powsum":
+        if keyword == "powsum":
             return Sum("pow", self._bracketed(self._number))
-        if tok.text == "qa":
+        if keyword == "qa":
             return self._bracketed(self.generator)
         return MeanOuter(self._bracketed(self.mean))
 
     def generator(self) -> Sum:
         """The ``gen`` of ``qa[gen]``, returned as the ``Sum`` it aggregates with."""
-        tok = self._peek()
-        if tok.kind != "ident" or tok.text not in ("log", "exp", "pow", "id"):
-            raise self._fail(("log", "exp", "pow", "id"))
-        self._advance()
-        if tok.text == "pow":
+        generator = self._take("ident", _GENERATORS, _GENERATORS)
+        if generator == "pow":
             return Sum("pow", self._bracketed(self._number))
-        return Sum(tok.text)
+        return Sum(generator)
 
     def mean_list(self) -> tuple[MeanExpr, ...]:
         self._expect_punct("[")

@@ -225,8 +225,25 @@ def power_mean_embedded(alpha: Sequence[float], beta: Sequence[float]) -> bool:
 
 
 def _sample_arity(means: Sequence[MeanExpr]) -> int:
-    """The arity the arity-pinned members of ``means`` share, or 3 when none pins one."""
-    pins = {m.arity for m in means if getattr(m, "arity", None) is not None}
+    """The arity pinned by the parts of ``means`` evaluated at the sample vector, or 3.
+
+    A part pins when it is an ``InvariantMean`` or a ``DerivedMean`` built
+    with ``arity``.  Such parts are the members themselves, a ``beta{...}``'s
+    base and ``mean[...]`` outer, and a ``T{...}``'s S and M members (not its
+    outer, which takes len(M) values), recursively.  Disagreeing pins raise
+    :class:`ArityError`.
+    """
+    pins, todo = set(), list(means)
+    while todo:
+        m = todo.pop()
+        if isinstance(m, GeneralizedBetaMean):
+            todo.append(m.base)
+            pins.add(declared_arity(m.outer))
+        elif isinstance(m, ProblemSpec):
+            todo.extend(m.small + m.big)
+        else:
+            pins.add(getattr(m, "arity", None))
+    pins.discard(None)
     if len(pins) > 1:
         raise ArityError(f"the means pin different arities: {sorted(pins)}")
     return pins.pop() if pins else 3
@@ -241,9 +258,9 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     power means (exponent rule).  A refutation always carries a witness
     vector at which the exact embedding check on the computed mean values
     fails.  The default plan samples 256 vectors from (0, 100) with as many
-    entries as the members pin (an ``InvariantMean``, a ``DerivedMean`` built
-    with ``arity``), or 3 when none does; pins that disagree raise
-    :class:`ArityError`.
+    entries as the members pin, directly or through the parts they evaluate
+    at the same vector (see :func:`_sample_arity`), or 3 when nothing does;
+    pins that disagree raise :class:`ArityError`.
     """
     small = tuple(small)
     big = tuple(big)

@@ -25,14 +25,28 @@ TINY_DOMAIN_ARGV = ["embed", "[B]", "[P[0],P[2]]", "--domain", "1e-12,1e-10",
                     "--format", "json"]
 NARROW_DOMAIN_ARGV = ["embed", "[B]", "[P[0],P[2]]", "--domain", "5,5.0000001",
                       "--format", "json"]
+# agm (a session name) pins arity 2 from inside the Beta-type mean's base.
+NESTED_PIN_ARGV = ["embed", "[beta{S=agm; mu=sum}]", "[P[-1],P[1]]", "--format", "json"]
 EXPECTED_OUTCOME = {tuple(TINY_DOMAIN_ARGV): (4, "refuted"),
-                    tuple(NARROW_DOMAIN_ARGV): (0, "sampled")}
+                    tuple(NARROW_DOMAIN_ARGV): (0, "sampled"),
+                    tuple(NESTED_PIN_ARGV): (4, "refuted")}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def pinned_session(capsys, tmp_path):
+    """A session file registering agm (arity 2) and tri (arity 3)."""
+    session = str(tmp_path / "session.json")
+    for name, means in (("agm", "[P[1],P[0]]"), ("tri", "[P[1],P[0],P[-1]]")):
+        code, _, _ = run(capsys, "invariant", means, "--as-mean", name,
+                         "--session", session)
+        assert code == 0
+    return session
 
 
 class TestEval:
@@ -197,12 +211,8 @@ class TestEmbed:
         assert record["output"]["mode"] == "refuted"
         assert "witness" in record and "vector" in record["witness"]
 
-    def test_arity_defaults_to_the_pinned_arity(self, capsys, tmp_path):
-        session = str(tmp_path / "session.json")
-        for name, means in (("agm", "[P[1],P[0]]"), ("tri", "[P[1],P[0],P[-1]]")):
-            code, _, _ = run(capsys, "invariant", means, "--as-mean", name,
-                             "--session", session)
-            assert code == 0
+    def test_arity_defaults_to_the_pinned_arity(self, capsys, pinned_session):
+        session = pinned_session
         code, out, _ = run(capsys, "embed", "[P[3]]", "[agm,P[1]]", "--session", session,
                            "--format", "json")
         record = json.loads(out)
@@ -211,6 +221,23 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", "[B]", "[P[-1],P[1]]", "--format", "json")
         assert code == 0 and json.loads(out)["input"]["arity"] == 3
         code, out, err = run(capsys, "embed", "[agm]", "[tri,P[1]]", "--session", session)
+        assert code == 3 and out == "" and "pin different arities" in err
+
+    @pytest.mark.parametrize("small, big, expected", [
+        ("[beta{S=agm; mu=sum}]", "[P[-1],P[1]]", (4, "refuted")),
+        ("[T{mu=sum; S=[P[0]]; M=[agm,P[-1]]}]", "[P[-1],P[1]]", (0, "sampled")),
+        ("[P[0]]", "[beta{S=P[1]; mu=mean[agm]},P[1]]", (0, "sampled")),
+    ], ids=["beta-base", "problem-member", "beta-outer"])
+    def test_arity_follows_nested_pins(self, capsys, pinned_session, small, big, expected):
+        code, out, err = run(capsys, "embed", small, big, "--session", pinned_session,
+                             "--format", "json")
+        record = json.loads(out)
+        assert (code, record["output"]["mode"]) == expected, err
+        assert record["input"]["arity"] == 2
+
+    def test_disagreeing_nested_pins_exit_3(self, capsys, pinned_session):
+        code, out, err = run(capsys, "embed", "[T{mu=sum; S=[agm]; M=[tri,P[-1]]}]",
+                             "[P[-1],P[1]]", "--session", pinned_session)
         assert code == 3 and out == "" and "pin different arities" in err
 
     def test_json_certificate(self, capsys):
@@ -380,6 +407,13 @@ class TestCheck:
                            "--samples", "40", "--seed", "7")
         assert first == second
 
+    def test_malformed_session_exit_3(self, capsys, tmp_path):
+        session = tmp_path / "session.json"
+        session.write_text("[1, 2]", encoding="utf-8")
+        code, out, err = run(capsys, "check", "--suite", "vectors", "--samples", "5",
+                             "--session", str(session))
+        assert code == 3 and out == "" and "session" in err
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         import meanforge.checks as checks_module
         failing = [{"kind": "demo.broken", "input": {"seed": 0},
@@ -542,6 +576,7 @@ class TestContractFuzz:
     @example((DEEP_PARSE_ARGV, None))
     @example((TINY_DOMAIN_ARGV, None))
     @example((NARROW_DOMAIN_ARGV, None))
+    @example((NESTED_PIN_ARGV, _SESSIONS[1]))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()

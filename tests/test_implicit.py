@@ -419,6 +419,9 @@ class TestVerifyEmbedding:
         assert (report.mode, report.samples_checked) == ("sampled", 256)
         report = verify_embedding((PowerMean(3),), (agm, PowerMean(1)))
         assert report.mode == "refuted" and len(report.counterexample["vector"]) == 2
+        report = verify_embedding((GeneralizedBetaMean(agm, Sum()),),
+                                  (PowerMean(-1), PowerMean(1)))
+        assert report.mode == "refuted" and len(report.counterexample["vector"]) == 2
         pinned = DerivedMean("mean4", lambda sv: sum(sv) / 4.0, arity=4)
         report = verify_embedding((pinned,), (PowerMean(-1), PowerMean(2)))
         assert report.mode == "sampled"
