@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector, is_embedded, is_embedded_within, is_ordered_majorized
 from .means import (
@@ -67,8 +67,7 @@ MAX_BISECTION_STEPS = 200
 EMBED_EPS_SCALE = 1e-9
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Frozen):
     """Root of the scalar balance equation.
 
     ``bracket`` is [min(w), max(w)]; the root always lies inside it, even
@@ -85,8 +84,7 @@ class SolveResult:
     status: str
 
 
-@dataclass(frozen=True)
-class EmbedReport:
+class EmbedReport(Frozen):
     """Verdict on embeddability of one mean family in another.
 
     ``certified`` verdicts are exact (all-power-mean exponent rule, or one

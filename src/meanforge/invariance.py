@@ -18,9 +18,9 @@ it is the implicit mean (a ``ProblemSpec``) of the balance equation with
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import ArityError, ConvergenceError, HypothesisViolation
 from .ordering import as_vector
 from .means import (
@@ -53,8 +53,7 @@ DEFAULT_CAP = 10_000
 _CONTAINMENT_SLACK = 8 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Frozen):
     """Outcome of one mean-type iteration run."""
 
     iterations: int

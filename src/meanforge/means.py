@@ -5,8 +5,8 @@ invariant under permutations of its arguments.  The concrete families here
 are power means (geometric at order 0), the Beta-type mean
 ``(k*v1*...*vk / (v1+...+vk))**(1/(k-1))``, and derived means built from them:
 implicit (``ProblemSpec``), generalized-Beta and invariant means.  These are
-frozen nodes that compare by value and that :func:`eval_mean` solves or
-iterates; ``DerivedMean`` wraps an opaque user callable.
+immutable records that compare by value (:mod:`meanforge._frozen`) and that
+:func:`eval_mean` solves or iterates; ``DerivedMean`` wraps an opaque user callable.
 
 An *outer* function aggregates a vector symmetrically and strictly
 increasingly in each coordinate.  There are three: :class:`Sum`, the
@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union, get_args
 
+from ._frozen import Frozen, replace
 from .errors import ArityError, DomainError, HypothesisViolation
 from .ordering import as_vector
 from .sampling import CheckReport, SamplePlan, sample_vectors
@@ -107,8 +107,7 @@ def format_number(x: float) -> str:
 # mean expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerMean:
+class PowerMean(Frozen):
     """The power mean of a finite order; order 0 is the geometric mean."""
 
     order: float
@@ -121,16 +120,14 @@ class PowerMean:
         return f"P[{format_number(self.order)}]"
 
 
-@dataclass(frozen=True)
-class BetaMean:
+class BetaMean(Frozen):
     """The Beta-type mean (k*v1*...*vk / sum(v))**(1/(k-1)); needs k >= 2."""
 
     def __str__(self) -> str:
         return "B"
 
 
-@dataclass(frozen=True)
-class GeneralizedBetaMean:
+class GeneralizedBetaMean(Frozen):
     """The mean defined by balancing one inner-mean slot against the plain vector.
 
     Its value at ``v`` is the unique ``x`` with
@@ -146,8 +143,7 @@ class GeneralizedBetaMean:
         return f"beta{{S={self.base}; mu={self.outer}}}"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Frozen):
     """A balance problem: outer(S_1(v),..,S_m(v),x,..,x) = outer(M_1(v),..,M_n(v)).
 
     ``small`` holds the m prefix means (the S_j), ``big`` the n target means
@@ -177,19 +173,18 @@ class ProblemSpec:
         return f"T{{mu={self.outer}; S=[{small}]; M=[{big}]}}"
 
 
-@dataclass(frozen=True)
-class InvariantMean:
+class InvariantMean(Frozen, compare=("family", "tol")):
     """The mean invariant under the mapping v -> (M_1(v), ..., M_n(v)).
 
     Its value at ``v`` is the limit of Gauss iteration from ``v`` (relative
     spread ``tol``, 0 < tol < 1); it takes ``arity = len(family)`` entries
     and, its family passing :func:`check_strict_family`, is strict.
-    ``name``, a session registration, replaces the label but not equality.
+    ``name``, a session registration, replaces the label; eq and hash skip it.
     """
 
     family: tuple[MeanExpr, ...]
     tol: float = DEFAULT_TOL
-    name: Optional[str] = field(default=None, compare=False)
+    name: Optional[str] = None
 
     strict = True  # a class constant, not a field
 
@@ -208,16 +203,15 @@ class InvariantMean:
         return "invariant{M=[" + ",".join(str(m) for m in self.family) + "]}"
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedMean:
+class DerivedMean(Frozen, compare=None):
     """An opaque mean backed by a user callable.
 
     ``fn`` receives an already ascending-sorted tuple, which keeps evaluation
     bit-exactly permutation invariant.  ``strict`` is a caller assertion that
     the mean is strictly increasing in each variable; it gates use as an
     outer function and in mean-type iterations and is never verified.
-    Identity equality on purpose: two separately built evaluators are
-    distinct objects even if they agree pointwise.
+    Identity equality on purpose (``compare=None``): two separately built
+    evaluators are distinct objects even if they agree pointwise.
     """
 
     name: str
@@ -266,8 +260,7 @@ def check_strict_family(family: tuple[MeanExpr, ...]) -> None:
 _GENERATORS = ("id", "log", "exp", "pow")
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Frozen):
     """The quasi-arithmetic aggregate ``sum(g(x_i))``, g from {id, log, exp, pow[p]}.
 
     ``Sum()`` is the plain sum and ``Sum("pow", p)`` the power sum, p > 0
@@ -300,16 +293,14 @@ class Sum:
         return f"qa[{self.generator}]"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Frozen):
     """Product of the entries; strictly increasing only on positive values."""
 
     def __str__(self) -> str:
         return "prod"
 
 
-@dataclass(frozen=True)
-class MeanOuter:
+class MeanOuter(Frozen):
     """A strict mean used as the outer aggregate.
 
     Admitted: what :func:`is_strict` accepts, i.e. finite-order power means,

@@ -22,9 +22,9 @@ theory: the relations here compare sorted entries directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError
 
 __all__ = [
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderingCheck:
+class OrderingCheck(Frozen):
     """Outcome of a single ordering predicate.
 
     ``witness_index`` is the 1-based position (in the sorted comparison) of
@@ -56,8 +55,7 @@ class OrderingCheck:
         return self.holds
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
+class OrderingVerdict(Frozen):
     """Combined verdict of minorization, majorization and embeddability.
 
     ``embedded`` is true exactly when both relations hold and ``v`` is not

@@ -13,10 +13,11 @@ re-validating them.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from ._frozen import Frozen
 from .errors import DomainError
 
 __all__ = ["SamplePlan", "CheckReport", "sample_vectors"]
@@ -28,9 +29,8 @@ NEAR_CONSTANT_HEADROOM = 1e-6  # between a near-constant base and the upper end
 NEAR_CONSTANT_WIDTH = 1e-3
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """How to draw vectors: open interval (lower, upper), arity, count, seed."""
+class SamplePlan(Frozen):
+    """How to draw vectors: open interval (lower, upper), integral arity and count, seed."""
 
     arity: int
     count: int = 1000
@@ -39,18 +39,21 @@ class SamplePlan:
     upper: float = 100.0
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise DomainError(f"sample arity must be >= 1, got {self.arity}")
-        if self.count < 0:
-            raise DomainError(f"sample count must be >= 0, got {self.count}")
+        for name, least in (("arity", 1), ("count", 0)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"sample {name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise DomainError(f"sample {name} must be >= {least}, got {value}")
         if not (math.isfinite(self.upper - self.lower)
                 and math.nextafter(self.lower, self.upper) < self.upper):
             raise DomainError("need lower < upper, a finite width and a float "
                               f"strictly between them, got {self.lower}, {self.upper}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Result of a sampled verification: PASS, or a counterexample payload."""
 
     passed: bool

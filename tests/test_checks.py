@@ -14,7 +14,6 @@ key order included: they cover a witness-only FAIL and a FAIL with residual
 and witness, and a FAIL in every suite.
 """
 
-import dataclasses
 import json
 import types
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import meanforge.checks as checks
+from meanforge._frozen import replace
 from meanforge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -40,8 +40,7 @@ FAULTS = {
     "certification_refused": ("power_mean_embedded", lambda alpha, beta: False),
     "never_converges": (
         "gauss_iterate",
-        lambda family, v: dataclasses.replace(_gauss_iterate(family, v),
-                                              converged=False)),
+        lambda family, v: replace(_gauss_iterate(family, v), converged=False)),
 }
 
 

@@ -482,6 +482,14 @@ class TestLazyImports:
                        "sampling"):
             assert f"meanforge.{module}" in loaded
 
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        # together they cost milliseconds of every CLI process's start-up
+        probe = ("import sys, meanforge.cli; print(sorted({'dataclasses', 'inspect', "
+                 "'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
+
     def test_unknown_suite_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "--suite", "nope")
         assert code == 2 and out == ""

@@ -59,3 +59,10 @@ class TestSampleVectors:
     def test_bad_interval_rejected(self, lower, upper):
         with pytest.raises(DomainError, match="lower < upper"):
             SamplePlan(arity=2, lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 10), "arity"), ((2, 10.0), "count"), (("2",), "arity"), ((2, None), "count"),
+    ])
+    def test_non_integral_arity_or_count_rejected(self, args, field):
+        with pytest.raises(DomainError, match=f"sample {field} must be an integer"):
+            SamplePlan(*args)
