@@ -69,7 +69,7 @@ def is_valid_name(name: str) -> bool:
     return bool(_NAME_PATTERN.match(name)) and name not in RESERVED_WORDS
 
 
-Expr = Union[MeanExpr, OuterFn]
+Expr = MeanExpr | OuterFn  # not typing.Union, whose cache outlives a reload
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .means import (
     OuterFn,
     PowerMean,
     ProblemSpec,
+    _eval_family,
     _eval_mean,
     _eval_outer,
     check_tol,
@@ -201,8 +202,7 @@ def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
             raise ArityError("the balanced mean needs at least 2 entries")
         prefix, target = (_eval_mean(mean.base, v),), v
     else:
-        prefix = tuple(_eval_mean(s, v) for s in mean.small)
-        target = tuple(_eval_mean(b, v) for b in mean.big)
+        prefix, target = _eval_family(mean.small, v), _eval_family(mean.big, v)
     result = solve_scalar(mean.outer, prefix, target)
     if result.status != "converged":
         raise ConvergenceError(f"{mean}: no convergence within "
@@ -260,8 +260,7 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     at the same vector (see :func:`_sample_arity`), or 3 when nothing does;
     pins that disagree raise :class:`ArityError`.
     """
-    small = tuple(small)
-    big = tuple(big)
+    small, big = tuple(small), tuple(big)
     if plan is None:
         plan = SamplePlan(arity=_sample_arity(small + big), count=256)
 
@@ -271,9 +270,8 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
             return EmbedReport(mode="certified",
                                certificate={"rule": "sub-multiset"})
 
-    all_power = all(isinstance(m, PowerMean) for m in small + big)
     exponent_verdict = None
-    if all_power:
+    if all(isinstance(m, PowerMean) for m in small + big):
         alpha = tuple(m.order for m in small)
         beta = tuple(m.order for m in big)
         exponent_verdict = {"rule": "power-mean-exponents",
@@ -287,8 +285,7 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        small_values = tuple(_eval_mean(s, v) for s in small)
-        big_values = tuple(_eval_mean(b, v) for b in big)
+        small_values, big_values = _eval_family(small, v), _eval_family(big, v)
         relaxed = is_embedded_within(small_values, big_values,
                                      embedding_eps(big_values))
         if not relaxed.embedded:
@@ -314,8 +311,7 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
 def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
                               plan: SamplePlan) -> Optional[dict]:
     """None when (low_1,..) < (high_1,..) pointwise on samples, else a witness."""
-    low = tuple(low)
-    high = tuple(high)
+    low, high = tuple(low), tuple(high)
     if all(isinstance(m, PowerMean) for m in low + high):
         lo_exp = tuple(m.order for m in low)
         hi_exp = tuple(m.order for m in high)
@@ -325,8 +321,7 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
         return {"rule": "power-mean-exponents", "low": list(lo_exp),
                 "high": list(hi_exp), "witness_index": check.witness_index}
     for v in sample_vectors(plan):
-        low_values = tuple(_eval_mean(m, v) for m in low)
-        high_values = tuple(_eval_mean(m, v) for m in high)
+        low_values, high_values = _eval_family(low, v), _eval_family(high, v)
         check = is_ordered_majorized(low_values, high_values,
                                      embedding_eps(high_values))
         if not check.holds:

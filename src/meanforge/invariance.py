@@ -29,7 +29,10 @@ from .means import (
     MeanExpr,
     MeanOuter,
     ProblemSpec,
+    _eval_family,
     _eval_mean,
+    _power_family,
+    _power_orders,
     check_positive,
     check_strict_family,
     check_tol,
@@ -66,14 +69,14 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
                   tol: float = DEFAULT_TOL) -> IterationTrace:
     """Iterate v <- (M_1(v), ..., M_n(v)) until the coordinates collapse.
 
-    Stops when max - min of the iterate drops below ``tol`` relative to the
-    iterate's magnitude; the limit is reported as the midpoint of the final
-    range.  The start must be positive, the domain of every mean the library
-    builds; a positive constant start converges in zero iterations.  Every
+    Stops when max - min of the iterate drops below ``tol`` (in (0, 1))
+    relative to its magnitude, reporting the midpoint of the final range;
+    after ``DEFAULT_CAP`` steps the trace is unconverged.  The start must be
+    positive; a positive constant one converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
-    a few ulp of max, at every scale), which is what makes the spread
-    nonincreasing.  ``tol`` must lie in (0, 1); after ``DEFAULT_CAP`` steps
-    the trace is unconverged.
+    a few ulp of max, at every scale), which makes the spread nonincreasing.
+    The family is classified once: two or more power means go through the
+    shared-log kernel ``means._power_family`` at the min and max in hand.
     """
     check_tol(tol)
     family = tuple(family)
@@ -82,16 +85,16 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
     check_strict_family(family)
+    orders = _power_orders(family)
     lo, hi = min(u), max(u)
     check_positive(lo, "Gauss iteration")
     iterations = 0
     while True:
         spread = hi - lo
-        if spread <= tol * max(abs(lo), abs(hi)):
-            return IterationTrace(iterations, spread, 0.5 * (lo + hi), True)
-        if iterations >= DEFAULT_CAP:
-            return IterationTrace(iterations, spread, 0.5 * (lo + hi), False)
-        nxt = tuple(_eval_mean(m, u) for m in family)
+        converged = spread <= tol * max(abs(lo), abs(hi))
+        if converged or iterations >= DEFAULT_CAP:
+            return IterationTrace(iterations, spread, 0.5 * (lo + hi), converged)
+        nxt = _eval_family(family, u) if orders is None else _power_family(orders, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
         slack = _CONTAINMENT_SLACK * hi  # relative: the entries are positive
         if nlo < lo - slack or nhi > hi + slack:
@@ -123,12 +126,11 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
     family = tuple(family)
     if plan.arity != len(family):
         raise ArityError(f"plan arity {plan.arity} != family size {len(family)}")
-    worst = 0.0
-    checked = 0
+    worst, checked = 0.0, 0
     for v in sample_vectors(plan):
         checked += 1
         direct = _eval_mean(candidate, v)
-        mapped = tuple(_eval_mean(m, v) for m in family)
+        mapped = _eval_family(family, v)
         through = _eval_mean(candidate, mapped)
         residual = abs(through - direct) / abs(direct) if direct else float("inf")
         worst = max(worst, residual)

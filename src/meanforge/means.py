@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Callable, Optional, Sequence, Union, get_args
+from typing import Callable, Optional, Sequence, get_args
 
 from ._frozen import Frozen, replace
 from .errors import ArityError, DomainError, HypothesisViolation
@@ -223,8 +223,8 @@ class DerivedMean(Frozen, compare=None):
         return self.name
 
 
-MeanExpr = Union[PowerMean, BetaMean, GeneralizedBetaMean, ProblemSpec,
-                 InvariantMean, DerivedMean]
+# `|`, not typing.Union: its cache would keep old classes and modules alive past a reload
+MeanExpr = PowerMean | BetaMean | GeneralizedBetaMean | ProblemSpec | InvariantMean | DerivedMean
 
 _MEAN_TYPES = get_args(MeanExpr)
 
@@ -320,7 +320,7 @@ class MeanOuter(Frozen):
         return f"mean[{self.mean}]"
 
 
-OuterFn = Union[Sum, Product, MeanOuter]
+OuterFn = Sum | Product | MeanOuter
 
 
 def declared_arity(outer: OuterFn) -> Optional[int]:
@@ -357,11 +357,49 @@ def _power_mean(order: float, v: tuple[float, ...]) -> float:
     if lo / hi < _MIN_NORMAL:  # some x/anchor would leave the normal floats
         return _wide_power_mean(order, v, anchor)
     if abs(order) < GEOMETRIC_ORDER:
-        t_sum = math.fsum([math.log(x / anchor) for x in v])
-        return anchor * math.exp(t_sum / len(v))
+        return anchor * math.exp(math.fsum([math.log(x / anchor) for x in v]) / len(v))
     mean_expm1 = math.fsum([math.expm1(order * math.log(x / anchor))
                             for x in v]) / len(v)
     return anchor * math.exp(math.log1p(mean_expm1) / order)
+
+
+def _power_orders(family: tuple[MeanExpr, ...]) -> Optional[list[float]]:
+    """The orders of two or more power means (one shares nothing), else None."""
+    orders = []
+    for m in family:
+        if not isinstance(m, PowerMean):
+            return None
+        orders.append(m.order)
+    return orders if len(orders) > 1 else None
+
+
+def _power_family(orders: list[float], v: tuple[float, ...],
+                  lo: float, hi: float) -> tuple[float, ...]:
+    """``tuple(_power_mean(s, v) for s in orders)`` bit for bit, ``lo, hi = min(v), max(v)``.
+
+    Checks run once, and ``log(x/anchor)`` once per anchor (hi for orders > 0,
+    else lo) that two or more members share; a lone member takes one pass.
+    The formula is a copy of :func:`_power_mean`'s: a shared one slows that 2-6 %.
+    """
+    check_positive(lo, "power mean")
+    if lo == hi:
+        return (lo,) * len(orders)
+    if lo / hi < _MIN_NORMAL:
+        return tuple([_wide_power_mean(s, v, hi if s > 0.0 else lo) for s in orders])
+    up = len([s for s in orders if s > 0.0])
+    t_hi = [math.log(x / hi) for x in v] if up > 1 else None
+    t_lo = [math.log(x / lo) for x in v] if len(orders) - up > 1 else None
+    n, values = len(v), []
+    for s in orders:
+        anchor, t = (hi, t_hi) if s > 0.0 else (lo, t_lo)
+        if abs(s) < GEOMETRIC_ORDER:
+            m = math.fsum(t or [math.log(x / anchor) for x in v]) / n
+        elif t is None:
+            m = math.log1p(math.fsum([math.expm1(s * math.log(x / anchor)) for x in v]) / n) / s
+        else:
+            m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
+        values.append(anchor * math.exp(m))
+    return tuple(values)
 
 
 def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float:
@@ -439,10 +477,8 @@ def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
     if isinstance(mean, BetaMean):
         return _beta_mean(v)
     if isinstance(mean, (ProblemSpec, GeneralizedBetaMean)):
-        from . import implicit  # deferred: implicit builds on this module
         return implicit.balance_value(mean, v)
     if isinstance(mean, InvariantMean):
-        from . import invariance  # deferred: invariance builds on this module
         return invariance.invariant_value(mean, v)
     if isinstance(mean, DerivedMean):
         if mean.arity is not None and len(v) != mean.arity:
@@ -454,6 +490,18 @@ def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
             raise DomainError(f"{mean.name} returned {value!r}, not a finite float")
         return value
     raise TypeError(f"not a mean expression: {mean!r}")
+
+
+def _eval_family(family: tuple[MeanExpr, ...], v: tuple[float, ...]) -> tuple[float, ...]:
+    """Exactly ``tuple(_eval_mean(m, v) for m in family)``, bit for bit, same errors.
+
+    Two or more power means share ``min(v)``, ``max(v)``, the checks and the
+    logs of each anchor (:func:`_power_family`); other families go one by one.
+    """
+    orders = _power_orders(family)
+    if orders is None:
+        return tuple([_eval_mean(m, v) for m in family])
+    return _power_family(orders, v, min(v), max(v))
 
 
 def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
@@ -538,3 +586,7 @@ def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:
                 "vector": list(v), "permuted": shuffled, "value": value,
                 "permuted_value": other, "violated": "symmetry"})
     return CheckReport(True, plan.count, max_residual=worst)
+
+
+# Last, as both import from here: _eval_mean calls into them with no import per call.
+from . import implicit, invariance  # noqa: E402

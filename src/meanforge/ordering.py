@@ -70,7 +70,9 @@ class OrderingVerdict(Frozen):
 
 
 def as_vector(entries: Sequence[float]) -> tuple[float, ...]:
-    """Validate and normalize a vector: length >= 1, every entry finite."""
+    """Validate and normalize a vector: length >= 1, every entry finite, not text."""
+    if type(entries) is not tuple and isinstance(entries, (str, bytes, bytearray)):
+        raise DomainError(f"a vector is not text, got {entries!r}")  # float() reads digits
     v = tuple(map(float, entries))
     if not v:
         raise DomainError("vector must have at least one entry")

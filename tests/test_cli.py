@@ -490,6 +490,16 @@ class TestLazyImports:
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
 
+    @pytest.mark.parametrize("first", ["meanforge.means", "meanforge.implicit",
+                                       "meanforge.invariance", "meanforge.cli"])
+    def test_any_module_imports_first(self, first):
+        # means binds implicit and invariance once, at the end of its import
+        probe = (f"import {first}; from meanforge import PowerMean as P, complementary_mean, "
+                 "eval_mean; print(eval_mean(complementary_mean([P(1)], [P(1), P(-1)]), (2, 8)))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "3.2\n", "")
+
     def test_unknown_suite_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "--suite", "nope")
         assert code == 2 and out == ""

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from meanforge import (
     BetaMean,
     DerivedMean,
     DomainError,
+    InvariantMean,
     MeanOuter,
     PowerMean,
     Product,
@@ -21,9 +23,10 @@ from meanforge import (
     check_mean_property,
     eval_mean,
     eval_outer,
+    gauss_iterate,
     power_mean,
 )
-from meanforge.means import format_number
+from meanforge.means import _eval_family, _eval_mean, format_number
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -281,6 +284,76 @@ class TestEvalMean:
         outer = MeanOuter(assert_strict(DerivedMean(name="broken", fn=lambda sv: value)))
         with pytest.raises(DomainError, match="broken returned .*not a finite float"):
             eval_outer(outer, (1.0, 2.0))
+
+
+# Orders on every branch of the power-mean formula: the geometric one below
+# GEOMETRIC_ORDER (1e-280), either anchor, and repeats of one order.
+special_orders = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 1e-300,
+                                  -1e-300, 9e-281, -5e-281, 3e-280])
+some_orders = st.lists(st.one_of(orders, special_orders), min_size=1, max_size=3)
+power_families = some_orders.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=5)).map(
+    lambda chosen: tuple(PowerMean(s) for s in chosen))
+other_means = st.sampled_from([
+    BetaMean(), InvariantMean((PowerMean(1), PowerMean(-1))),
+    DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1]))])
+mixed_families = st.lists(st.one_of(st.one_of(orders, special_orders).map(PowerMean),
+                                    other_means), min_size=1, max_size=5).map(tuple)
+family_vectors = st.one_of(
+    positive_vectors,
+    st.tuples(positive, st.integers(1, 6)).map(lambda c: (c[0],) * c[1]),
+    st.tuples(positive, st.lists(st.integers(0, 3), min_size=1, max_size=6)).map(
+        lambda c: tuple(c[0] + k * math.ulp(c[0]) for k in c[1])),  # near-constant
+    st.sampled_from([(1e-310, 1.7e308), (1.7e308, 2.0, 1e-310), (5e-324, 1.0),
+                     (1e-300, 1e300)]),  # min/max below the normal floats
+    st.lists(st.sampled_from([-1.0, 0.0, 2.0, 3.5]), min_size=1, max_size=4).map(tuple))
+
+
+def _outcome(evaluate):
+    """The exact bits of a family's values, or the type and text of its error."""
+    try:
+        return [x.hex() for x in evaluate()]
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+class TestFamilyKernel:
+    @given(st.one_of(power_families, mixed_families), family_vectors)
+    def test_bit_identical_to_member_by_member(self, family, v):
+        want = _outcome(lambda: tuple(_eval_mean(m, v) for m in family))
+        assert _outcome(lambda: _eval_family(family, v)) == want
+
+    @pytest.mark.parametrize("v", [(2.0, 0.0), (-1.0, 3.0, 4.0)])
+    def test_same_domain_error_text(self, v):
+        family = (PowerMean(1), PowerMean(-1), PowerMean(2))
+        with pytest.raises(DomainError, match="power mean needs positive entries"):
+            _eval_family(family, v)
+
+    @given(power_families.filter(lambda f: len(f) > 1), positive_vectors)
+    def test_gauss_matches_a_member_by_member_loop(self, family, start):
+        start = (start * len(family))[:len(family)]
+        u, steps = start, 0
+        while max(u) - min(u) > 1e-12 * max(u) and steps < 10_000:
+            u, steps = tuple(_eval_mean(m, u) for m in family), steps + 1
+        trace = gauss_iterate(family, start)
+        assert (trace.iterations, trace.limit) == (steps, 0.5 * (min(u) + max(u)))
+
+
+class TestReimport:
+    def test_old_classes_are_freed(self):
+        # typing.Union caches its members, so a Union alias would keep each
+        # import's node classes, and the modules their methods see, alive
+        probe = ("import gc, importlib, sys\n"
+                 "for _ in range(3):\n"
+                 "    for n in [n for n in sys.modules if n.startswith('meanforge')]:\n"
+                 "        del sys.modules[n]\n"
+                 "    importlib.import_module('meanforge')\n"
+                 "gc.collect()\n"
+                 "print(sum(isinstance(o, type) and o.__name__ == 'PowerMean'"
+                 " for o in gc.get_objects()))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "1\n"
 
 
 class TestOuterFunctions:

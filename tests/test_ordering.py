@@ -186,3 +186,15 @@ class TestValidation:
     def test_infinity_rejected(self):
         with pytest.raises(DomainError):
             as_vector((float("inf"),))
+
+    @pytest.mark.parametrize("text", ["123", "38", b"12", bytearray(b"5010")])
+    def test_text_rejected(self, text):
+        # float() would read a string's digits and the byte values of bytes
+        with pytest.raises(DomainError, match="a vector is not text"):
+            as_vector(text)
+        with pytest.raises(DomainError, match="a vector is not text"):
+            is_embedded(text, (3.0, 8.0))
+
+    def test_sequences_of_numbers_still_accepted(self):
+        assert as_vector([1, 2.5]) == as_vector((1, 2.5)) == (1.0, 2.5)
+        assert as_vector(range(1, 3)) == (1.0, 2.0)
