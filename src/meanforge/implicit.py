@@ -24,7 +24,6 @@ reported as such.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from typing import Optional, Sequence, Union
 
@@ -115,8 +114,8 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     bracket width, so the root is accurate to ``tol`` *relative* even when
     the initial bracket spans orders of magnitude; ``tol`` must lie in (0, 1).
     After ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.
-    The inputs are validated and the prefix sorted once; every step evaluates
-    the outer kernel, while the goal and the residual use :func:`eval_outer`.
+    The inputs are validated once; every step evaluates the outer kernel at
+    ``prefix + (x,) * fill``, while the goal and the residual use :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -140,21 +139,16 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     lo, hi = min(w), max(w)
     bracket = (lo, hi)
     fill = n - m
-    sv = tuple(sorted(v))
 
     def f(x: float) -> float:
-        # sorted(v + (x,) * fill), built by inserting the copies after equal entries
-        at = bisect_right(sv, x)
-        return _eval_outer(outer, sv[:at] + (x,) * fill + sv[at:])
+        return _eval_outer(outer, v + (x,) * fill)
 
     def residual(x: float) -> float:
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
-    if lo == hi:
-        return SolveResult(lo, bracket, residual(lo), 0, "converged")
-    # Boundary roots: rounding can place the target at (or just past) an end
-    # of the bracket even though the exact root is interior.
+    # Boundary roots, and the root of a constant target: rounding can place
+    # the target at (or just past) an end of the bracket though the root is interior.
     if f(lo) - goal >= 0.0:
         return SolveResult(lo, bracket, residual(lo), 0, "converged")
     if f(hi) - goal <= 0.0:

@@ -498,7 +498,7 @@ def _eval_family(family: tuple[MeanExpr, ...], v: tuple[float, ...]) -> tuple[fl
     Two or more power means share ``min(v)``, ``max(v)``, the checks and the
     logs of each anchor (:func:`_power_family`); other families go one by one.
     """
-    orders = _power_orders(family)
+    orders = _power_orders(family) if len(family) > 1 else None
     if orders is None:
         return tuple([_eval_mean(m, v) for m in family])
     return _power_family(orders, v, min(v), max(v))
@@ -510,36 +510,36 @@ def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
     n = declared_arity(outer)
     if n is not None and len(v) != n:
         raise ArityError(f"{outer} takes {n} entries, got {len(v)}")
-    return _eval_outer(outer, tuple(sorted(v)))
+    return _eval_outer(outer, v)
 
 
-def _eval_outer(outer: OuterFn, sv: tuple[float, ...]) -> float:
-    """:func:`eval_outer` at an ascending validated tuple ``sv`` of the outer's arity."""
+def _eval_outer(outer: OuterFn, v: tuple[float, ...]) -> float:
+    """:func:`eval_outer` at a validated tuple ``v`` of the outer's arity, in any order."""
     try:
         if isinstance(outer, Sum):
             g = outer.generator
             if g == "id":
-                value = math.fsum(sv)
+                value = math.fsum(v)
             elif g == "exp":
-                value = math.fsum(map(math.exp, sv))
+                value = math.fsum(map(math.exp, v))
             else:
-                check_positive(sv[0], outer)
+                check_positive(min(v), outer)
                 if g == "log":
-                    value = math.fsum(map(math.log, sv))
+                    value = math.fsum(map(math.log, v))
                 else:
                     p = outer.exponent
-                    value = math.fsum([x ** p for x in sv])
+                    value = math.fsum([x ** p for x in v])
         elif isinstance(outer, Product):
-            check_positive(sv[0], outer)
-            value = math.prod(sv)
+            check_positive(min(v), outer)
+            value = math.prod(sorted(v))  # the one outer that rounds by order
         elif isinstance(outer, MeanOuter):
-            value = _eval_mean(outer.mean, sv)
+            value = _eval_mean(outer.mean, v)
         else:
             raise TypeError(f"not an outer function: {outer!r}")
     except OverflowError:  # fsum, ** and exp raise it; prod returns inf
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"{outer} overflows at {list(sv)!r}")
+        raise DomainError(f"{outer} overflows at {list(v)!r}")
     return value
 
 

@@ -89,6 +89,22 @@ def test_fault_records_cover_every_suite_and_both_shapes():
     assert any("residual" in r and "witness" in r for r in pinned)
 
 
+def test_human_format_lists_every_record_and_each_fail_witness(capsys, monkeypatch):
+    name, broken = FAULTS["minorized_never_holds"]
+    monkeypatch.setattr(checks, name, broken)
+    code = main(["check", "--suite", "vectors", "--samples", "40", "--seed", "5",
+                 "--format", "human"])
+    assert code == 1
+    witnesses = {r["kind"]: r["witness"] for r in FAULT_RECORDS["minorized_never_holds"]}
+    want = []
+    for kind in [r["kind"] for r in GOLDEN if r["kind"].startswith("vectors.")]:
+        if kind in witnesses:
+            want += [f"FAIL {kind}", f"     witness: {witnesses[kind]!r}"]
+        else:
+            want.append(f"PASS {kind}")
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_a_real_fail_record_exits_1(capsys, monkeypatch):
     name, broken = FAULTS["minorized_never_holds"]
     monkeypatch.setattr(checks, name, broken)

@@ -275,6 +275,14 @@ class TestInvariant:
         code, _, _ = run(capsys, "invariant", "[P[1],P[0]]")
         assert code == 3
 
+    def test_unconverged_exit_5(self, capsys):
+        # a spread of 1e-300 relative is below the float spacing at the limit
+        code, out, _ = run(capsys, "invariant", "[P[1],P[0]]", "--at", "1,3",
+                           "--tol", "1e-300", "--format", "json")
+        assert code == 5
+        output = json.loads(out)["output"]
+        assert (output["converged"], output["iterations"]) == (False, 10_000)
+
 
 class TestSession:
     @pytest.mark.parametrize("content", [
@@ -387,6 +395,10 @@ class TestCheck:
             assert record["kind"].startswith("vectors.")
             assert record["output"] == "PASS"
             assert record["input"]["seed"] == 3
+
+    def test_zero_samples_exit_3(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "means", "--samples", "0")
+        assert (code, out, err) == (3, "", "error: --samples must be at least 1, got 0\n")
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MEANFORGE_SEED", "11")

@@ -57,6 +57,31 @@ class TestSolveScalar:
         assert result.root == 5.0
         assert result.iterations == 0
 
+    @pytest.mark.parametrize("shift", [1e-12, -1e-12])
+    def test_constant_target_with_relaxed_prefix(self, shift):
+        # the prefix is within embedding_eps of the constant target, above it
+        # (the f(lo) >= goal exit) or below it (the f(hi) <= goal exit)
+        prefix = (2.0 * (1.0 + shift),)
+        result = solve_scalar(Sum(), prefix, (2.0, 2.0, 2.0))
+        assert (result.root, result.bracket, result.residual, result.iterations,
+                result.status) == (2.0, (2.0, 2.0), 2.000177801164682e-12, 0, "converged")
+
+    def test_float_resolution_ends_the_bisection(self):
+        # tol=1e-300 is below the float spacing at the root: the bracket's
+        # midpoint meets an end before its width meets the tolerance
+        result = solve_scalar(Sum(), (1.0,), (0.5, 2.0), tol=1e-300)
+        assert (result.root, result.residual, result.iterations, result.status) == \
+            (1.4999999999999996, 4.440892098500626e-16, 52, "converged")
+
+    def test_pinned_outer_arity(self):
+        outer = MeanOuter(InvariantMean((PowerMean(1), PowerMean(0))))
+        with pytest.raises(ArityError, match="takes 2 values but the target has 3"):
+            solve_scalar(outer, (2.0,), (1.0, 2.0, 3.0))
+        with pytest.raises(ArityError, match=r"takes 2 values but len\(M\)=3"):
+            ProblemSpec(outer, (PowerMean(0),), (PowerMean(-1), PowerMean(1), PowerMean(2)))
+        with pytest.raises(ArityError, match="takes 2 entries, got 3"):
+            eval_outer(outer, (1.0, 2.0, 3.0))
+
     def test_worked_example_sum(self):
         v = (1.0, 4.0)
         prefix = tuple(power_mean(s, v) for s in (0, 2))
@@ -200,7 +225,7 @@ class TestSolverBitIdentity:
         outer, prefix, target = case
         result = solve_scalar(outer, prefix, target)
         want = _reference_solve(outer, prefix, target)
-        # bit for bit: a bisection step sees the vector the public path sorts
+        # bit for bit: a bisection step evaluates the vector the public path does
         assert (result.root, result.residual, result.iterations, result.status) == want
 
     def test_near_constant_targets(self):
@@ -474,6 +499,28 @@ class TestComparability:
         with pytest.raises(HypothesisViolation):
             # claimed big* < big but the star family dominates
             compare_implicit_means(small, big, small, big_bigger, Sum(), plan)
+
+    def test_family_lengths_must_agree(self):
+        plan = SamplePlan(arity=2, count=10, seed=7)
+        small, big = (PowerMean(0),), (PowerMean(-1), PowerMean(1))
+        with pytest.raises(ArityError, match="prefix families must have equal length"):
+            compare_implicit_means(small, big, small + small, big, Sum(), plan)
+        with pytest.raises(ArityError, match="target families must have equal length"):
+            compare_implicit_means(small, big, small, big + big[:1], Sum(), plan)
+
+    def test_refuted_embedding_precondition_raises(self):
+        # each family equals its starred one, so both orderings hold, but
+        # P[3] is not embedded in (P[-1], P[1]): it exceeds both somewhere
+        small, big = (PowerMean(3),), (PowerMean(-1), PowerMean(1))
+        plan = SamplePlan(arity=2, count=10, seed=7)
+        with pytest.raises(HypothesisViolation,
+                           match="embedding precondition small in big fails") as err:
+            compare_implicit_means(small, big, small, big, Sum(), plan)
+        witness = err.value.witness
+        v = tuple(witness["vector"])
+        assert witness["small_values"] == [power_mean(3, v)]
+        assert witness["big_values"] == [power_mean(-1, v), power_mean(1, v)]
+        assert witness["majorized"] is False
 
     def test_non_power_prefixes_are_sampled(self):
         # B is not a power mean, so small < small* is checked on samples

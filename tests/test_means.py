@@ -26,7 +26,7 @@ from meanforge import (
     gauss_iterate,
     power_mean,
 )
-from meanforge.means import _eval_family, _eval_mean, format_number
+from meanforge.means import _eval_family, _eval_mean, _eval_outer, format_number
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -356,6 +356,28 @@ class TestReimport:
         assert done.stdout == "1\n"
 
 
+# Every outer kind.  ``sloppy`` sums in the order it is given (DerivedMean
+# sorts for it); ``twice_max`` makes a Gauss step escape its range.
+_SLOPPY = assert_strict(DerivedMean("sloppy", lambda sv: sum(sv) / len(sv)))
+_TWICE_MAX = assert_strict(DerivedMean("twice_max", lambda sv: 2.0 * sv[-1]))
+VARIADIC_OUTERS = (Sum(), Sum("log"), Sum("exp"), Sum("pow", 0.5), Sum("pow", 3.0),
+                   Product(), MeanOuter(PowerMean(-1.5)), MeanOuter(PowerMean(0)),
+                   MeanOuter(PowerMean(2)), MeanOuter(_SLOPPY))
+GAUSS_MEMBERS = (PowerMean(1), PowerMean(-1), PowerMean(0), BetaMean(), PowerMean(2),
+                 _TWICE_MAX)
+outer_vectors = st.one_of(  # near-constant ones make prod round by order
+    family_vectors,
+    st.lists(st.sampled_from([0.5, 2.0, 800.0, 1e200]), min_size=1, max_size=4).map(tuple))
+
+
+def _bits_or_error_type(evaluate):
+    """The exact bits of a value, or the type of its error (whose text lists the entries)."""
+    try:
+        return evaluate().hex()
+    except Exception as exc:  # compared, not handled
+        return type(exc)
+
+
 class TestOuterFunctions:
     def test_sum_product_powersum(self):
         assert eval_outer(Sum(), (1, 2, 3, 4)) == 10.0
@@ -460,6 +482,16 @@ class TestOuterFunctions:
         for outer in (Sum(), Product(), Sum("pow", 3),
                       Sum("log"), MeanOuter(PowerMean(2))):
             assert eval_outer(outer, v) == eval_outer(outer, p)
+
+    @pytest.mark.parametrize("outer", VARIADIC_OUTERS + ("mean[invariant]",), ids=str)
+    @given(data=st.data())
+    def test_kernel_takes_entries_in_any_order(self, outer, data):
+        v = data.draw(outer_vectors)
+        if outer == "mean[invariant]":
+            family = data.draw(st.permutations(GAUSS_MEMBERS))[:len(v)]
+            outer = MeanOuter(InvariantMean(family))
+        assert _bits_or_error_type(lambda: _eval_outer(outer, v)) == \
+            _bits_or_error_type(lambda: _eval_outer(outer, tuple(sorted(v))))
 
     def test_strictly_increasing_per_coordinate(self):
         rng = random.Random(11)
