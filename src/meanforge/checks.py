@@ -97,6 +97,14 @@ class _Fail(Exception):
         self.residual, self.witness = residual, witness
 
 
+def _agree(worst: float, got: float, want: float, tol: float, witness: dict) -> float:
+    """``max(worst, gap)`` for the relative gap of ``got`` to ``want``; past ``tol``, FAIL."""
+    gap = abs(got - want) / abs(want)
+    if gap > tol:
+        raise _Fail(residual=gap, witness=witness)
+    return max(worst, gap)
+
+
 # suite name -> its (kind, stream, property) triples in registration order
 _SUITES: dict[str, list] = {name: [] for name in SUITE_NAMES}
 
@@ -373,11 +381,7 @@ def _means_geometric_continuity(rng: random.Random, samples: int, seed: int) -> 
         v = _uniform_vector(rng, rng.randint(2, 5), 0.01, 100.0)
         g = power_mean(0.0, v)
         for s in (1e-6, -1e-6):
-            gap = abs(power_mean(s, v) - g) / abs(g)
-            worst = max(worst, gap)
-            if gap > 1e-4:
-                raise _Fail(residual=gap,
-                            witness={"order": s, "vector": list(v)})
+            worst = _agree(worst, power_mean(s, v), g, 1e-4, {"order": s, "vector": list(v)})
     return worst
 
 
@@ -386,11 +390,7 @@ def _means_beta_harmonic(rng: random.Random, samples: int, seed: int) -> Optiona
     worst = 0.0
     for _ in range(samples):
         v = _uniform_vector(rng, 2, 0.01, 100.0)
-        b, h = beta_mean(v), power_mean(-1.0, v)
-        gap = abs(b - h) / abs(h)
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            raise _Fail(residual=gap, witness={"vector": list(v)})
+        worst = _agree(worst, beta_mean(v), power_mean(-1.0, v), 1e-12, {"vector": list(v)})
     return worst
 
 
@@ -508,14 +508,9 @@ def _pexider_oracles(rng: random.Random, samples: int, seed: int) -> Optional[fl
         for outer, oracle in cases:
             derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, outer)
             for v in sample_vectors(plan):
-                got = eval_mean(derived, v)
-                want = oracle(v)
-                rel = abs(got - want) / abs(want)
-                worst = max(worst, rel)
-                if rel > 1e-9:
-                    raise _Fail(residual=rel, witness={
-                        "outer": str(outer), "vector": list(v),
-                        "solver": got, "oracle": want})
+                got, want = eval_mean(derived, v), oracle(v)
+                worst = _agree(worst, got, want, 1e-9, {
+                    "outer": str(outer), "vector": list(v), "solver": got, "oracle": want})
     return worst
 
 
@@ -542,14 +537,9 @@ def _pexider_beta_identity(rng: random.Random, samples: int, seed: int) -> Optio
     for arity in (2, 3, 4, 6):
         plan = SamplePlan(arity=arity, count=max(1, samples // 4), seed=seed)
         for v in sample_vectors(plan):
-            got = eval_mean(derived, v)
-            want = beta_mean(v)
-            rel = abs(got - want) / abs(want)
-            worst = max(worst, rel)
-            if rel > 1e-10:
-                raise _Fail(residual=rel,
-                            witness={"arity": arity, "vector": list(v),
-                                     "solver": got, "direct": want})
+            got, want = eval_mean(derived, v), beta_mean(v)
+            worst = _agree(worst, got, want, 1e-10, {
+                "arity": arity, "vector": list(v), "solver": got, "direct": want})
     return worst
 
 
@@ -586,13 +576,9 @@ def _invariance_geometric(rng: random.Random, samples: int, seed: int) -> Option
     plan = SamplePlan(arity=2, count=samples, seed=seed)
     worst = 0.0
     for v in sample_vectors(plan):
-        got = eval_mean(compound, v)
-        want = power_mean(0.0, v)
-        rel = abs(got - want) / abs(want)
-        worst = max(worst, rel)
-        if rel > 1e-10:
-            raise _Fail(residual=rel,
-                        witness={"vector": list(v), "limit": got, "geometric": want})
+        got, want = eval_mean(compound, v), power_mean(0.0, v)
+        worst = _agree(worst, got, want, 1e-10, {
+            "vector": list(v), "limit": got, "geometric": want})
     return worst
 
 

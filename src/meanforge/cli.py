@@ -11,11 +11,11 @@ across runs.  ``MEANFORGE_SEED`` supplies the seed when ``--seed`` is absent.
 
 A session file (``--session``) is a JSON map of registered derived means; it
 stores definitions (the DSL text of the iterated family), not values, and
-means are rebuilt on load in file order, each entry seeing only the names
-before it.  Names registered there are usable as identifiers in any
-expression.  ``main`` reads the file once, before any command runs, so every
-command that takes ``--session`` (``check`` included) rejects a malformed file
-with exit 3.  A registration after which the file would not load is refused.
+means are rebuilt on load in file order, each entry seeing only earlier
+names, usable as identifiers in any expression.  ``main`` reads the file once,
+before any command runs, so every command that takes ``--session`` (``check``
+included) rejects a malformed file, or one with an unparseable entry, with
+exit 3.  A registration after which the file would not load is refused.
 """
 
 from __future__ import annotations
@@ -380,7 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        registry = {} if args.session is None else _build_registry(_read_session(args.session))
+        try:
+            registry = {} if args.session is None else _build_registry(_read_session(args.session))
+        except ParseError as exc:  # an entry's text: the file is at fault, not the argv
+            raise DomainError(f"session file {args.session} does not load: {exc}") from None
         return args.handler(args, registry)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

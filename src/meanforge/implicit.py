@@ -35,11 +35,11 @@ from .means import (
     GeneralizedBetaMean,
     MeanExpr,
     OuterFn,
-    PowerMean,
     ProblemSpec,
     _eval_family,
     _eval_mean,
     _eval_outer,
+    _power_orders,
     check_tol,
     declared_arity,
     eval_outer,
@@ -258,19 +258,16 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     if plan is None:
         plan = SamplePlan(arity=_sample_arity(small + big), count=256)
 
-    if len(small) <= len(big):
-        counts_small, counts_big = Counter(small), Counter(big)
-        if all(counts_big[key] >= cnt for key, cnt in counts_small.items()):
-            return EmbedReport(mode="certified",
-                               certificate={"rule": "sub-multiset"})
+    counts_small, counts_big = Counter(small), Counter(big)
+    if all(counts_big[key] >= cnt for key, cnt in counts_small.items()):
+        return EmbedReport(mode="certified", certificate={"rule": "sub-multiset"})
 
     exponent_verdict = None
-    if all(isinstance(m, PowerMean) for m in small + big):
-        alpha = tuple(m.order for m in small)
-        beta = tuple(m.order for m in big)
-        exponent_verdict = {"rule": "power-mean-exponents",
-                            "alpha": list(alpha), "beta": list(beta),
-                            "embedded": power_mean_embedded(alpha, beta)}
+    orders = _power_orders(small + big)
+    if orders is not None:
+        alpha, beta = orders[:len(small)], orders[len(small):]
+        exponent_verdict = {"rule": "power-mean-exponents", "alpha": alpha,
+                            "beta": beta, "embedded": power_mean_embedded(alpha, beta)}
         if exponent_verdict["embedded"]:
             return EmbedReport(mode="certified", certificate=exponent_verdict)
         # Exponents not embedded: every sufficiently nonconstant vector is a
@@ -306,14 +303,14 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
                               plan: SamplePlan) -> Optional[dict]:
     """None when (low_1,..) < (high_1,..) pointwise on samples, else a witness."""
     low, high = tuple(low), tuple(high)
-    if all(isinstance(m, PowerMean) for m in low + high):
-        lo_exp = tuple(m.order for m in low)
-        hi_exp = tuple(m.order for m in high)
+    orders = _power_orders(low + high)
+    if orders is not None:
+        lo_exp, hi_exp = orders[:len(low)], orders[len(low):]
         check = is_ordered_majorized(lo_exp, hi_exp)
         if check.holds:
             return None
-        return {"rule": "power-mean-exponents", "low": list(lo_exp),
-                "high": list(hi_exp), "witness_index": check.witness_index}
+        return {"rule": "power-mean-exponents", "low": lo_exp,
+                "high": hi_exp, "witness_index": check.witness_index}
     for v in sample_vectors(plan):
         low_values, high_values = _eval_family(low, v), _eval_family(high, v)
         check = is_ordered_majorized(low_values, high_values,

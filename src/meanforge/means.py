@@ -340,7 +340,8 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
     Evaluated as ``anchor*exp(log1p(mean(expm1(s*t)))/s)`` with
     ``t = log(x/anchor)``, anchored at max(v) for positive orders and min(v)
     otherwise, so ``s*t <= 0``: nothing overflows, and the 1/s exponent does
-    not amplify rounding as s approaches 0.
+    not amplify rounding as s approaches 0.  At a constant vector every t is
+    0, so the value is the entry itself, exactly.
     """
     if not math.isfinite(order):
         raise DomainError("power-mean order must be finite")
@@ -351,8 +352,6 @@ def _power_mean(order: float, v: tuple[float, ...]) -> float:
     """:func:`power_mean` at a finite ``order`` and a validated vector ``v``."""
     lo, hi = min(v), max(v)
     check_positive(lo, "power mean")
-    if lo == hi:
-        return lo
     anchor = hi if order > 0.0 else lo
     if lo / hi < _MIN_NORMAL:  # some x/anchor would leave the normal floats
         return _wide_power_mean(order, v, anchor)
@@ -364,13 +363,13 @@ def _power_mean(order: float, v: tuple[float, ...]) -> float:
 
 
 def _power_orders(family: tuple[MeanExpr, ...]) -> Optional[list[float]]:
-    """The orders of two or more power means (one shares nothing), else None."""
+    """The orders of a family of power means, in family order; None for any other family."""
     orders = []
     for m in family:
         if not isinstance(m, PowerMean):
             return None
         orders.append(m.order)
-    return orders if len(orders) > 1 else None
+    return orders
 
 
 def _power_family(orders: list[float], v: tuple[float, ...],
@@ -382,8 +381,6 @@ def _power_family(orders: list[float], v: tuple[float, ...],
     The formula is a copy of :func:`_power_mean`'s: a shared one slows that 2-6 %.
     """
     check_positive(lo, "power mean")
-    if lo == hi:
-        return (lo,) * len(orders)
     if lo / hi < _MIN_NORMAL:
         return tuple([_wide_power_mean(s, v, hi if s > 0.0 else lo) for s in orders])
     up = len([s for s in orders if s > 0.0])
@@ -443,8 +440,6 @@ def _beta_mean(v: tuple[float, ...]) -> float:
     if k < 2:
         raise ArityError("Beta-type mean needs at least 2 entries "
                          "(the exponent 1/(k-1) is undefined for k=1)")
-    if lo == hi:
-        return lo
     try:
         total = math.fsum(sv)
     except OverflowError:
@@ -496,7 +491,7 @@ def _eval_family(family: tuple[MeanExpr, ...], v: tuple[float, ...]) -> tuple[fl
     """Exactly ``tuple(_eval_mean(m, v) for m in family)``, bit for bit, same errors.
 
     Two or more power means share ``min(v)``, ``max(v)``, the checks and the
-    logs of each anchor (:func:`_power_family`); other families go one by one.
+    anchor logs (:func:`_power_family`); one member or other families go one by one.
     """
     orders = _power_orders(family) if len(family) > 1 else None
     if orders is None:

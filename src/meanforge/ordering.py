@@ -68,6 +68,9 @@ class OrderingVerdict(Frozen):
     embedded: bool
     witness_index: Optional[int] = None
 
+    def __bool__(self) -> bool:
+        return self.embedded
+
 
 def as_vector(entries: Sequence[float]) -> tuple[float, ...]:
     """Validate and normalize a vector: length >= 1, every entry finite, not text."""

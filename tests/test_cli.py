@@ -27,6 +27,10 @@ NARROW_DOMAIN_ARGV = ["embed", "[B]", "[P[0],P[2]]", "--domain", "5,5.0000001",
                       "--format", "json"]
 # agm (a session name) pins arity 2 from inside the Beta-type mean's base.
 NESTED_PIN_ARGV = ["embed", "[beta{S=agm; mu=sum}]", "[P[-1],P[1]]", "--format", "json"]
+# Entries that do not parse in file order: the session file is at fault (exit 3).
+UNPARSEABLE_SESSION = '{"agm": {"kind": "invariant", "means": ["P["], "tol": 1e-12}}'
+FORWARD_REFERENCE_SESSION = ('{"a": {"kind": "invariant", "means": ["b", "P[1]"]}, '
+                             '"b": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}')
 EXPECTED_OUTCOME = {tuple(TINY_DOMAIN_ARGV): (4, "refuted"),
                     tuple(NARROW_DOMAIN_ARGV): (0, "sampled"),
                     tuple(NESTED_PIN_ARGV): (4, "refuted")}
@@ -294,14 +298,27 @@ class TestSession:
         '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": "x"}}',
         '{"gm": {"kind": "invariant", "means": ["P[1]", "P[0]"], "tol": Infinity}}',
         '{"gm": {"kind": "invariant", "means": []}}',
+        UNPARSEABLE_SESSION,
+        FORWARD_REFERENCE_SESSION,
     ], ids=["list", "entry-not-object", "no-means", "means-not-list",
-            "means-not-strings", "bad-tol", "infinite-tol", "empty-family"])
+            "means-not-strings", "bad-tol", "infinite-tol", "empty-family",
+            "unparseable-entry", "forward-reference"])
     def test_malformed_session_exit_3(self, capsys, tmp_path, content):
         session = tmp_path / "session.json"
         session.write_text(content, encoding="utf-8")
         code, out, err = run(capsys, "eval", "P[1]", "--at", "2,8",
                              "--session", str(session))
         assert code == 3 and out == "" and "session" in err
+
+    @pytest.mark.parametrize("content, cause", [
+        (UNPARSEABLE_SESSION, "unexpected end of input"),
+        (FORWARD_REFERENCE_SESSION, "unknown mean name 'b'"),
+    ])
+    def test_unparseable_entry_names_the_file(self, capsys, tmp_path, content, cause):
+        session = tmp_path / "session.json"
+        session.write_text(content, encoding="utf-8")
+        code, _, err = run(capsys, "eval", "P[1]", "--at", "2,8", "--session", str(session))
+        assert code == 3 and f"session file {session} does not load" in err and cause in err
 
     def test_unwritable_session_exit_3(self, capsys, tmp_path):
         session = str(tmp_path / "missing-dir" / "session.json")

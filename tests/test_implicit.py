@@ -434,9 +434,12 @@ class TestVerifyEmbedding:
         assert report.samples_checked == 64
 
     def test_longer_prefix_refuted(self):
-        report = verify_embedding(EXAMPLE_BIG, EXAMPLE_SMALL,
-                                  plan=SamplePlan(arity=2, count=32, seed=2))
-        assert report.mode == "refuted"
+        # the last two repeat big's one member, so only the lengths rule them out
+        for small, big in ((EXAMPLE_BIG, EXAMPLE_SMALL),
+                           ((PowerMean(1), PowerMean(1)), (PowerMean(1),)),
+                           ((BetaMean(), BetaMean()), (BetaMean(),))):
+            report = verify_embedding(small, big, plan=SamplePlan(arity=2, count=32, seed=2))
+            assert report.mode == "refuted"
 
     def test_default_plan_samples_at_the_pinned_arity(self):
         agm = InvariantMean((PowerMean(1), PowerMean(0)))

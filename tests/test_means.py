@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from meanforge import (
     ArityError,
@@ -337,6 +337,23 @@ class TestFamilyKernel:
             u, steps = tuple(_eval_mean(m, u) for m in family), steps + 1
         trace = gauss_iterate(family, start)
         assert (trace.iterations, trace.limit) == (steps, 0.5 * (min(u) + max(u)))
+
+    # No kernel special-cases a constant vector: each formula must give its entry.
+    @given(st.one_of(st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                                      1.0, 3.0, 1e300, 1.7e308]),
+                     st.floats(min_value=5e-324, max_value=1.7e308)),
+           st.integers(1, 6),
+           st.lists(st.one_of(orders, special_orders, st.sampled_from([1e10, -1e10])),
+                    min_size=1, max_size=5))
+    @example(5e-324, 2, [1e10, -1e10, 0.0])
+    @example(1.7e308, 6, [1e10, -1e10, 0.0])
+    def test_constant_vector_gives_its_entry_exactly(self, c, k, family_orders):
+        v, want = (c,) * k, c.hex()
+        family = tuple(PowerMean(s) for s in family_orders)
+        assert [power_mean(s, v).hex() for s in family_orders] == [want] * len(family)
+        assert [x.hex() for x in _eval_family(family, v)] == [want] * len(family)
+        if k >= 2:
+            assert beta_mean(v).hex() == want
 
 
 class TestReimport:

@@ -65,6 +65,17 @@ class TestWorkedExamples:
         assert not check.holds
         assert check.witness_index == 3  # 5 > 4 at the third descending slot
 
+    @pytest.mark.parametrize("v, w, embedded", [
+        ((3, 8), (5, 0, 10), True),
+        ((200,), (1, 2), False),  # minorized, not majorized
+        ((0.5, 200), (1, 2), False),  # neither relation holds
+    ])
+    def test_verdicts_are_true_exactly_when_they_hold(self, v, w, embedded):
+        assert bool(is_embedded(v, w)) is embedded
+        assert bool(is_embedded_within(v, w, 0.5)) is embedded
+        for check in (is_ordered_minorized(v, w), is_ordered_majorized(v, w)):
+            assert bool(check) is check.holds
+
 
 class TestOrderingLaws:
     @given(vectors, vectors)
