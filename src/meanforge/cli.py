@@ -12,10 +12,11 @@ across runs.  ``MEANFORGE_SEED`` supplies the seed when ``--seed`` is absent.
 A session file (``--session``) is a JSON map of registered derived means; it
 stores definitions (the DSL text of the iterated family), not values, and
 means are rebuilt on load in file order, each entry seeing only earlier
-names, usable as identifiers in any expression.  ``main`` reads the file once,
-before any command runs, so every command that takes ``--session`` (``check``
-included) rejects a malformed file, or one with an unparseable entry, with
-exit 3.  A registration after which the file would not load is refused.
+names, usable as identifiers in any expression.  ``main`` loads it once,
+before any command runs: a fault of the file or of one entry (such as a text
+that does not parse or a non-strict family) exits 3, naming the file and the
+entry, as does input nested too deeply (a long chain of names, deep JSON).
+A registration after which the file would not load is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Optional
 
 from . import dsl, invariance
 from .errors import (
-    ArityError,
     ConvergenceError,
     DomainError,
     HypothesisViolation,
@@ -93,52 +93,46 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 # session registry
 # ---------------------------------------------------------------------------
 
-def _read_session(path: str) -> dict:
-    """The JSON object stored in the session file (empty when there is none)."""
-    file = Path(path)
-    if not file.exists():
-        return {}
+def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[str, MeanExpr]]:
+    """The session file's JSON object, with ``update`` merged in, and the means it registers.
+
+    The means are rebuilt in file order, each entry seeing only earlier names
+    (an absent file holds none).  Any fault of the file or of one entry
+    raises one ``DomainError`` that names the file and the entry.
+    """
+    file, where = Path(path), ""
     try:
-        data = json.loads(file.read_text(encoding="utf-8"), parse_int=float)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read session file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"session file {path} must hold a JSON object")
-    return data
-
-
-def _build_registry(data: dict) -> dict[str, MeanExpr]:
-    """Rebuild the registered means in file order; an entry sees only earlier names."""
-    registry: dict[str, MeanExpr] = {}
-    for name, entry in data.items():
-        if not isinstance(entry, dict) or entry.get("kind") != "invariant":
-            raise DomainError(f"session entry {name!r} is not an invariant-mean object")
-        texts, tol = entry.get("means"), entry.get("tol", DEFAULT_TOL)
-        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)
-                and isinstance(tol, float)):
-            raise DomainError(f"session entry {name!r} needs \"means\", a list of "
-                              "mean texts, and a numeric \"tol\"")
-        family = tuple(dsl.parse_mean(text, registry) for text in texts)
-        try:
+        data = json.loads(file.read_text(encoding="utf-8") if file.exists() else "{}",
+                          parse_int=float)
+        if not isinstance(data, dict):
+            raise DomainError("it must hold a JSON object")
+        data.update(update or {})
+        registry: dict[str, MeanExpr] = {}
+        for name, entry in data.items():
+            where = f", entry {name!r}"
+            if not (isinstance(entry, dict) and entry.get("kind") == "invariant"
+                    and isinstance(texts := entry.get("means"), list)
+                    and all(isinstance(t, str) for t in texts)
+                    and isinstance(tol := entry.get("tol", DEFAULT_TOL), float)):
+                raise DomainError('an entry must be {"kind": "invariant", "means": '
+                                  '[mean texts], "tol": number (optional)}')
+            where += f" (means {json.dumps(texts)})"  # parse positions count within a text
+            family = tuple(dsl.parse_mean(text, registry) for text in texts)
             registry[name] = invariance.invariant_mean(family, tol, name)
-        except (DomainError, ArityError) as exc:
-            raise DomainError(f"session entry {name!r}: {exc}") from None
-    return registry
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, MeanForgeError) as exc:
+        raise DomainError(f"session file {path} does not load{where}: {exc}") from None
+    return data, registry
 
 
 def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) -> None:
     """Add one entry to the session file, replacing the file atomically.
 
-    The new contents must load; otherwise the file is left untouched.  The
-    entry's own faults (tolerance, strictness) raise as they would on load;
-    a text that no longer parses in file order is refused as a domain error.
+    The new contents must load; otherwise the file is left untouched.
     """
-    file = Path(path)
-    data = _read_session(path)
-    data[name] = {"kind": "invariant", "means": mean_texts, "tol": tol}
+    file, entry = Path(path), {"kind": "invariant", "means": mean_texts, "tol": tol}
     try:
-        _build_registry(data)
-    except ParseError as exc:
+        data, _ = _load_session(path, {name: entry})
+    except DomainError as exc:
         raise DomainError(f"refusing to register {name!r}: the session file "
                           f"would no longer load ({exc})") from None
     try:
@@ -240,6 +234,8 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
                               "(identifier syntax, not a reserved word)")
         if args.session is None:
             raise DomainError("--as-mean needs --session FILE to store the registration")
+        # the argv's own faults keep their exit codes: a bad --tol 3, a non-strict family 4
+        invariance.invariant_mean(family, args.tol, args.as_mean)
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
         record = {"kind": "invariant-register",
@@ -275,17 +271,12 @@ def _cmd_check(args, registry: dict[str, MeanExpr]) -> int:
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
     records = checks.run_suite(args.suite, samples=args.samples, seed=_seed(args))
-    failed = 0
     for record in records:
-        if record["output"] != "PASS":
-            failed += 1
-        if args.format == "human":
-            print(f"{record['output']:4s} {record['kind']}")
-            if "witness" in record:
-                print(f"     witness: {record['witness']}")
-        else:
-            print(json.dumps(record))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        lines = [f"{record['output']:4s} {record['kind']}"]
+        if "witness" in record:
+            lines.append(f"     witness: {record['witness']}")
+        _emit(args, record, lines)
+    return EXIT_CHECK_FAILED if any(r["output"] != "PASS" for r in records) else EXIT_OK
 
 
 def _cmd_parse(args, registry: dict[str, MeanExpr]) -> int:
@@ -380,10 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        try:
-            registry = {} if args.session is None else _build_registry(_read_session(args.session))
-        except ParseError as exc:  # an entry's text: the file is at fault, not the argv
-            raise DomainError(f"session file {args.session} does not load: {exc}") from None
+        registry = {} if args.session is None else _load_session(args.session)[1]
         return args.handler(args, registry)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -398,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
     except MeanForgeError as exc:  # any structured error not mapped above
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:  # a deep chain of session names, or deep JSON in the file
+        print("error: the input nests too deeply", file=sys.stderr)
         return EXIT_DOMAIN
 
 

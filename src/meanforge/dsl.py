@@ -22,9 +22,9 @@ everything the grammar can construct, with one exception: an unnamed
 ``InvariantMean`` prints the label ``invariant{M=[...]}``, which does not
 parse and omits a non-default ``tol`` (a registered one prints its name).
 Parsing is total: any input either parses or raises a structured error,
-never anything else.  Brackets nest at most ``MAX_NESTING`` deep, which
-bounds the recursion of the parser and of printing and evaluating what it
-builds.
+never anything else.  Brackets nest at most ``MAX_NESTING`` deep in one text,
+bounding the recursion of parsing, printing and evaluating it, except through
+registered names: a session's chain of names can nest evaluation further.
 """
 
 from __future__ import annotations

@@ -31,6 +31,16 @@ NESTED_PIN_ARGV = ["embed", "[beta{S=agm; mu=sum}]", "[P[-1],P[1]]", "--format",
 UNPARSEABLE_SESSION = '{"agm": {"kind": "invariant", "means": ["P["], "tol": 1e-12}}'
 FORWARD_REFERENCE_SESSION = ('{"a": {"kind": "invariant", "means": ["b", "P[1]"]}, '
                              '"b": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}')
+# An entry whose family has a member not known to be strict: the file is at fault.
+NON_STRICT_SESSION = ('{"x": {"kind": "invariant", '
+                      '"means": ["T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "P[1]"]}}')
+# Session input deeper than the interpreter's recursion limit, though no mean
+# text nests a bracket: 400 names, each the invariant mean of P[1] and the
+# name before it, and JSON nested 100,000 deep.
+CHAINED_SESSION = json.dumps({f"a{i}": {"kind": "invariant",
+                                        "means": ["P[1]", f"a{i - 1}" if i else "P[0]"]}
+                              for i in range(400)})
+DEEP_JSON_SESSION = "[" * 100_000 + "]" * 100_000
 EXPECTED_OUTCOME = {tuple(TINY_DOMAIN_ARGV): (4, "refuted"),
                     tuple(NARROW_DOMAIN_ARGV): (0, "sampled"),
                     tuple(NESTED_PIN_ARGV): (4, "refuted")}
@@ -319,6 +329,29 @@ class TestSession:
         session.write_text(content, encoding="utf-8")
         code, _, err = run(capsys, "eval", "P[1]", "--at", "2,8", "--session", str(session))
         assert code == 3 and f"session file {session} does not load" in err and cause in err
+        entry = next(iter(json.loads(content)))  # the first entry is the one at fault
+        assert f"entry {entry!r}" in err
+
+    @pytest.mark.parametrize("argv", [["eval", "P[1]", "--at", "1,2"],
+                                      ["check", "--suite", "vectors", "--samples", "1"]])
+    def test_non_strict_entry_exit_3(self, capsys, tmp_path, argv):
+        session = tmp_path / "session.json"
+        session.write_text(NON_STRICT_SESSION, encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--session", str(session))
+        assert code == 3 and out == ""
+        assert f"session file {session} does not load, entry 'x'" in err
+        assert "not known to be strict" in err
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]"], (4, "not known to be strict")),
+        (["[P[1],P[0]]", "--tol=2"], (3, "tolerance must lie strictly between 0 and 1")),
+    ], ids=["non-strict-family", "bad-tol"])
+    def test_registration_keeps_the_argv_exit_code(self, capsys, tmp_path, flags, expected):
+        session = tmp_path / "session.json"
+        code, out, err = run(capsys, "invariant", *flags, "--as-mean", "x",
+                             "--session", str(session))
+        assert (code, out) == (expected[0], "") and expected[1] in err
+        assert "session file" not in err and not session.exists()
 
     def test_unwritable_session_exit_3(self, capsys, tmp_path):
         session = str(tmp_path / "missing-dir" / "session.json")
@@ -489,6 +522,20 @@ class TestBadInputExitCodes:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("argv, session_text", [
+        (["eval", "a399", "--at", "1,2"], CHAINED_SESSION),
+        (["parse", "P[1]"], DEEP_JSON_SESSION),
+    ], ids=["chain-of-400-names", "deep-json"])
+    def test_deep_session_exit_3_without_traceback(self, tmp_path, argv, session_text):
+        session = tmp_path / "session.json"
+        session.write_text(session_text, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv,
+                               "--session", str(session)], capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "nests too deeply" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
 
 class TestSubprocessEntry:
     def test_module_invocation_byte_identical(self):
@@ -624,6 +671,8 @@ class TestContractFuzz:
     @example((TINY_DOMAIN_ARGV, None))
     @example((NARROW_DOMAIN_ARGV, None))
     @example((NESTED_PIN_ARGV, _SESSIONS[1]))
+    @example((["eval", "a399", "--at=1,2"], CHAINED_SESSION))
+    @example((["parse", "P[1]"], DEEP_JSON_SESSION))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()
