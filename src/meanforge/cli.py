@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
 )
 from .implicit import _sample_arity, solve_scalar, verify_embedding
-from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr
+from .means import DEFAULT_TOL, BetaMean, MeanExpr, eval_mean, eval_outer, is_mean_expr, is_strict
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -93,6 +93,15 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 # session registry
 # ---------------------------------------------------------------------------
 
+def _strict_family(family: tuple[MeanExpr, ...]) -> tuple[MeanExpr, ...]:
+    """``family`` when Gauss iteration admits it; the refusal names what a CLI family may hold."""
+    for m in family:
+        if not (isinstance(m, BetaMean) or is_strict(m)):  # means.check_strict_family's test
+            raise HypothesisViolation(f"{m} is not known to be strict; an iterated family takes "
+                                      "power means P[s], B and names registered with --as-mean")
+    return family
+
+
 def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[str, MeanExpr]]:
     """The session file's JSON object, with ``update`` merged in, and the means it registers.
 
@@ -117,7 +126,7 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
                 raise DomainError('an entry must be {"kind": "invariant", "means": '
                                   '[mean texts], "tol": number (optional)}')
             where += f" (means {json.dumps(texts)})"  # parse positions count within a text
-            family = tuple(dsl.parse_mean(text, registry) for text in texts)
+            family = _strict_family(tuple(dsl.parse_mean(text, registry) for text in texts))
             registry[name] = invariance.invariant_mean(family, tol, name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, MeanForgeError) as exc:
         raise DomainError(f"session file {path} does not load{where}: {exc}") from None
@@ -235,7 +244,7 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
         if args.session is None:
             raise DomainError("--as-mean needs --session FILE to store the registration")
         # the argv's own faults keep their exit codes: a bad --tol 3, a non-strict family 4
-        invariance.invariant_mean(family, args.tol, args.as_mean)
+        invariance.invariant_mean(_strict_family(family), args.tol, args.as_mean)
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
         record = {"kind": "invariant-register",
@@ -244,7 +253,7 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
         _emit(args, record, [f"registered {args.as_mean!r} in {args.session}"])
     if args.at is not None:
         at = _parse_floats(args.at, "vector")
-        trace = invariance.gauss_iterate(family, at, tol=args.tol)
+        trace = invariance.gauss_iterate(_strict_family(family), at, tol=args.tol)
         record = {"kind": "invariant",
                   "input": {"M": dsl.format_expr(family), "at": list(at),
                             "tol": args.tol},

@@ -29,7 +29,8 @@ from typing import Optional, Sequence, Union
 
 from ._frozen import Frozen
 from .errors import ArityError, ConvergenceError, HypothesisViolation
-from .ordering import as_vector, is_embedded, is_embedded_within, is_ordered_majorized
+from .ordering import (_embeds, _first_failure, as_vector, is_embedded, is_embedded_within,
+                       is_ordered_majorized)
 from .means import (
     DEFAULT_TOL,
     GeneralizedBetaMean,
@@ -101,21 +102,21 @@ class EmbedReport(Frozen):
 
 def embedding_eps(w: Sequence[float]) -> float:
     """Relaxation used for embedding checks on computed values near ``w``'s scale."""
-    return EMBED_EPS_SCALE * max(abs(x) for x in w)
+    return EMBED_EPS_SCALE * max(map(abs, w))
 
 
 def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float],
                  tol: float = DEFAULT_TOL) -> SolveResult:
     """Solve ``outer(prefix, x, ..., x) = outer(target)`` for ``x`` by bisection.
 
-    Requires ``prefix`` embedded in ``target`` (checked with rounding
-    relaxation); a hard violation raises :class:`HypothesisViolation` because
-    the bracket guarantee is void without it.  Convergence is on relative
-    bracket width, so the root is accurate to ``tol`` *relative* even when
-    the initial bracket spans orders of magnitude; ``tol`` must lie in (0, 1).
-    After ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.
-    The inputs are validated once; every step evaluates the outer kernel at
-    ``prefix + (x,) * fill``, while the goal and the residual use :func:`eval_outer`.
+    Requires ``prefix`` embedded in ``target``, checked on the validated inputs
+    with rounding relaxation by the kernel ``ordering._embeds``; a violation
+    raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
+    verdict, as the bracket guarantee is void without it.  Convergence is on
+    relative bracket width, so the root is accurate to ``tol`` *relative* even
+    across orders of magnitude; ``tol`` must lie in (0, 1).  After
+    ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps use
+    the outer kernel at ``prefix + (x,) * fill``; goal and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -126,8 +127,8 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     pinned = declared_arity(outer)
     if pinned is not None and pinned != n:
         raise ArityError(f"{outer} takes {pinned} values but the target has {n}")
-    verdict = is_embedded_within(v, w, embedding_eps(w))
-    if not verdict.embedded:
+    if not _embeds(sorted(v), sorted(w), embedding_eps(w)):
+        verdict = is_embedded_within(v, w, embedding_eps(w))
         raise HypothesisViolation(
             "prefix is not embedded in the target vector (no solution is "
             "guaranteed and the bracket argument fails)",
@@ -196,7 +197,8 @@ def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
             raise ArityError("the balanced mean needs at least 2 entries")
         prefix, target = (_eval_mean(mean.base, v),), v
     else:
-        prefix, target = _eval_family(mean.small, v), _eval_family(mean.big, v)
+        values = _eval_family(mean.small + mean.big, v)  # S first, so its errors win
+        prefix, target = values[:len(mean.small)], values[len(mean.small):]
     result = solve_scalar(mean.outer, prefix, target)
     if result.status != "converged":
         raise ConvergenceError(f"{mean}: no convergence within "
@@ -276,10 +278,9 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        small_values, big_values = _eval_family(small, v), _eval_family(big, v)
-        relaxed = is_embedded_within(small_values, big_values,
-                                     embedding_eps(big_values))
-        if not relaxed.embedded:
+        values = _eval_family(small + big, v)
+        small_values, big_values = values[:len(small)], values[len(small):]
+        if not _embeds(sorted(small_values), sorted(big_values), embedding_eps(big_values)):
             exact = is_embedded(small_values, big_values)
             return EmbedReport(
                 mode="refuted",
@@ -312,14 +313,13 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
         return {"rule": "power-mean-exponents", "low": lo_exp,
                 "high": hi_exp, "witness_index": check.witness_index}
     for v in sample_vectors(plan):
-        low_values, high_values = _eval_family(low, v), _eval_family(high, v)
-        check = is_ordered_majorized(low_values, high_values,
-                                     embedding_eps(high_values))
-        if not check.holds:
+        values = _eval_family(low + high, v)
+        low_values, high_values = values[:len(low)], values[len(low):]
+        k = _first_failure(sorted(low_values), sorted(high_values), embedding_eps(high_values), False)
+        if k:
             return {"rule": "sampled", "vector": list(v),
                     "low_values": list(low_values),
-                    "high_values": list(high_values),
-                    "witness_index": check.witness_index}
+                    "high_values": list(high_values), "witness_index": k}
     return None
 
 

@@ -5,15 +5,15 @@ minorized* by ``w`` (``v > w`` in spirit) when every ascending-sorted entry
 of ``v`` dominates the corresponding entry of ``w``; it is *ordered
 majorized* (``v < w``) when every descending-sorted entry of ``v`` is
 dominated by the corresponding entry of ``w``.  Only the shorter length is
-compared; when ``v`` is the longer vector the two sort orders swap roles so
-both relations stay well defined for any pair of lengths.  ``v`` is
+compared, and for a longer ``v`` the sort orders swap roles.  ``v`` is
 *embedded* in ``w`` when it is both ordered minorized and ordered majorized
 by ``w`` and not longer than ``w``.
 
-All predicates compare floats exactly; tolerances belong to the solver
-layer.  ``is_embedded_within`` relaxes every defining inequality by an
-explicit ``eps`` so that verdicts on *computed* mean values do not fail
-spuriously on ties perturbed by rounding.
+All predicates compare floats exactly, through one core that returns the
+first failing position; ``is_embedded_within`` relaxes every inequality by
+an explicit ``eps`` so that verdicts on *computed* mean values do not fail
+on ties perturbed by rounding.  The library's own checks call the kernel
+``_embeds`` on sorted validated values and build a verdict only on failure.
 
 Note this is not the classical partial-sum majorization of symmetric-function
 theory: the relations here compare sorted entries directly.
@@ -95,7 +95,7 @@ def sort_descending(v: Sequence[float]) -> tuple[float, ...]:
     return tuple(sorted(as_vector(v), reverse=True))
 
 
-_HOLDS = OrderingCheck(True)  # immutable, so one instance serves every call
+_HOLDS, _EMBEDDED = OrderingCheck(True), OrderingVerdict(True, True, True)  # immutable, so shared
 
 
 def _check_eps(eps: float) -> None:
@@ -104,24 +104,29 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
 
 
-def _dominates(a: list[float], b: list[float], eps: float,
-               *, minorize: bool) -> OrderingCheck:
-    # a, b ascending; compared on the shorter length from the bottom, or from
-    # the top for the descending order (the order flips when a is longer)
+def _first_failure(a: Sequence[float], b: Sequence[float], eps: float, minorize: bool) -> int:
+    # The first failing position (1-based), or 0.  a, b ascending; compared on the shorter
+    # length from the bottom, or for majorization from the top (flipped when a is longer)
     if minorize != (len(a) <= len(b)):
-        a, b = a[::-1], b[::-1]
+        a, b = reversed(a), reversed(b)
     k = 0
     if minorize:
         for x, y in zip(a, b):
             k += 1
             if not x >= y - eps:
-                return OrderingCheck(False, k)
+                return k
     else:
         for x, y in zip(a, b):
             k += 1
             if not x <= y + eps:
-                return OrderingCheck(False, k)
-    return _HOLDS
+                return k
+    return 0
+
+
+def _embeds(a: Sequence[float], b: Sequence[float], eps: float) -> bool:
+    """:func:`is_embedded_within` as a bool, at ascending validated ``a``, ``b`` and ``eps``."""
+    return (len(a) <= len(b) and not _first_failure(a, b, eps, True)
+            and not _first_failure(a, b, eps, False))
 
 
 def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
@@ -133,7 +138,8 @@ def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
     on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
     """
     _check_eps(eps)
-    return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=True)
+    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), eps, True)
+    return OrderingCheck(False, k) if k else _HOLDS
 
 
 def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
@@ -145,7 +151,8 @@ def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
     on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
     """
     _check_eps(eps)
-    return _dominates(sorted(as_vector(v)), sorted(as_vector(w)), eps, minorize=False)
+    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), eps, False)
+    return OrderingCheck(False, k) if k else _HOLDS
 
 
 def is_embedded(v: Sequence[float], w: Sequence[float]) -> OrderingVerdict:
@@ -157,12 +164,11 @@ def is_embedded_within(v: Sequence[float], w: Sequence[float], eps: float) -> Or
     """Embeddability with every inequality relaxed by a finite ``eps >= 0``."""
     _check_eps(eps)
     a, b = sorted(as_vector(v)), sorted(as_vector(w))
-    lower = _dominates(a, b, eps, minorize=True)
-    upper = _dominates(a, b, eps, minorize=False)
-    embedded = lower.holds and upper.holds and len(a) <= len(b)
-    # failing positions are 1-based, so filter(None, ...) drops only the Nones
-    witness = min(filter(None, (lower.witness_index, upper.witness_index)), default=None)
-    return OrderingVerdict(lower.holds, upper.holds, embedded, witness)
+    lower, upper = _first_failure(a, b, eps, True), _first_failure(a, b, eps, False)
+    if not (lower or upper) and len(a) <= len(b):
+        return _EMBEDDED
+    # the witness is the smaller nonzero position, None when only the length gate failed
+    return OrderingVerdict(not lower, not upper, False, min(lower or upper, upper or lower) or None)
 
 
 def map_vector(f: Callable[[float], float], v: Sequence[float]) -> tuple[float, ...]:

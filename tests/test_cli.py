@@ -34,6 +34,10 @@ FORWARD_REFERENCE_SESSION = ('{"a": {"kind": "invariant", "means": ["b", "P[1]"]
 # An entry whose family has a member not known to be strict: the file is at fault.
 NON_STRICT_SESSION = ('{"x": {"kind": "invariant", '
                       '"means": ["T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "P[1]"]}}')
+# What the CLI says instead of the library's advice to call assert_strict(),
+# which no DSL text or flag reaches.
+CLI_STRICT_ADVICE = ("is not known to be strict; an iterated family takes power means P[s], B "
+                     "and names registered with --as-mean")
 # Session input deeper than the interpreter's recursion limit, though no mean
 # text nests a bracket: 400 names, each the invariant mean of P[1] and the
 # name before it, and JSON nested 100,000 deep.
@@ -289,6 +293,13 @@ class TestInvariant:
         code, _, _ = run(capsys, "invariant", "[P[1],P[0]]")
         assert code == 3
 
+    @pytest.mark.parametrize("family", ["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]",
+                                        "[beta{S=P[1]; mu=sum},P[0]]"])
+    def test_non_strict_family_exit_4(self, capsys, family):
+        code, out, err = run(capsys, "invariant", family, "--at", "1,2")
+        assert (code, out) == (4, "")
+        assert CLI_STRICT_ADVICE in err and "assert_strict" not in err
+
     def test_unconverged_exit_5(self, capsys):
         # a spread of 1e-300 relative is below the float spacing at the limit
         code, out, _ = run(capsys, "invariant", "[P[1],P[0]]", "--at", "1,3",
@@ -340,10 +351,10 @@ class TestSession:
         code, out, err = run(capsys, *argv, "--session", str(session))
         assert code == 3 and out == ""
         assert f"session file {session} does not load, entry 'x'" in err
-        assert "not known to be strict" in err
+        assert CLI_STRICT_ADVICE in err and "assert_strict" not in err
 
     @pytest.mark.parametrize("flags, expected", [
-        (["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]"], (4, "not known to be strict")),
+        (["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]"], (4, CLI_STRICT_ADVICE)),
         (["[P[1],P[0]]", "--tol=2"], (3, "tolerance must lie strictly between 0 and 1")),
     ], ids=["non-strict-family", "bad-tol"])
     def test_registration_keeps_the_argv_exit_code(self, capsys, tmp_path, flags, expected):
@@ -352,6 +363,7 @@ class TestSession:
                              "--session", str(session))
         assert (code, out) == (expected[0], "") and expected[1] in err
         assert "session file" not in err and not session.exists()
+        assert "assert_strict" not in err
 
     def test_unwritable_session_exit_3(self, capsys, tmp_path):
         session = str(tmp_path / "missing-dir" / "session.json")

@@ -38,6 +38,7 @@ from meanforge.checks import (
 )
 from meanforge.dsl import parse_outer
 from meanforge.implicit import DEFAULT_TOL, MAX_BISECTION_STEPS
+from meanforge.means import _eval_family
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
@@ -102,7 +103,8 @@ class TestSolveScalar:
         # prefix above max(target): no solution is guaranteed
         with pytest.raises(HypothesisViolation) as err:
             solve_scalar(Sum(), (10.0,), (1.0, 2.0))
-        assert err.value.witness["majorized"] is False
+        assert err.value.witness == {"prefix": [10.0], "target": [1.0, 2.0], "minorized": True,
+                                     "majorized": False, "witness_index": 1}
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, math.inf, math.nan])
     def test_tolerance_must_lie_in_unit_interval(self, tol):
@@ -324,6 +326,40 @@ class TestImplicitMean:
                     v = tuple(rng.uniform(0.01, 100.0) for _ in range(k))
                     assert eval_mean(derived, v) == pytest.approx(oracle(v), rel=1e-9)
 
+    def test_one_family_pass_matches_two(self):
+        # S and M are evaluated in one kernel call; the root is bit for bit the
+        # one solved from two separate family passes
+        rng = random.Random(16)
+        lo, hi = DerivedMean("lo", lambda sv: sv[0]), DerivedMean("hi", lambda sv: sv[-1])
+        mid = DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1]))
+        # S embeds in lo, S..., hi; a mixed pair goes member by member in one pass
+        cases = [(EXAMPLE_SMALL, EXAMPLE_BIG), ((PowerMean(0),), (PowerMean(-1), PowerMean(1))),
+                 ((BetaMean(), mid), (lo, BetaMean(), mid, hi)),
+                 ((PowerMean(0), PowerMean(2)), (lo, PowerMean(0), PowerMean(2), hi))]
+        for small, big in cases:
+            for outer in (Sum(), Product(), MeanOuter(PowerMean(2))):
+                derived = implicit_mean(small, big, outer)
+                for k in (2, 3, 5):
+                    v = tuple(rng.uniform(0.01, 100.0) for _ in range(k))
+                    apart = solve_scalar(outer, _eval_family(small, v), _eval_family(big, v))
+                    assert eval_mean(derived, v).hex() == apart.root.hex()
+
+    def test_prefix_error_wins(self):
+        # both families fail at the vector: the error is S's, as when S ran first
+        s_bad = DerivedMean("s_bad", lambda sv: math.nan)
+        m_bad = DerivedMean("m_bad", lambda sv: math.nan)
+        derived = implicit_mean((s_bad,), (m_bad, PowerMean(1)), Sum())
+        with pytest.raises(DomainError, match="s_bad returned"):
+            eval_mean(derived, (1.0, 2.0))
+        with pytest.raises(DomainError, match="s_bad returned"):
+            verify_embedding((s_bad,), (m_bad, PowerMean(1)), SamplePlan(arity=2, count=4))
+        # at a nonpositive entry S's power means raise before M's derived mean
+        mid = DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1]))
+        derived = implicit_mean((PowerMean(1), PowerMean(2)),
+                                (mid, PowerMean(3), PowerMean(-1)), Sum())
+        with pytest.raises(DomainError, match="power mean needs positive entries"):
+            eval_mean(derived, (0.0, 2.0))
+
     def test_constant_vector(self):
         derived = implicit_mean(EXAMPLE_SMALL, EXAMPLE_BIG, Sum())
         assert eval_mean(derived, (3.0, 3.0, 3.0)) == 3.0
@@ -423,6 +459,36 @@ class TestVerifyEmbedding:
         big_values = [eval_mean(b, witness["vector"]) for b in EXAMPLE_BIG]
         assert small_values == pytest.approx(witness["small_values"])
         assert not is_embedded(small_values, big_values).embedded
+        assert (report.samples_checked, witness) == (2, {
+            "vector": [51.12747213686085, 40.49341374504143, 78.37985890347726],
+            "small_values": [64.75740223390366],
+            "big_values": [50.960516073088584, 52.61984546263662, 56.66691492845984,
+                           61.01856397753372],
+            "minorized": True, "majorized": False, "witness_index": 1})
+
+    # At the second sample (seed 4) each pair fails on another field: majorization
+    # past a tie (P[2] against itself), with B in both families, or minorization.
+    @pytest.mark.parametrize("small, big, fields", [
+        ((PowerMean(2), PowerMean(1.5)), (PowerMean(-1), PowerMean(1), PowerMean(2)),
+         {"small_values": [57.97531261949902, 52.80454344746061],
+          "big_values": [16.117200232762354, 46.202038441746126, 57.97531261949902],
+          "minorized": True, "majorized": False, "witness_index": 2}),
+        ((BetaMean(), PowerMean(1.5), PowerMean(2)),
+         (PowerMean(-1), PowerMean(1), PowerMean(2), BetaMean()),
+         {"small_values": [23.03733517861311, 52.80454344746061, 57.97531261949902],
+          "big_values": [16.117200232762354, 46.202038441746126, 57.97531261949902,
+                         23.03733517861311],
+          "minorized": True, "majorized": False, "witness_index": 2}),
+        ((PowerMean(-2), BetaMean()), (PowerMean(-1), PowerMean(0), PowerMean(2)),
+         {"small_values": [11.33697652482663, 23.03733517861311],
+          "big_values": [16.117200232762354, 29.05194453953616, 57.97531261949902],
+          "minorized": False, "majorized": True, "witness_index": 1}),
+    ], ids=["past-a-tie", "mixed", "minorization"])
+    def test_refuted_counterexample_pinned(self, small, big, fields):
+        report = verify_embedding(small, big, plan=SamplePlan(arity=3, count=64, seed=4))
+        assert (report.mode, report.samples_checked) == ("refuted", 2)
+        assert report.counterexample == {
+            "vector": [6.651509567958991, 40.159101448507485, 91.7955043087719], **fields}
 
     def test_mixed_family_sampled_through_ties(self):
         # B at two entries equals the order -1 power mean up to rounding, so
@@ -540,3 +606,14 @@ class TestComparability:
         witness = err.value.witness
         assert witness["rule"] == "sampled" and len(witness["vector"]) == 2
         assert witness["low_values"][0] > witness["high_values"][0]
+
+    def test_sampled_ordering_witness_pinned(self):
+        # at two entries B equals P[-1] exactly: the tie holds, P[2] > P[1] fails
+        with pytest.raises(HypothesisViolation, match="big. < big fails") as err:
+            compare_implicit_means((PowerMean(0),), (PowerMean(-1), PowerMean(1)),
+                                   (PowerMean(0),), (BetaMean(), PowerMean(2)), Sum(),
+                                   SamplePlan(arity=2, count=16, seed=4))
+        assert err.value.witness == {
+            "rule": "sampled", "vector": [15.497227080241027, 6.651509567958991],
+            "low_values": [9.307975966153668, 11.924903075270798],
+            "high_values": [9.307975966153668, 11.074368324100009], "witness_index": 1}

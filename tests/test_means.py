@@ -323,6 +323,13 @@ class TestFamilyKernel:
         want = _outcome(lambda: tuple(_eval_mean(m, v) for m in family))
         assert _outcome(lambda: _eval_family(family, v)) == want
 
+    # balance_value and the sampled verifiers evaluate S and M as one family
+    @given(st.one_of(power_families, mixed_families), st.one_of(power_families, mixed_families),
+           family_vectors)
+    def test_two_families_in_one_pass(self, first, second, v):
+        want = _outcome(lambda: _eval_family(first, v) + _eval_family(second, v))
+        assert _outcome(lambda: _eval_family(first + second, v)) == want
+
     @pytest.mark.parametrize("v", [(2.0, 0.0), (-1.0, 3.0, 4.0)])
     def test_same_domain_error_text(self, v):
         family = (PowerMean(1), PowerMean(-1), PowerMean(2))

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from meanforge import (
     DomainError,
@@ -16,6 +16,7 @@ from meanforge import (
     sort_descending,
 )
 from meanforge.checks import embedded_pair, majorized_pair
+from meanforge.ordering import _embeds, _first_failure
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -142,6 +143,64 @@ class TestRelaxedVariant:
     def test_bad_eps_rejected(self, predicate, eps):
         with pytest.raises(DomainError, match="eps must be finite and nonnegative"):
             predicate((1.0,), (1.0,), eps)
+
+
+def _reference(v, w, eps):
+    """First failing positions (minorization, majorization) from the definitions; 0 if none."""
+    asc_v, asc_w = sorted(v), sorted(w)
+    desc_v, desc_w = asc_v[::-1], asc_w[::-1]
+    if len(v) > len(w):  # the sort orders swap roles
+        asc_v, asc_w, desc_v, desc_w = desc_v, desc_w, asc_v, asc_w
+    lower = [k for k, (x, y) in enumerate(zip(asc_v, asc_w), 1) if not x >= y - eps]
+    upper = [k for k, (x, y) in enumerate(zip(desc_v, desc_w), 1) if not x <= y + eps]
+    return min(lower, default=0), min(upper, default=0)
+
+
+# Entries from a few values make ties common; eps at, below and above their gaps.
+tied = st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0]),
+                min_size=1, max_size=7).map(tuple)
+eps_values = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 1.5]),
+                       st.floats(min_value=0.0, max_value=10.0))
+
+
+class TestComparisonCore:
+    """The core, the boolean kernel and every public verdict agree field for field."""
+
+    @staticmethod
+    def _assert_agree(v, w, eps):
+        lower, upper = _reference(v, w, eps)
+        a, b = sorted(v), sorted(w)
+        assert (_first_failure(a, b, eps, True), _first_failure(a, b, eps, False)) == \
+            (lower, upper)
+        for check, k in ((is_ordered_minorized(v, w, eps), lower),
+                         (is_ordered_majorized(v, w, eps), upper)):
+            assert (check.holds, check.witness_index) == (not k, k or None)
+        embedded = not lower and not upper and len(v) <= len(w)
+        verdict = is_embedded_within(v, w, eps)
+        assert (verdict.minorized, verdict.majorized, verdict.embedded,
+                verdict.witness_index) == (not lower, not upper, embedded,
+                                           min(filter(None, (lower, upper)), default=None))
+        assert _embeds(a, b, eps) is embedded
+        if eps == 0.0:
+            assert is_embedded(v, w) == verdict
+
+    @given(st.one_of(tied, vectors), st.one_of(tied, vectors), eps_values)
+    @example((1.0, 2.0, 3.0), (1.0, 3.0), 0.0)  # only the length gate fails
+    @example((3.0, 15.0), (5.0, 0.0, 10.0), 0.0)  # majorization fails at 1
+    @example((5.0, 6.0, 7.0), (2.0, 4.0, 6.0, 8.0), 0.0)  # majorization fails at 3
+    @example((0.5, 200.0), (1.0, 2.0), 0.0)  # both fail at 1
+    @example((1.0 - 1e-12, 2.0), (1.0, 2.0, 3.0), 1e-9)  # a tie within eps
+    @example((1.0, 2.0), (1.0, 2.0), 0.0)  # exact ties
+    def test_agrees_with_the_definitions(self, v, w, eps):
+        self._assert_agree(v, w, eps)
+
+    def test_seeded_sweep_with_ties(self):
+        rng = random.Random(16)
+        grid = [-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0]
+        for _ in range(20_000):
+            v, w = ([rng.choice(grid) if rng.random() < 0.7 else rng.uniform(-3, 4)
+                     for _ in range(rng.randint(1, 6))] for _ in range(2))
+            self._assert_agree(tuple(v), tuple(w), rng.choice([0.0, 0.0, 0.5, 1.0, 1e-9]))
 
 
 class TestMonotoneTransport:
