@@ -40,7 +40,6 @@ from .means import (
     ProblemSpec,
     Product,
     Sum,
-    assert_strict,
     beta_mean,
     check_mean_property,
     eval_mean,
@@ -77,7 +76,7 @@ __all__ = [
     "PowerMean", "BetaMean",
     "GeneralizedBetaMean", "ProblemSpec", "InvariantMean", "DerivedMean",
     "MeanExpr", "Sum", "Product", "MeanOuter", "OuterFn",
-    "power_mean", "beta_mean", "eval_mean", "eval_outer", "assert_strict",
+    "power_mean", "beta_mean", "eval_mean", "eval_outer",
     "check_mean_property",
     "parse", "parse_mean", "parse_outer", "parse_mean_list",
     "format_expr",

@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
 )
 from .implicit import _sample_arity, solve_scalar, verify_embedding
-from .means import DEFAULT_TOL, BetaMean, MeanExpr, eval_mean, eval_outer, is_mean_expr, is_strict
+from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr, is_strict
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 def _strict_family(family: tuple[MeanExpr, ...]) -> tuple[MeanExpr, ...]:
     """``family`` when Gauss iteration admits it; the refusal names what a CLI family may hold."""
     for m in family:
-        if not (isinstance(m, BetaMean) or is_strict(m)):  # means.check_strict_family's test
+        if not is_strict(m):
             raise HypothesisViolation(f"{m} is not known to be strict; an iterated family takes "
                                       "power means P[s], B and names registered with --as-mean")
     return family

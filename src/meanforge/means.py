@@ -37,7 +37,7 @@ import random
 import sys
 from typing import Callable, Optional, Sequence, get_args
 
-from ._frozen import Frozen, replace
+from ._frozen import Frozen
 from .errors import ArityError, DomainError, HypothesisViolation
 from .ordering import as_vector
 from .sampling import CheckReport, SamplePlan, sample_vectors
@@ -62,7 +62,6 @@ __all__ = [
     "eval_mean",
     "eval_outer",
     "declared_arity",
-    "assert_strict",
     "check_mean_property",
     "check_positive",
     "check_tol",
@@ -207,9 +206,10 @@ class DerivedMean(Frozen, compare=None):
     """An opaque mean backed by a user callable.
 
     ``fn`` receives an already ascending-sorted tuple, which keeps evaluation
-    bit-exactly permutation invariant.  ``strict`` is a caller assertion that
-    the mean is strictly increasing in each variable; it gates use as an
-    outer function and in mean-type iterations and is never verified.
+    bit-exactly permutation invariant.  ``strict=True`` is the one way to
+    assert that the mean is strictly increasing in each variable, which
+    admits it as an outer function and in mean-type iterations; the
+    assertion is never verified.
     Identity equality on purpose (``compare=None``): two separately built
     evaluators are distinct objects even if they agree pointwise.
     """
@@ -236,21 +236,27 @@ def is_mean_expr(obj) -> bool:
 def is_strict(mean: MeanExpr) -> bool:
     """Whether ``mean`` is known to be strictly increasing in each variable.
 
-    True for power means, invariant means and means asserted strict: the
-    admission set of :class:`MeanOuter`.  Gauss iteration also admits ``B``.
+    True for power means, ``B`` (d/dv_i log(k*prod(v)/sum(v)) = 1/v_i - 1/sum(v)
+    > 0 for k >= 2), invariant means and a ``DerivedMean`` built with
+    ``strict=True``.  The one test of what :class:`MeanOuter` and Gauss
+    iteration admit.
     """
-    return isinstance(mean, PowerMean) or getattr(mean, "strict", False)
+    return isinstance(mean, (PowerMean, BetaMean)) or getattr(mean, "strict", False)
+
+
+def _not_strict(mean: MeanExpr) -> str:
+    """Why ``mean`` is refused where :func:`is_strict` is required."""
+    return (f"{mean} is not known to be strict; strict means are power means P[s], B, "
+            "invariant means (registered names) and a DerivedMean built with strict=True")
 
 
 def check_strict_family(family: tuple[MeanExpr, ...]) -> None:
-    """Reject a Gauss-iteration family that is empty or has a member neither strict nor B."""
+    """Reject a Gauss-iteration family that is empty or has a member not :func:`is_strict`."""
     if not family:
         raise ArityError("a mean-type family needs at least one mean")
     for m in family:
-        if not (isinstance(m, BetaMean) or is_strict(m)):
-            raise HypothesisViolation(
-                f"{m} is not known to be strict; wrap it with assert_strict() "
-                "to record the caller's strictness assertion")
+        if not is_strict(m):
+            raise HypothesisViolation(_not_strict(m))
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +309,15 @@ class Product(Frozen):
 class MeanOuter(Frozen):
     """A strict mean used as the outer aggregate.
 
-    Admitted: what :func:`is_strict` accepts, i.e. finite-order power means,
-    invariant means and means asserted strict.  Everything else is rejected
-    here because strict per-coordinate growth cannot be established for it.
+    Admitted: what :func:`is_strict` accepts.  Everything else raises
+    :class:`DomainError`, as strict per-coordinate growth is not known for it.
     """
 
     mean: MeanExpr
 
     def __post_init__(self):
         if not is_strict(self.mean):
-            raise DomainError(
-                f"{self.mean} is not admissible as an outer function: only "
-                "power means and derived means asserted strict are accepted")
+            raise DomainError(f"not an outer function: {_not_strict(self.mean)}")
 
     def __str__(self) -> str:
         return f"mean[{self.mean}]"
@@ -536,22 +539,6 @@ def _eval_outer(outer: OuterFn, v: tuple[float, ...]) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{outer} overflows at {list(v)!r}")
     return value
-
-
-def assert_strict(mean: MeanExpr) -> MeanExpr:
-    """Record the caller's assertion that an opaque mean is strict.
-
-    Power, Beta and invariant means and means already asserted strict pass
-    through unchanged; a :class:`DerivedMean` comes back with ``strict=True``,
-    admissible in mean-type iterations and as an outer mean.  The assertion
-    itself is not checked.  Any other node raises :class:`DomainError`.
-    """
-    if isinstance(mean, BetaMean) or is_strict(mean):
-        return mean
-    if isinstance(mean, DerivedMean):
-        return replace(mean, strict=True)
-    raise DomainError(f"{mean} cannot be asserted strict; to assert it, wrap "
-                      "its evaluation in a DerivedMean and pass that")
 
 
 def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:

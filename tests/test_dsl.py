@@ -123,7 +123,7 @@ class TestErrorKinds:
         with pytest.raises(DomainError):
             parse("qa[pow[-2]]")
         with pytest.raises(DomainError):
-            parse("mean[B]")
+            parse("mean[beta{S=P[1]; mu=sum}]")
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError):

@@ -36,7 +36,7 @@ from meanforge.checks import (
     comparability_quadruple,
     solver_instances,
 )
-from meanforge.dsl import parse_outer
+from meanforge.dsl import parse_mean, parse_outer
 from meanforge.implicit import DEFAULT_TOL, MAX_BISECTION_STEPS
 from meanforge.means import _eval_family
 
@@ -154,6 +154,43 @@ class TestSolveScalar:
         exact = math.sqrt(v[0] * v[1] * v[2] / arithmetic)
         assert exact < 2e-3  # genuinely near the bottom of [1e-3, 90]
         assert result.root == pytest.approx(exact, rel=1e-10)
+
+
+
+class TestBetaAsOuter:
+    """``B`` is strictly increasing on positive vectors, so it is an admissible μ."""
+
+    def test_problem_matches_harmonic_closed_form(self):
+        # at k = 2, B is the harmonic mean: 1/G + 1/x = 1/H + 1/A
+        problem = parse_mean("T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}")
+        rng = random.Random(17)
+        for _ in range(600):
+            v = tuple(rng.uniform(0.1, 100.0) for _ in range(rng.randint(2, 5)))
+            exact = 1.0 / (1.0 / power_mean(-1, v) + 1.0 / power_mean(1, v)
+                           - 1.0 / power_mean(0, v))
+            assert eval_mean(problem, v) == pytest.approx(exact, rel=1e-11)
+
+    def test_strictly_increasing_per_coordinate(self):
+        outer = MeanOuter(BetaMean())
+        rng = random.Random(5)
+        for k in range(2, 7):
+            for _ in range(40):
+                v = [rng.uniform(0.5, 100.0) for _ in range(k)]
+                base = eval_outer(outer, v)
+                for i in range(k):
+                    grown = list(v)
+                    grown[i] += 1e-3 * grown[i]
+                    assert eval_outer(outer, grown) > base
+
+    def test_solver_converges(self):
+        outer = MeanOuter(BetaMean())
+        rng = random.Random(8)
+        for _ in range(1000):
+            v = tuple(rng.uniform(0.1, 100.0) for _ in range(rng.randint(2, 5)))
+            target = tuple(power_mean(s, v) for s in (-1, 1, 2))
+            result = solve_scalar(outer, (power_mean(0, v),), target)
+            assert result.status == "converged"
+            assert result.residual <= 1e-10 * eval_outer(outer, target)
 
 
 def _reference_solve(outer, prefix, target, tol=DEFAULT_TOL):

@@ -17,7 +17,6 @@ from meanforge import (
     ProblemSpec,
     SamplePlan,
     Sum,
-    assert_strict,
     complementary_mean,
     eval_mean,
     gauss_iterate,
@@ -26,7 +25,7 @@ from meanforge import (
     verify_invariance,
 )
 from meanforge._frozen import replace
-from meanforge.means import DEFAULT_TOL
+from meanforge.means import DEFAULT_TOL, check_strict_family
 
 # self-oracle: two-term iteration (a,b) <- ((a+b)/2, sqrt(ab)) run to 1e-15
 AGM_1_2 = 1.4567910310469068
@@ -76,17 +75,19 @@ class TestGaussIterate:
         opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
         with pytest.raises(HypothesisViolation):
             gauss_iterate((PowerMean(1), opaque), (1.0, 2.0))
-        # the assertion path unlocks it
-        trace = gauss_iterate((PowerMean(1), assert_strict(opaque)), (1.0, 2.0))
+        # built with strict=True, it is admitted
+        asserted = DerivedMean(name="opaque", fn=lambda sv: sv[0], strict=True)
+        trace = gauss_iterate((PowerMean(1), asserted), (1.0, 2.0))
         assert trace.converged
 
-    def test_assert_strict_takes_only_opaque_means(self):
-        opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
-        asserted = assert_strict(opaque)
-        assert asserted.strict and asserted.name == "opaque" and asserted.fn is opaque.fn
+    def test_problem_member_refused_with_the_strictness_rule(self):
         problem = ProblemSpec(Sum(), (PowerMean(0),), (PowerMean(-1), PowerMean(1)))
-        with pytest.raises(DomainError, match="wrap its evaluation in a DerivedMean"):
-            assert_strict(problem)
+        with pytest.raises(HypothesisViolation) as refused:
+            check_strict_family((PowerMean(1), problem))
+        assert str(refused.value) == (
+            "T{mu=sum; S=[P[0]]; M=[P[-1],P[1]]} is not known to be strict; strict means "
+            "are power means P[s], B, invariant means (registered names) and a "
+            "DerivedMean built with strict=True")
 
     def test_non_mean_escape_detected(self):
         runaway = DerivedMean(name="runaway", fn=lambda sv: 2.0 * sv[-1],
@@ -108,7 +109,7 @@ class TestGaussIterate:
     def test_derived_result_checked_in_a_family(self, value):
         # a NaN iterate would pass the containment check (its comparisons are
         # False) and run to the iteration cap, were the result not checked
-        broken = assert_strict(DerivedMean(name="broken", fn=lambda sv: value))
+        broken = DerivedMean(name="broken", fn=lambda sv: value, strict=True)
         with pytest.raises(DomainError, match="broken returned .*not a finite float"):
             gauss_iterate((PowerMean(1), broken), (1.0, 2.0))
         with pytest.raises(DomainError, match="broken returned .*not a finite float"):

@@ -12,13 +12,15 @@ from meanforge import (
     BetaMean,
     DerivedMean,
     DomainError,
+    GeneralizedBetaMean,
+    HypothesisViolation,
     InvariantMean,
     MeanOuter,
     PowerMean,
+    ProblemSpec,
     Product,
     SamplePlan,
     Sum,
-    assert_strict,
     beta_mean,
     check_mean_property,
     eval_mean,
@@ -281,7 +283,7 @@ class TestEvalMean:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
     def test_derived_result_checked_under_an_outer(self, value):
-        outer = MeanOuter(assert_strict(DerivedMean(name="broken", fn=lambda sv: value)))
+        outer = MeanOuter(DerivedMean(name="broken", fn=lambda sv: value, strict=True))
         with pytest.raises(DomainError, match="broken returned .*not a finite float"):
             eval_outer(outer, (1.0, 2.0))
 
@@ -382,8 +384,8 @@ class TestReimport:
 
 # Every outer kind.  ``sloppy`` sums in the order it is given (DerivedMean
 # sorts for it); ``twice_max`` makes a Gauss step escape its range.
-_SLOPPY = assert_strict(DerivedMean("sloppy", lambda sv: sum(sv) / len(sv)))
-_TWICE_MAX = assert_strict(DerivedMean("twice_max", lambda sv: 2.0 * sv[-1]))
+_SLOPPY = DerivedMean("sloppy", lambda sv: sum(sv) / len(sv), strict=True)
+_TWICE_MAX = DerivedMean("twice_max", lambda sv: 2.0 * sv[-1], strict=True)
 VARIADIC_OUTERS = (Sum(), Sum("log"), Sum("exp"), Sum("pow", 0.5), Sum("pow", 3.0),
                    Product(), MeanOuter(PowerMean(-1.5)), MeanOuter(PowerMean(0)),
                    MeanOuter(PowerMean(2)), MeanOuter(_SLOPPY))
@@ -465,25 +467,32 @@ class TestOuterFunctions:
 
     def test_mean_outer_admission(self):
         MeanOuter(PowerMean(0))  # fine: strictly increasing on the positive axis
-        with pytest.raises(DomainError):
-            MeanOuter(BetaMean())
+        MeanOuter(BetaMean())
         lax = DerivedMean(name="lax", fn=lambda sv: sv[0])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "not an outer function: lax is not known to be strict; "
+                "strict means are power means P[s], B, invariant means (registered names) "
+                "and a DerivedMean built with strict=True")):
             MeanOuter(lax)
-        MeanOuter(assert_strict(lax))  # the caller's assertion unlocks it
+        MeanOuter(DerivedMean(name="lax", fn=lambda sv: sv[0], strict=True))
 
     def test_strictness_admission_sets(self):
         from meanforge import gauss_iterate, invariant_mean
         from meanforge.means import is_strict
         compound = invariant_mean((PowerMean(1), PowerMean(0)))
-        assert is_strict(PowerMean(-1)) and is_strict(compound)
-        assert MeanOuter(compound).mean is compound
-        assert assert_strict(compound) is compound
-        # the Beta-type mean is admitted by the iteration, not as an outer
-        assert not is_strict(BetaMean())
-        with pytest.raises(DomainError):
-            MeanOuter(BetaMean())
-        assert gauss_iterate((BetaMean(), PowerMean(1)), (1.0, 4.0)).converged
+        for mean in (PowerMean(-1), BetaMean(), compound,
+                     DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1]), strict=True)):
+            assert is_strict(mean)
+            assert MeanOuter(mean).mean is mean
+            assert gauss_iterate((mean, PowerMean(1)), (1.0, 4.0)).converged
+        for mean in (DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1])),
+                     GeneralizedBetaMean(PowerMean(1), Sum()),
+                     ProblemSpec(Sum(), (PowerMean(0),), (PowerMean(-1), PowerMean(1)))):
+            assert not is_strict(mean)
+            with pytest.raises(DomainError):
+                MeanOuter(mean)
+            with pytest.raises(HypothesisViolation):
+                gauss_iterate((mean, PowerMean(1)), (1.0, 4.0))
 
     def test_overflow_is_a_domain_error(self):
         for outer, v in ((Sum("exp"), (800.0, 1.0)),

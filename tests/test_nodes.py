@@ -62,7 +62,7 @@ CASES = [
      "Sum(generator='pow', exponent=2.5)", dict(exponent=-1.0)),
     (Product, {}, 0, "Product()", None),
     (MeanOuter, dict(mean=P(2)), 1, "MeanOuter(mean=PowerMean(order=2))",
-     dict(mean=BetaMean())),
+     dict(mean=GeneralizedBetaMean(P(1), Sum()))),
     (SolveResult, dict(root=2.0, bracket=(1.0, 4.0), residual=0.0, iterations=40,
                        status="converged"), 5,
      "SolveResult(root=2.0, bracket=(1.0, 4.0), residual=0.0, iterations=40, "
