@@ -3,7 +3,8 @@
 A record's fields are its class's annotations, in order, with defaults as
 class attributes.  The class keyword ``compare`` names the fields that
 equality and hashing use, over the exact type (default: every field);
-``compare=None`` keeps identity.  ``replace`` validates the copy again.
+``compare=None`` keeps identity.  A changed record is built through its
+constructor, which validates it again.
 """
 
 from operator import attrgetter
@@ -42,8 +43,3 @@ class Frozen:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
-
-
-def replace(obj, **changes):
-    """A copy of ``obj`` with ``changes`` applied, validated again by ``__init__``."""
-    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})

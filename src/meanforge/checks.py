@@ -596,7 +596,7 @@ def _invariance_complementary(rng: random.Random, samples: int, seed: int) -> Op
         invariant = invariant_mean(family)
         extended = small + (complement,) * (n - m)
         plan = SamplePlan(arity=n, count=per_family, seed=rng.randrange(2 ** 32))
-        report = verify_invariance(invariant, extended, plan, tol=1e-8)
+        report = verify_invariance(invariant, extended, plan)
         if not report.passed:
             raise _Fail(residual=report.max_residual,
                         witness=report.counterexample)

@@ -67,6 +67,9 @@ MAX_BISECTION_STEPS = 200
 # mean values; scales with the magnitude of the target vector.
 EMBED_EPS_SCALE = 1e-9
 
+# Relative bound on the starred implicit mean's excess in compare_implicit_means.
+COMPARISON_RTOL = 1e-9
+
 
 class SolveResult(Frozen):
     """Root of the scalar balance equation.
@@ -326,15 +329,16 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
 def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                            small_star: Sequence[MeanExpr],
                            big_star: Sequence[MeanExpr],
-                           outer: OuterFn, plan: SamplePlan,
-                           tol: float = 1e-9) -> CheckReport:
+                           outer: OuterFn, plan: SamplePlan) -> CheckReport:
     """Sampled check of the comparability law between two implicit means.
 
     With ``big_star`` ordered majorized by ``big`` and ``small`` ordered
     majorized by ``small_star`` (same lengths), the starred implicit mean
-    never exceeds the unstarred one.  Preconditions are certified through
-    exponents for all-power families and sampled otherwise; a violated
-    precondition raises :class:`HypothesisViolation` with a witness.
+    never exceeds the unstarred one; a sample fails when ``a* - a`` exceeds
+    ``COMPARISON_RTOL * |a|``, and ``max_residual`` is the worst ``a* - a``.
+    Preconditions are certified through exponents for all-power families and
+    sampled otherwise; a violated precondition raises
+    :class:`HypothesisViolation` with a witness.
     """
     small, big = tuple(small), tuple(big)
     small_star, big_star = tuple(small_star), tuple(big_star)
@@ -365,7 +369,7 @@ def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
         a_star = _eval_mean(starred, v)
         gap = a_star - a
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > COMPARISON_RTOL * abs(a):
             return CheckReport(False, checked, counterexample={
                 "vector": list(v), "value": a, "starred_value": a_star,
                 "gap": gap}, max_residual=worst)

@@ -55,6 +55,9 @@ DEFAULT_CAP = 10_000
 
 _CONTAINMENT_SLACK = 8 * sys.float_info.epsilon
 
+# Relative bound on |K(M_1(v), ..., M_n(v)) - K(v)| / |K(v)| in verify_invariance.
+INVARIANCE_RTOL = 1e-8
+
 
 class IterationTrace(Frozen):
     """Outcome of one mean-type iteration run."""
@@ -121,8 +124,8 @@ def invariant_value(mean: InvariantMean, v: tuple[float, ...]) -> float:
 
 
 def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
-                      plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
-    """Sampled check of K(M_1(v), ..., M_n(v)) = K(v) up to relative ``tol``."""
+                      plan: SamplePlan) -> CheckReport:
+    """Sampled check of K(M_1(v), ..., M_n(v)) = K(v) up to relative ``INVARIANCE_RTOL``."""
     family = tuple(family)
     if plan.arity != len(family):
         raise ArityError(f"plan arity {plan.arity} != family size {len(family)}")
@@ -134,7 +137,7 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
         through = _eval_mean(candidate, mapped)
         residual = abs(through - direct) / abs(direct) if direct else float("inf")
         worst = max(worst, residual)
-        if residual > tol:
+        if residual > INVARIANCE_RTOL:
             return CheckReport(False, checked, counterexample={
                 "vector": list(v), "value": direct, "mapped": list(mapped),
                 "value_after_mapping": through, "residual": residual},

@@ -98,12 +98,6 @@ def sort_descending(v: Sequence[float]) -> tuple[float, ...]:
 _HOLDS, _EMBEDDED = OrderingCheck(True), OrderingVerdict(True, True, True)  # immutable, so shared
 
 
-def _check_eps(eps: float) -> None:
-    # NaN would make every inequality fail and inf make every one hold
-    if not 0.0 <= eps < math.inf:
-        raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
-
-
 def _first_failure(a: Sequence[float], b: Sequence[float], eps: float, minorize: bool) -> int:
     # The first failing position (1-based), or 0.  a, b ascending; compared on the shorter
     # length from the bottom, or for majorization from the top (flipped when a is longer)
@@ -129,29 +123,25 @@ def _embeds(a: Sequence[float], b: Sequence[float], eps: float) -> bool:
             and not _first_failure(a, b, eps, False))
 
 
-def is_ordered_minorized(v: Sequence[float], w: Sequence[float],
-                         eps: float = 0.0) -> OrderingCheck:
-    """Whether every sorted entry of ``v`` dominates the matching entry of ``w``.
+def is_ordered_minorized(v: Sequence[float], w: Sequence[float]) -> OrderingCheck:
+    """Whether every sorted entry of ``v`` dominates the matching entry of ``w``, exactly.
 
     For ``len(v) <= len(w)`` the ascending sorts are compared on the first
     ``len(v)`` positions; for a longer ``v`` the descending sorts are compared
-    on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
+    on the first ``len(w)`` positions.
     """
-    _check_eps(eps)
-    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), eps, True)
+    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), 0.0, True)
     return OrderingCheck(False, k) if k else _HOLDS
 
 
-def is_ordered_majorized(v: Sequence[float], w: Sequence[float],
-                         eps: float = 0.0) -> OrderingCheck:
-    """Whether every sorted entry of ``v`` is dominated by the matching entry of ``w``.
+def is_ordered_majorized(v: Sequence[float], w: Sequence[float]) -> OrderingCheck:
+    """Whether every sorted entry of ``v`` is dominated by the matching entry of ``w``, exactly.
 
     For ``len(v) <= len(w)`` the descending sorts are compared on the first
     ``len(v)`` positions; for a longer ``v`` the ascending sorts are compared
-    on the first ``len(w)`` positions.  ``eps`` must be finite and >= 0.
+    on the first ``len(w)`` positions.
     """
-    _check_eps(eps)
-    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), eps, False)
+    k = _first_failure(sorted(as_vector(v)), sorted(as_vector(w)), 0.0, False)
     return OrderingCheck(False, k) if k else _HOLDS
 
 
@@ -162,7 +152,8 @@ def is_embedded(v: Sequence[float], w: Sequence[float]) -> OrderingVerdict:
 
 def is_embedded_within(v: Sequence[float], w: Sequence[float], eps: float) -> OrderingVerdict:
     """Embeddability with every inequality relaxed by a finite ``eps >= 0``."""
-    _check_eps(eps)
+    if not 0.0 <= eps < math.inf:  # NaN would make every inequality fail and inf every one hold
+        raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
     a, b = sorted(as_vector(v)), sorted(as_vector(w))
     lower, upper = _first_failure(a, b, eps, True), _first_failure(a, b, eps, False)
     if not (lower or upper) and len(a) <= len(b):

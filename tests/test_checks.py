@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 import meanforge.checks as checks
-from meanforge._frozen import replace
 from meanforge.cli import main
+from meanforge.invariance import IterationTrace
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = [json.loads(line) for line in
@@ -31,6 +31,13 @@ FAULT_RECORDS = json.loads((DATA / "check_faults_seed5.json").read_text())
 
 _power_mean = checks.power_mean
 _gauss_iterate = checks.gauss_iterate
+
+
+def _unconverged(family, v):
+    trace = _gauss_iterate(family, v)
+    return IterationTrace(trace.iterations, trace.final_spread, trace.limit, False)
+
+
 # fault name -> (module global of ``checks``, its broken replacement)
 FAULTS = {
     "minorized_never_holds": (
@@ -38,9 +45,7 @@ FAULTS = {
     "power_mean_scaled": (
         "power_mean", lambda s, v: _power_mean(s, v) * (1 + 1e-6)),
     "certification_refused": ("power_mean_embedded", lambda alpha, beta: False),
-    "never_converges": (
-        "gauss_iterate",
-        lambda family, v: replace(_gauss_iterate(family, v), converged=False)),
+    "never_converges": ("gauss_iterate", _unconverged),
 }
 
 

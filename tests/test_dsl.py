@@ -25,7 +25,6 @@ from meanforge import (
     parse_mean_list,
     parse_outer,
 )
-from meanforge._frozen import replace
 from meanforge.dsl import MAX_NESTING, is_valid_name
 
 CORPUS = Path(__file__).parent / "data" / "dsl_corpus.json"
@@ -214,8 +213,7 @@ class TestRoundTrip:
         assert format_expr(spec) == text
 
     def test_registered_name_round_trip(self):
-        named = invariant_mean((PowerMean(1), PowerMean(0)))
-        named = replace(named, name="agm")
+        named = invariant_mean((PowerMean(1), PowerMean(0)), name="agm")
         registry = {"agm": named}
         assert parse(format_expr(named), registry) is named
 

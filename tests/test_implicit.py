@@ -37,7 +37,7 @@ from meanforge.checks import (
     solver_instances,
 )
 from meanforge.dsl import parse_mean, parse_outer
-from meanforge.implicit import DEFAULT_TOL, MAX_BISECTION_STEPS
+from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS
 from meanforge.means import _eval_family
 
 # frozen from the closed forms evaluated independently of the solver
@@ -654,3 +654,36 @@ class TestComparability:
             "rule": "sampled", "vector": [15.497227080241027, 6.651509567958991],
             "low_values": [9.307975966153668, 11.924903075270798],
             "high_values": [9.307975966153668, 11.074368324100009], "witness_index": 1}
+
+    @pytest.mark.parametrize("lower, upper", [(1, 100), (1e6, 1e8), (1e9, 1e11)])
+    def test_a_tie_passes_at_every_scale(self, lower, upper):
+        # at two entries B equals P[-1], so both implicit means are one mean and
+        # their gap is rounding only, which grows with the values (7.5e-9 at 5e7)
+        big, big_star = (PowerMean(-1), PowerMean(1)), (BetaMean(), PowerMean(1))
+        small = (PowerMean(0),)
+        plan = SamplePlan(arity=2, count=200, seed=1, lower=lower, upper=upper)
+        report = compare_implicit_means(small, big, small, big_star, Sum(), plan)
+        assert report.passed and report.samples_checked == 200
+        assert report.max_residual <= COMPARISON_RTOL * upper
+
+    def test_a_violation_fails_at_every_scale(self):
+        # odd(a, b) = a + b - sqrt(ab) is below min(a, b) once max > 4 min, so it
+        # is not a strict mean although it is declared one; the law fails at
+        # the same sample on (1, 100) and on (1e-12, 1e-10), where the gap is
+        # below an absolute 1e-9
+        odd = MeanOuter(DerivedMean(
+            "odd", lambda sv: sv[0] + sv[-1] - math.sqrt(sv[0] * sv[-1]), arity=2, strict=True))
+        small, big = (PowerMean(0),), (PowerMean(-1), PowerMean(1))
+        big_star = (PowerMean(-3), PowerMean(1))
+        reports = [compare_implicit_means(small, big, small, big_star, odd,
+                                          SamplePlan(arity=2, count=200, seed=1,
+                                                     lower=lower, upper=upper))
+                   for lower, upper in ((1, 100), (1e-12, 1e-10))]
+        assert [(r.passed, r.samples_checked) for r in reports] == [(False, 5), (False, 5)]
+        assert reports[0].counterexample == {
+            "vector": [3.8064001756786245, 83.7407452880671], "value": 43.08212163623823,
+            "starred_value": 43.77357273187286, "gap": 0.6914510956346334}
+        assert reports[0].max_residual == 0.6914510956346334
+        tiny = reports[1].counterexample
+        assert set(tiny) == {"vector", "value", "starred_value", "gap"}
+        assert tiny["gap"] == tiny["starred_value"] - tiny["value"] > 0.01 * tiny["value"]

@@ -29,7 +29,7 @@ from meanforge import (
     SolveResult,
     Sum,
 )
-from meanforge._frozen import Frozen, replace
+from meanforge._frozen import Frozen
 
 P = PowerMean
 AGM = (P(1), P(0))
@@ -96,7 +96,7 @@ def test_record_contract(cls, fields, required, text, invalid):
     else:
         assert node == rebuilt and not node != rebuilt
         assert hash(node) == hash(rebuilt)
-    again = replace(node)
+    again = cls(**{name: getattr(node, name) for name in cls._fields})
     assert again is not node and repr(again) == text
     assert (again != node) if cls is DerivedMean else (again == node)
     for name in (*fields, "extra"):
@@ -114,7 +114,7 @@ def test_record_contract(cls, fields, required, text, invalid):
             cls(*list(fields.values())[:required - 1])
     if invalid is not None:
         with pytest.raises(MeanForgeError):
-            replace(node, **invalid)
+            cls(**{**fields, **invalid})
 
 
 def test_every_record_is_covered():
