@@ -646,7 +646,11 @@ def _invariance_convergence(rng: random.Random, samples: int, seed: int) -> Opti
 # ---------------------------------------------------------------------------
 
 def run_suite(suite: str, samples: int = 200, seed: int = 0) -> list[dict]:
-    """Run one named suite (or ``all``); records come back in a fixed order."""
+    """Run one named suite (or ``all``); records come back in a fixed order.
+
+    An unknown suite raises ``ValueError``; ``samples`` and ``seed`` obey the
+    :class:`SamplePlan` count and seed rules (``DomainError``).
+    """
     if suite == "all":
         names = SUITE_NAMES
     elif suite in _SUITES:
@@ -654,6 +658,7 @@ def run_suite(suite: str, samples: int = 200, seed: int = 0) -> list[dict]:
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES)} or all")
+    SamplePlan(arity=1, count=samples, seed=seed)  # the plan owns the count and seed rules
     records = []
     for name in names:
         for kind, stream, prop in _SUITES[name]:

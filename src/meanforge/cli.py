@@ -6,17 +6,20 @@ Exit codes: 0 success, 1 a check suite reported failures, 2 unparseable
 input, 3 domain or arity violation, 4 a mathematical hypothesis failed
 (embedding refuted or violated), 5 non-convergence.  ``--format json``
 prints one JSON object per line with fields ``{kind, input, output,
-residual?, witness?}``; with a fixed ``--seed`` the output is byte-identical
-across runs.  ``MEANFORGE_SEED`` supplies the seed when ``--seed`` is absent.
+residual?, witness?}``; a fixed ``--seed`` (default 0) makes the output
+byte-identical across runs.  The CLI checks an input's shape only; its rules
+belong to ``SamplePlan`` and ``run_suite``, so a well-formed value that
+breaks one (``--domain=5,1``, ``--samples 0``) exits 3.
 
-A session file (``--session``) is a JSON map of registered derived means; it
-stores definitions (the DSL text of the iterated family), not values, and
-means are rebuilt on load in file order, each entry seeing only earlier
-names, usable as identifiers in any expression.  ``main`` loads it once,
-before any command runs: a fault of the file or of one entry (such as a text
-that does not parse or a non-strict family) exits 3, naming the file and the
-entry, as does input nested too deeply (a long chain of names, deep JSON).
-A registration after which the file would not load is refused.
+A session file (``--session``; ``check`` resolves no name and takes none) is
+a JSON map of registered derived means; it stores definitions (the DSL text
+of the iterated family), not values, and means are rebuilt on load in file
+order, each entry seeing only earlier names, usable as identifiers in any
+expression.  ``main`` loads it once, before any command runs: a fault of the
+file or of one entry (a name that is not registrable, a text that does not
+parse, a non-strict family) exits 3, naming the file and the entry, as does
+input nested too deeply.  A registration after which the file would not load
+is refused.
 """
 
 from __future__ import annotations
@@ -61,24 +64,13 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _parse_domain(text: Optional[str]) -> tuple[float, float]:
+    """The two values of ``lo,hi``; :class:`SamplePlan` judges the interval."""
     if text is None:
         return SamplePlan.lower, SamplePlan.upper
     values = _parse_floats(text, "domain")
-    if len(values) != 2 or not values[0] < values[1]:
-        raise ParseError(f"bad domain {text!r}", 1, 1, ("lo,hi with lo < hi",))
-    return values[0], values[1]
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MEANFORGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"MEANFORGE_SEED must be an integer, got {env!r}") from None
-    return 0
+    if len(values) != 2:
+        raise ParseError(f"bad domain {text!r}", 1, 1, ("lo,hi",))
+    return values
 
 
 def _emit(args, record: dict, human_lines: list[str]) -> None:
@@ -119,6 +111,9 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
         registry: dict[str, MeanExpr] = {}
         for name, entry in data.items():
             where = f", entry {name!r}"
+            if not dsl.is_valid_name(name):
+                raise DomainError(f"{name!r} is not a registrable name "
+                                  "(identifier syntax, not a reserved word)")
             if not (isinstance(entry, dict) and entry.get("kind") == "invariant"
                     and isinstance(texts := entry.get("means"), list)
                     and all(isinstance(t, str) for t in texts)
@@ -197,21 +192,18 @@ def _cmd_solve(args, registry: dict[str, MeanExpr]) -> int:
 
 
 def _cmd_embed(args, registry: dict[str, MeanExpr]) -> int:
-    if args.samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     small = dsl.parse_mean_list(args.small, registry)
     big = dsl.parse_mean_list(args.big, registry)
     lo, hi = _parse_domain(args.domain)
     arity = _sample_arity(small + big) if args.arity is None else args.arity
-    plan = SamplePlan(arity=arity, count=args.samples, seed=_seed(args),
-                      lower=lo, upper=hi)
+    plan = SamplePlan(arity=arity, count=args.samples, seed=args.seed, lower=lo, upper=hi)
     report = verify_embedding(small, big, plan)
     output = {"mode": report.mode, "samples_checked": report.samples_checked}
     if report.certificate is not None:
         output["certificate"] = report.certificate
     record = {"kind": "embed",
               "input": {"S": dsl.format_expr(small), "M": dsl.format_expr(big),
-                        "samples": args.samples, "seed": _seed(args),
+                        "samples": args.samples, "seed": args.seed,
                         "arity": arity},
               "output": output}
     lines = [report.mode]
@@ -238,12 +230,10 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
         raise DomainError("nothing to do: pass --at VECTOR and/or --as-mean NAME")
     exit_code = EXIT_OK
     if args.as_mean is not None:
-        if not dsl.is_valid_name(args.as_mean):
-            raise DomainError(f"{args.as_mean!r} is not a registrable name "
-                              "(identifier syntax, not a reserved word)")
         if args.session is None:
             raise DomainError("--as-mean needs --session FILE to store the registration")
-        # the argv's own faults keep their exit codes: a bad --tol 3, a non-strict family 4
+        # the argv's own faults keep their exit codes: a bad --tol 3, a non-strict family 4;
+        # the name is judged with the file, which must load with the new entry
         invariance.invariant_mean(_strict_family(family), args.tol, args.as_mean)
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
@@ -277,9 +267,7 @@ def _cmd_check(args, registry: dict[str, MeanExpr]) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from "
               f"{', '.join(checks.SUITE_NAMES)} or all", file=sys.stderr)
         return EXIT_PARSE
-    if args.samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {args.samples}")
-    records = checks.run_suite(args.suite, samples=args.samples, seed=_seed(args))
+    records = checks.run_suite(args.suite, samples=args.samples, seed=args.seed)
     for record in records:
         lines = [f"{record['output']:4s} {record['kind']}"]
         if "witness" in record:
@@ -307,9 +295,9 @@ def _cmd_parse(args, registry: dict[str, MeanExpr]) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, fmt_default: str = "human") -> None:
-    sub.add_argument("--format", choices=("human", "json"), default=fmt_default,
-                     help=f"output format (default {fmt_default})")
+def _add_common(sub) -> None:
+    sub.add_argument("--format", choices=("human", "json"), default="human",
+                     help="output format (default human)")
     sub.add_argument("--session", default=None, metavar="FILE",
                      help="JSON session file with registered derived means")
 
@@ -342,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("small", help='prefix family, e.g. "[P[0],P[2]]"')
     p.add_argument("big", help='target family, e.g. "[P[-2],P[-1],P[1],P[3]]"')
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arity", type=int, default=None,
                    help="vector length for sampled checks (default: the arity "
                         "the means pin, else 3)")
@@ -365,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", metavar="NAME",
                    help="suite to run, or all (default all)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p, fmt_default="json")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("human", "json"), default="json",
+                   help="output format (default json)")  # and no --session: no name to resolve
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("parse", help="parse DSL text and print its canonical form")
@@ -380,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        registry = {} if args.session is None else _load_session(args.session)[1]
+        path = getattr(args, "session", None)  # check takes no session
+        registry = {} if path is None else _load_session(path)[1]
         return args.handler(args, registry)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ The public evaluators (:func:`power_mean`, :func:`beta_mean`, :func:`eval_mean`,
 :func:`eval_outer`) validate a vector once and hand the tuple to private
 kernels, which derived means, the balance solver and the sampled verifiers
 call on the values they compute or draw.  Kernels still reject non-positive
-entries and a ``DerivedMean`` result that is not a finite float.
+entries and a ``DerivedMean`` that fails or returns no finite float.
 """
 
 from __future__ import annotations
@@ -483,7 +483,10 @@ def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
             raise ArityError(f"{mean.name} takes {mean.arity} entries, got {len(v)}")
         sv = tuple(sorted(v))
         check_positive(sv[0], mean.name)
-        value = mean.fn(sv)
+        try:
+            value = mean.fn(sv)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{mean.name} undefined at {sv!r}: {exc}") from exc
         if not (isinstance(value, float) and math.isfinite(value)):
             raise DomainError(f"{mean.name} returned {value!r}, not a finite float")
         return value

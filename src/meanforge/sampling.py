@@ -30,7 +30,7 @@ NEAR_CONSTANT_WIDTH = 1e-3
 
 
 class SamplePlan(Frozen):
-    """How to draw vectors: open interval (lower, upper), integral arity and count, seed."""
+    """How to draw vectors: integral seed, arity and count >= 1, open interval (lower, upper)."""
 
     arity: int
     count: int = 1000
@@ -39,14 +39,14 @@ class SamplePlan(Frozen):
     upper: float = 100.0
 
     def __post_init__(self):
-        for name, least in (("arity", 1), ("count", 0)):
+        for name in ("arity", "count", "seed"):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise DomainError(f"sample {name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise DomainError(f"sample {name} must be >= {least}, got {value}")
+            if name != "seed" and value < 1:
+                raise DomainError(f"sample {name} must be >= 1, got {value}")
         if not (math.isfinite(self.upper - self.lower)
                 and math.nextafter(self.lower, self.upper) < self.upper):
             raise DomainError("need lower < upper, a finite width and a float "

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import meanforge.checks as checks
+from meanforge import DomainError
 from meanforge.cli import main
 from meanforge.invariance import IterationTrace
 
@@ -76,6 +77,18 @@ def test_unknown_suite_is_a_value_error():
     with pytest.raises(ValueError, match="choose from vectors, means, pexider, "
                                          "invariance or all"):
         checks.run_suite("nope")
+
+
+@pytest.mark.parametrize("samples, seed, message", [
+    (0, 0, "sample count must be >= 1, got 0"),
+    (-5, 0, "sample count must be >= 1, got -5"),
+    (5, 1.5, "sample seed must be an integer, got 1.5"),
+])
+def test_bad_samples_or_seed_is_a_domain_error(samples, seed, message):
+    # a zero-sample run would print PASS for properties that checked nothing
+    with pytest.raises(DomainError) as caught:
+        checks.run_suite("all", samples=samples, seed=seed)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

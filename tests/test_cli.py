@@ -34,6 +34,9 @@ FORWARD_REFERENCE_SESSION = ('{"a": {"kind": "invariant", "means": ["b", "P[1]"]
 # An entry whose family has a member not known to be strict: the file is at fault.
 NON_STRICT_SESSION = ('{"x": {"kind": "invariant", '
                       '"means": ["T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "P[1]"]}}')
+# An entry under a name no text can reach (here an outer function's): the
+# session file is at fault (exit 3), as for any name --as-mean refuses.
+RESERVED_NAME_SESSION = '{"sum": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}'
 # What the CLI says instead of the library's advice to call assert_strict(),
 # which no DSL text or flag reaches.
 CLI_STRICT_ADVICE = ("is not known to be strict; an iterated family takes power means P[s], B "
@@ -321,9 +324,12 @@ class TestSession:
         '{"gm": {"kind": "invariant", "means": []}}',
         UNPARSEABLE_SESSION,
         FORWARD_REFERENCE_SESSION,
+        RESERVED_NAME_SESSION,
+        '{"1x": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}',
+        '{"P": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}',
     ], ids=["list", "entry-not-object", "no-means", "means-not-list",
             "means-not-strings", "bad-tol", "infinite-tol", "empty-family",
-            "unparseable-entry", "forward-reference"])
+            "unparseable-entry", "forward-reference", "named-sum", "named-1x", "named-P"])
     def test_malformed_session_exit_3(self, capsys, tmp_path, content):
         session = tmp_path / "session.json"
         session.write_text(content, encoding="utf-8")
@@ -334,6 +340,7 @@ class TestSession:
     @pytest.mark.parametrize("content, cause", [
         (UNPARSEABLE_SESSION, "unexpected end of input"),
         (FORWARD_REFERENCE_SESSION, "unknown mean name 'b'"),
+        (RESERVED_NAME_SESSION, "'sum' is not a registrable name"),
     ])
     def test_unparseable_entry_names_the_file(self, capsys, tmp_path, content, cause):
         session = tmp_path / "session.json"
@@ -344,7 +351,7 @@ class TestSession:
         assert f"entry {entry!r}" in err
 
     @pytest.mark.parametrize("argv", [["eval", "P[1]", "--at", "1,2"],
-                                      ["check", "--suite", "vectors", "--samples", "1"]])
+                                      ["parse", "P[1]"]])
     def test_non_strict_entry_exit_3(self, capsys, tmp_path, argv):
         session = tmp_path / "session.json"
         session.write_text(NON_STRICT_SESSION, encoding="utf-8")
@@ -460,19 +467,7 @@ class TestCheck:
 
     def test_zero_samples_exit_3(self, capsys):
         code, out, err = run(capsys, "check", "--suite", "means", "--samples", "0")
-        assert (code, out, err) == (3, "", "error: --samples must be at least 1, got 0\n")
-
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("MEANFORGE_SEED", "11")
-        _, out, _ = run(capsys, "check", "--suite", "means", "--samples", "40")
-        assert all(json.loads(line)["input"]["seed"] == 11
-                   for line in out.splitlines())
-
-    def test_env_seed_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("MEANFORGE_SEED", "abc")
-        code, out, err = run(capsys, "check", "--suite", "means", "--samples", "5")
-        assert code == 3 and out == ""
-        assert err == "error: MEANFORGE_SEED must be an integer, got 'abc'\n"
+        assert (code, out, err) == (3, "", "error: sample count must be >= 1, got 0\n")
 
     def test_deterministic_in_process(self, capsys):
         _, first, _ = run(capsys, "check", "--suite", "invariance",
@@ -480,13 +475,6 @@ class TestCheck:
         _, second, _ = run(capsys, "check", "--suite", "invariance",
                            "--samples", "40", "--seed", "7")
         assert first == second
-
-    def test_malformed_session_exit_3(self, capsys, tmp_path):
-        session = tmp_path / "session.json"
-        session.write_text("[1, 2]", encoding="utf-8")
-        code, out, err = run(capsys, "check", "--suite", "vectors", "--samples", "5",
-                             "--session", str(session))
-        assert code == 3 and out == "" and "session" in err
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         import meanforge.checks as checks_module
@@ -518,11 +506,21 @@ class TestBadInputExitCodes:
         ["invariant", "[P[1],P[0]]", "--at", "1,2", "--tol=nan"],
         ["solve", "T{mu=sum; S=[P[1]]; M=[P[0],P[2]]}", "--at", "1,2", "--tol=0"],
         ["embed", "[P[0]]", "[P[1],P[2]]", "--samples", "0"],
+        ["embed", "[B]", "[P[0],P[2]]", "--domain=5,1"],
+        ["embed", "[B]", "[P[0],P[2]]", "--domain=nan,1"],
     ])
     def test_exit_3_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],
                               capture_output=True, text=True)
         assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    def test_check_takes_no_session_exit_2(self):
+        done = subprocess.run([sys.executable, "-m", "meanforge.cli", "check",
+                               "--session", "f"], capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert "unrecognized arguments: --session f" in done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
@@ -685,6 +683,8 @@ class TestContractFuzz:
     @example((NESTED_PIN_ARGV, _SESSIONS[1]))
     @example((["eval", "a399", "--at=1,2"], CHAINED_SESSION))
     @example((["parse", "P[1]"], DEEP_JSON_SESSION))
+    @example((["embed", "[B]", "[P[0],P[2]]", "--domain=5,1"], None))
+    @example((["eval", "P[1]", "--at=1,2"], RESERVED_NAME_SESSION))
     def test_exit_code_contract(self, case):
         argv, session_text = case
         out, err = io.StringIO(), io.StringIO()
@@ -692,7 +692,7 @@ class TestContractFuzz:
             session = Path(tmp) / "session.json"
             if session_text is not None:
                 session.write_text(session_text, encoding="utf-8")
-            full = argv + ["--session", str(session)]
+            full = argv + ([] if argv[0] == "check" else ["--session", str(session)])
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = main(full)

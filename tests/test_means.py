@@ -281,6 +281,17 @@ class TestEvalMean:
         with pytest.raises(DomainError, match="broken returned .*not a finite float"):
             eval_mean(broken, (1.0, 2.0))
 
+    @pytest.mark.parametrize("fn, cause", [
+        (lambda sv: math.log(sv[0] - sv[1]), "math domain error"),
+        (lambda sv: 1.0 / (sv[1] - sv[0]), "float division by zero"),
+        (lambda sv: math.exp(1000.0 * sv[1]), "math range error"),
+    ], ids=["ValueError", "ZeroDivisionError", "OverflowError"])
+    def test_derived_callable_failure_is_a_domain_error(self, fn, cause):
+        # the contract of errors.py: no bare ValueError/ArithmeticError escapes
+        broken = DerivedMean("lg", fn)
+        with pytest.raises(DomainError, match=re.escape(f"lg undefined at (2.0, 2.0): {cause}")):
+            eval_mean(broken, (2, 2))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
     def test_derived_result_checked_under_an_outer(self, value):
         outer = MeanOuter(DerivedMean(name="broken", fn=lambda sv: value, strict=True))

@@ -62,7 +62,10 @@ class TestSampleVectors:
 
     @pytest.mark.parametrize("args, field", [
         ((2.5, 10), "arity"), ((2, 10.0), "count"), (("2",), "arity"), ((2, None), "count"),
+        ((2, 3, 1.5), "seed"), ((2, 3, "x"), "seed"), ((2, 0), "count"),
     ])
     def test_non_integral_arity_or_count_rejected(self, args, field):
-        with pytest.raises(DomainError, match=f"sample {field} must be an integer"):
+        value = args[("arity", "count", "seed").index(field)]
+        rule = ">= 1, got 0" if value == 0 else "an integer"  # a plan that draws nothing checks nothing
+        with pytest.raises(DomainError, match=f"sample {field} must be {rule}"):
             SamplePlan(*args)
