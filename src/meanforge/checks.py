@@ -68,6 +68,7 @@ from .sampling import SamplePlan, sample_vectors
 __all__ = [
     "SUITE_NAMES",
     "run_suite",
+    "suite_names",
     "majorized_pair",
     "embedded_pair",
     "embedded_exponents",
@@ -645,19 +646,22 @@ def _invariance_convergence(rng: random.Random, samples: int, seed: int) -> Opti
 # suite driver
 # ---------------------------------------------------------------------------
 
+def suite_names(suite: str) -> tuple[str, ...]:
+    """The suites named by ``suite``, one of :data:`SUITE_NAMES` or ``all``; else ValueError."""
+    if suite == "all":
+        return SUITE_NAMES
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    return (suite,)
+
+
 def run_suite(suite: str, samples: int = 200, seed: int = 0) -> list[dict]:
     """Run one named suite (or ``all``); records come back in a fixed order.
 
     An unknown suite raises ``ValueError``; ``samples`` and ``seed`` obey the
     :class:`SamplePlan` count and seed rules (``DomainError``).
     """
-    if suite == "all":
-        names = SUITE_NAMES
-    elif suite in _SUITES:
-        names = (suite,)
-    else:
-        raise ValueError(f"unknown suite {suite!r}; "
-                         f"choose from {', '.join(SUITE_NAMES)} or all")
+    names = suite_names(suite)
     SamplePlan(arity=1, count=samples, seed=seed)  # the plan owns the count and seed rules
     records = []
     for name in names:

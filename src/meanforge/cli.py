@@ -98,10 +98,10 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
     """The session file's JSON object, with ``update`` merged in, and the means it registers.
 
     The means are rebuilt in file order, each entry seeing only earlier names
-    (an absent file holds none).  Any fault of the file or of one entry
-    raises one ``DomainError`` that names the file and the entry.
+    (an absent file holds none).  A fault of the file or of one entry raises one
+    ``DomainError`` naming both, or refusing the registration of an ``update`` entry at fault.
     """
-    file, where = Path(path), ""
+    file, name, means = Path(path), None, ""
     try:
         data = json.loads(file.read_text(encoding="utf-8") if file.exists() else "{}",
                           parse_int=float)
@@ -110,7 +110,7 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
         data.update(update or {})
         registry: dict[str, MeanExpr] = {}
         for name, entry in data.items():
-            where = f", entry {name!r}"
+            means = ""
             if not dsl.is_valid_name(name):
                 raise DomainError(f"{name!r} is not a registrable name "
                                   "(identifier syntax, not a reserved word)")
@@ -120,10 +120,13 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
                     and isinstance(tol := entry.get("tol", DEFAULT_TOL), float)):
                 raise DomainError('an entry must be {"kind": "invariant", "means": '
                                   '[mean texts], "tol": number (optional)}')
-            where += f" (means {json.dumps(texts)})"  # parse positions count within a text
+            means = f" (means {json.dumps(texts)})"  # parse positions count within a text
             family = _strict_family(tuple(dsl.parse_mean(text, registry) for text in texts))
             registry[name] = invariance.invariant_mean(family, tol, name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, MeanForgeError) as exc:
+        if name in (update or ()):  # the entry being added is at fault, not the file
+            raise DomainError(f"refusing to register {name!r}{means}: {exc}") from None
+        where = "" if name is None else f", entry {name!r}{means}"
         raise DomainError(f"session file {path} does not load{where}: {exc}") from None
     return data, registry
 
@@ -134,11 +137,7 @@ def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) 
     The new contents must load; otherwise the file is left untouched.
     """
     file, entry = Path(path), {"kind": "invariant", "means": mean_texts, "tol": tol}
-    try:
-        data, _ = _load_session(path, {name: entry})
-    except DomainError as exc:
-        raise DomainError(f"refusing to register {name!r}: the session file "
-                          f"would no longer load ({exc})") from None
+    data, _ = _load_session(path, {name: entry})
     try:
         fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=f".{file.name}.", suffix=".tmp")
     except OSError as exc:
@@ -263,9 +262,10 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
 
 def _cmd_check(args, registry: dict[str, MeanExpr]) -> int:
     from . import checks  # deferred: no other command compiles the suites
-    if args.suite not in checks.SUITE_NAMES + ("all",):
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(checks.SUITE_NAMES)} or all", file=sys.stderr)
+    try:
+        checks.suite_names(args.suite)
+    except ValueError as exc:  # a name outside the argv's choices, as argparse would refuse it
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     records = checks.run_suite(args.suite, samples=args.samples, seed=args.seed)
     for record in records:

@@ -40,7 +40,7 @@ from .means import (
     _eval_family,
     _eval_mean,
     _eval_outer,
-    _power_orders,
+    _power_plan,
     check_tol,
     declared_arity,
     eval_outer,
@@ -268,9 +268,9 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
         return EmbedReport(mode="certified", certificate={"rule": "sub-multiset"})
 
     exponent_verdict = None
-    orders = _power_orders(small + big)
-    if orders is not None:
-        alpha, beta = orders[:len(small)], orders[len(small):]
+    power = _power_plan(small + big)
+    if power is not None:
+        alpha, beta = power[0][:len(small)], power[0][len(small):]
         exponent_verdict = {"rule": "power-mean-exponents", "alpha": alpha,
                             "beta": beta, "embedded": power_mean_embedded(alpha, beta)}
         if exponent_verdict["embedded"]:
@@ -307,9 +307,9 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
                               plan: SamplePlan) -> Optional[dict]:
     """None when (low_1,..) < (high_1,..) pointwise on samples, else a witness."""
     low, high = tuple(low), tuple(high)
-    orders = _power_orders(low + high)
-    if orders is not None:
-        lo_exp, hi_exp = orders[:len(low)], orders[len(low):]
+    power = _power_plan(low + high)
+    if power is not None:
+        lo_exp, hi_exp = power[0][:len(low)], power[0][len(low):]
         check = is_ordered_majorized(lo_exp, hi_exp)
         if check.holds:
             return None

@@ -6,8 +6,8 @@ vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
 asserted every step.  ``invariant_mean`` is the ``InvariantMean`` node ``K``.
-:func:`gauss_iterate` validates once, then evaluates the family through the
-unchecked mean kernels on its own iterates.
+One private loop iterates the family through the unchecked mean kernels;
+:func:`gauss_iterate` validates first, a node's value relies on the node's checks.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
@@ -32,7 +32,7 @@ from .means import (
     _eval_family,
     _eval_mean,
     _power_family,
-    _power_orders,
+    _power_plan,
     check_positive,
     check_strict_family,
     check_tol,
@@ -84,11 +84,16 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     check_tol(tol)
     family = tuple(family)
     u = as_vector(start)
+    if len(family) == len(u):  # else _gauss raises the ArityError, which comes first
+        check_strict_family(family)
+    return IterationTrace(*_gauss(family, _power_plan(family), u, tol))
+
+
+def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...], tol: float):
+    """:func:`gauss_iterate` past its tol and family checks: its trace's fields, as a tuple."""
     if len(family) != len(u):
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
-    check_strict_family(family)
-    orders = _power_orders(family)
     lo, hi = min(u), max(u)
     check_positive(lo, "Gauss iteration")
     iterations = 0
@@ -96,8 +101,8 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
         spread = hi - lo
         converged = spread <= tol * max(abs(lo), abs(hi))
         if converged or iterations >= DEFAULT_CAP:
-            return IterationTrace(iterations, spread, 0.5 * (lo + hi), converged)
-        nxt = _eval_family(family, u) if orders is None else _power_family(orders, u, lo, hi)
+            return iterations, spread, 0.5 * (lo + hi), converged
+        nxt = _eval_family(family, u) if plan is None else _power_family(plan, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
         slack = _CONTAINMENT_SLACK * hi  # relative: the entries are positive
         if nlo < lo - slack or nhi > hi + slack:
@@ -114,13 +119,12 @@ invariant_mean = InvariantMean
 
 
 def invariant_value(mean: InvariantMean, v: tuple[float, ...]) -> float:
-    """Value of the invariant mean ``mean`` at the validated vector ``v``."""
-    trace = gauss_iterate(mean.family, v, tol=mean.tol)
-    if not trace.converged:
+    """``mean``'s value at the validated vector ``v``; the node checked its family and tol."""
+    iterations, spread, limit, converged = _gauss(mean.family, mean._power, v, mean.tol)
+    if not converged:
         raise ConvergenceError(
-            f"{mean}: iteration spread {trace.final_spread!r} after "
-            f"{trace.iterations} steps")
-    return trace.limit
+            f"{mean}: iteration spread {spread!r} after {iterations} steps")
+    return limit
 
 
 def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],

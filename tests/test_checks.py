@@ -79,6 +79,16 @@ def test_unknown_suite_is_a_value_error():
         checks.run_suite("nope")
 
 
+def test_suite_names_own_the_rule_and_the_text():
+    assert checks.suite_names("all") == checks.SUITE_NAMES
+    assert checks.suite_names("pexider") == ("pexider",)
+    with pytest.raises(ValueError) as by_run:
+        checks.run_suite("nope")
+    with pytest.raises(ValueError) as by_names:
+        checks.suite_names("nope")
+    assert str(by_run.value) == str(by_names.value)
+
+
 @pytest.mark.parametrize("samples, seed, message", [
     (0, 0, "sample count must be >= 1, got 0"),
     (-5, 0, "sample count must be >= 1, got -5"),

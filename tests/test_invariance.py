@@ -355,6 +355,59 @@ class TestKernelBitIdentity:
         assert got == want  # bit for bit: the kernels are the public means
 
 
+def _raised(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value), getattr(caught.value, "witness", None)
+
+
+class TestBothEntryPointsShareOneKernel:
+    """``eval_mean`` on the node and ``gauss_iterate`` run one loop: same faults, same text."""
+
+    AH = (PowerMean(1), PowerMean(-1))
+    RUNAWAY = DerivedMean(name="runaway", fn=lambda sv: 2.0 * sv[-1], strict=True)
+
+    @pytest.mark.parametrize("family, v", [
+        (AH, (1.0, 2.0, 3.0)),  # wrong arity
+        (AH, (0.0, 2.0)),  # zero start
+        (AH, (-1.0, 2.0)),  # negative start
+        ((PowerMean(0), PowerMean(2), BetaMean()), (-3.0, -3.0, -3.0)),
+        ((PowerMean(1), RUNAWAY), (1.0, 2.0)),  # escape from [min, max]
+    ], ids=["arity", "zero", "negative", "negative-constant", "escape"])
+    def test_same_error_class_text_and_witness(self, family, v):
+        through_node = _raised(lambda: eval_mean(InvariantMean(family), v))
+        assert through_node == _raised(lambda: gauss_iterate(family, v))
+        assert through_node[0] in (ArityError, DomainError, HypothesisViolation)
+
+    def test_escape_witness_is_the_start(self):
+        _, _, witness = _raised(lambda: eval_mean(InvariantMean((PowerMean(1), self.RUNAWAY)),
+                                                  (1.0, 2.0)))
+        assert witness == {"iterate": [1.0, 2.0], "next": [1.5, 4.0]}
+
+    def test_patched_cap_reaches_both(self, monkeypatch):
+        from meanforge import invariance
+        monkeypatch.setattr(invariance, "DEFAULT_CAP", 3)
+        node = InvariantMean(self.AH)
+        trace = gauss_iterate(self.AH, (1.0, 100.0))
+        assert trace.iterations == 3 and not trace.converged
+        assert _raised(lambda: eval_mean(node, (1.0, 100.0))) == (
+            ConvergenceError, f"{node}: iteration spread {trace.final_spread!r} after 3 steps",
+            None)
+
+    def test_node_value_equals_trace_limit(self):
+        for family in (self.AH, (PowerMean(1), PowerMean(0)), (BetaMean(), PowerMean(2)),
+                       (PowerMean(2), PowerMean(3), PowerMean(-1), PowerMean(0))):
+            v = tuple(float(k) for k in range(2, 2 + len(family)))
+            assert eval_mean(InvariantMean(family), v) == gauss_iterate(family, v).limit
+
+    def test_classification_is_not_a_field(self):
+        a, b = InvariantMean(self.AH), InvariantMean(list(self.AH))
+        assert a == b and hash(a) == hash(b)
+        assert InvariantMean._fields == ("family", "tol", "name")
+        assert repr(a) == ("InvariantMean(family=(PowerMean(order=1), PowerMean(order=-1)), "
+                           "tol=1e-12, name=None)")
+
+
 class TestScaledStarts:
     @given(st.lists(members, min_size=2, max_size=4).flatmap(lambda fam: st.tuples(
         st.just(tuple(fam)),
