@@ -1,7 +1,8 @@
 """Command-line front end: ``meanforge <eval|solve|embed|invariant|check|parse>``.
 
-``eval`` evaluates an outer function or any mean, a ``T{...}`` problem too:
-its value is the root that ``solve`` prints with bracket, residual and steps.
+``eval`` evaluates an outer function or any mean, ``invariant{M=[...]}`` and a
+``T{...}`` problem too: a problem's value is the root that ``solve`` prints with
+bracket, residual and steps.
 Exit codes: 0 success, 1 a check suite reported failures, 2 unparseable
 input, 3 domain or arity violation, 4 a mathematical hypothesis failed
 (embedding refuted or violated), 5 non-convergence.  ``--format json``
@@ -17,9 +18,9 @@ of the iterated family), not values, and means are rebuilt on load in file
 order, each entry seeing only earlier names, usable as identifiers in any
 expression.  ``main`` loads it once, before any command runs: a fault of the
 file or of one entry (a name that is not registrable, a text that does not
-parse, a non-strict family) exits 3, naming the file and the entry, as does
-input nested too deeply.  A registration after which the file would not load
-is refused.
+parse or names a later entry, a family the ``InvariantMean`` node refuses)
+exits 3, naming the file and the entry, as does input nested too deeply.  A
+registration after which the file would not load is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     ParseError,
 )
 from .implicit import _sample_arity, solve_scalar, verify_embedding
-from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr, is_strict
+from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -85,15 +86,6 @@ def _emit(args, record: dict, human_lines: list[str]) -> None:
 # session registry
 # ---------------------------------------------------------------------------
 
-def _strict_family(family: tuple[MeanExpr, ...]) -> tuple[MeanExpr, ...]:
-    """``family`` when Gauss iteration admits it; the refusal names what a CLI family may hold."""
-    for m in family:
-        if not is_strict(m):
-            raise HypothesisViolation(f"{m} is not known to be strict; an iterated family takes "
-                                      "power means P[s], B and names registered with --as-mean")
-    return family
-
-
 def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[str, MeanExpr]]:
     """The session file's JSON object, with ``update`` merged in, and the means it registers.
 
@@ -121,7 +113,15 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
                 raise DomainError('an entry must be {"kind": "invariant", "means": '
                                   '[mean texts], "tol": number (optional)}')
             means = f" (means {json.dumps(texts)})"  # parse positions count within a text
-            family = _strict_family(tuple(dsl.parse_mean(text, registry) for text in texts))
+            try:
+                family = tuple(dsl.parse_mean(text, registry) for text in texts)
+            except ParseError as exc:  # a later entry's name is unknown here, yet in the file
+                later = [n for n in data if n not in registry and n != name
+                         and f"unknown mean name {n!r}" in str(exc)]
+                if not later:
+                    raise
+                raise DomainError(f"{exc}; {later[0]!r} is a later entry, and each entry "
+                                  "sees only the names before it") from None
             registry[name] = invariance.invariant_mean(family, tol, name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, MeanForgeError) as exc:
         if name in (update or ()):  # the entry being added is at fault, not the file
@@ -233,7 +233,7 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
             raise DomainError("--as-mean needs --session FILE to store the registration")
         # the argv's own faults keep their exit codes: a bad --tol 3, a non-strict family 4;
         # the name is judged with the file, which must load with the new entry
-        invariance.invariant_mean(_strict_family(family), args.tol, args.as_mean)
+        invariance.invariant_mean(family, args.tol, args.as_mean)
         _save_registration(args.session, args.as_mean,
                            [str(m) for m in family], args.tol)
         record = {"kind": "invariant-register",
@@ -242,7 +242,7 @@ def _cmd_invariant(args, registry: dict[str, MeanExpr]) -> int:
         _emit(args, record, [f"registered {args.as_mean!r} in {args.session}"])
     if args.at is not None:
         at = _parse_floats(args.at, "vector")
-        trace = invariance.gauss_iterate(_strict_family(family), at, tol=args.tol)
+        trace = invariance.gauss_iterate(family, at, tol=args.tol)
         record = {"kind": "invariant",
                   "input": {"M": dsl.format_expr(family), "at": list(at),
                             "tol": args.tol},

@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive)::
 
     mean    := "P" "[" number "]" | "B" | "beta" "{" "S=" mean ";" "mu=" outer "}"
-             | problem | ident
+             | problem | "invariant" "{" "M=" list [ ";" "tol=" number ] "}" | ident
     outer   := "sum" | "prod" | "powsum" "[" number "]" | "qa" "[" gen "]" | "mean" "[" mean "]"
     gen     := "log" | "exp" | "pow" "[" number "]" | "id"
     list    := "[" mean { "," mean } "]"
@@ -12,15 +12,14 @@ Grammar (whitespace-insensitive)::
 
 ``ident`` resolves named derived means registered at runtime (for example an
 invariant mean stored in a session file); an unknown name is an error.  A
-``problem`` is the implicit mean its balance equation defines, so it parses
-wherever a mean does: at the top level, in a mean list, inside ``beta{...}``.
+``problem`` is the implicit mean its balance equation defines and ``invariant{...}``
+the invariant mean of its family, so each parses wherever a mean does: at the
+top level, in a mean list, inside ``beta{...}``.
 Every ``sum``/``powsum``/``qa`` outer is one ``Sum`` node, printed in its
 canonical spelling ``sum``, ``powsum[p]``, ``qa[log]`` or ``qa[exp]``;
 ``qa[id]`` and ``qa[pow[p]]`` are accepted aliases of ``sum`` and
-``powsum[p]``.  ``parse(format(x))`` reproduces ``x`` structurally for
-everything the grammar can construct, with one exception: an unnamed
-``InvariantMean`` prints the label ``invariant{M=[...]}``, which does not
-parse and omits a non-default ``tol`` (a registered one prints its name).
+``powsum[p]``.  ``parse(format(x))`` reproduces ``x`` structurally for every
+node; a registered invariant mean prints its name, which parses given the registry.
 Parsing is total: any input either parses or raises a structured error,
 never anything else.  Brackets nest at most ``MAX_NESTING`` deep in one text,
 bounding the recursion of parsing, printing and evaluating it, except through
@@ -36,6 +35,7 @@ from .errors import ParseError
 from .means import (
     BetaMean,
     GeneralizedBetaMean,
+    InvariantMean,
     MeanExpr,
     MeanOuter,
     OuterFn,
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 RESERVED_WORDS = frozenset(
-    ["P", "B", "T", "S", "M", "mu", "beta", "sum", "prod", "powsum",
+    ["P", "B", "T", "S", "M", "mu", "beta", "invariant", "tol", "sum", "prod", "powsum",
      "qa", "mean", "log", "exp", "pow", "id"])
 
 _NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -170,11 +170,13 @@ class _Parser:
         self._expect_punct("]")
         return value
 
-    def _record(self, *fields):
+    def _record(self, *fields, optional=0):
         """``"{" label "=" rule { ";" label "=" rule } "}"``, one (label, rule) pair
-        of ``fields`` per field in order: the list of the rules' values."""
+        of ``fields`` per field in order, the last ``optional`` omissible: the values read."""
         values = []
         for i, (label, rule) in enumerate(fields):
+            if i >= len(fields) - optional and self._accept("}"):
+                return values
             self._expect_punct(";" if i else "{")
             self._take("ident", (f"'{label}='",), (label,))
             self._expect_punct("=")
@@ -199,6 +201,10 @@ class _Parser:
         if tok.text == "beta":
             self._advance()
             return GeneralizedBetaMean(*self._record(("S", self.mean), ("mu", self.outer)))
+        if tok.text == "invariant":
+            self._advance()
+            return InvariantMean(*self._record(("M", self.mean_list), ("tol", self._number),
+                                               optional=1))
         if tok.text in RESERVED_WORDS:
             raise self._fail(("mean expression",))
         if tok.text in self.registry:

@@ -200,7 +200,8 @@ class InvariantMean(Frozen, compare=("family", "tol")):
     def __str__(self) -> str:
         if self.name is not None:
             return self.name
-        return "invariant{M=[" + ",".join(str(m) for m in self.family) + "]}"
+        tol = "" if self.tol == DEFAULT_TOL else f"; tol={format_number(self.tol)}"
+        return "invariant{M=[" + ",".join(str(m) for m in self.family) + f"]{tol}}}"
 
 
 class DerivedMean(Frozen, compare=None):
@@ -248,16 +249,19 @@ def is_strict(mean: MeanExpr) -> bool:
 def _not_strict(mean: MeanExpr) -> str:
     """Why ``mean`` is refused where :func:`is_strict` is required."""
     return (f"{mean} is not known to be strict; strict means are power means P[s], B, "
-            "invariant means (registered names) and a DerivedMean built with strict=True")
+            "invariant means (invariant{M=[...]} or a registered name) and, from the library, "
+            "a DerivedMean built with strict=True")
 
 
 def check_strict_family(family: tuple[MeanExpr, ...]) -> None:
-    """Reject a Gauss-iteration family that is empty or has a member not :func:`is_strict`."""
+    """Reject a Gauss family that is empty or has a member not strict or of another arity."""
     if not family:
         raise ArityError("a mean-type family needs at least one mean")
     for m in family:
         if not is_strict(m):
             raise HypothesisViolation(_not_strict(m))
+        if getattr(m, "arity", None) not in (None, len(family)):
+            raise ArityError(f"{m} takes {m.arity} entries, but the family has {len(family)} means")
 
 
 # ---------------------------------------------------------------------------

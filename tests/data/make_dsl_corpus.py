@@ -97,6 +97,32 @@ def gen_text(rng, names):
     return rule, gen_mean(rng, depth, names)
 
 
+def gen_invariant(rng, depth, names):
+    """An ``invariant{...}`` text: mostly strict members, with and without ``tol``."""
+    members = [gen_mean(rng, depth, names) if rng.random() < 0.2
+               else rng.choice(("B", f"P[{gen_number(rng)}]", *names))
+               for _ in range(rng.randint(1, 3))]
+    tol = rng.choice(("", "", "; tol=0.001", "; tol=0.5", "; tol=0.000000000001",
+                      f"; tol={gen_number(rng)}"))
+    return f"invariant{{M=[{','.join(members)}]{tol}}}"
+
+
+def gen_invariant_text(rng, names):
+    """(rule, text) for a text holding ``invariant{...}``, alone or inside another node."""
+    inner = gen_invariant(rng, rng.randint(0, 2), names)
+    where = rng.randrange(5)
+    if where == 0:
+        return "outer", f"mean[{inner}]"
+    if where == 1:
+        return "mean", f"beta{{S={inner}; mu={gen_outer(rng, 1, names)}}}"
+    if where == 2:
+        big = gen_list(rng, 0, names, rng.randint(2, 3))
+        return "parse", f"T{{mu=mean[{inner}]; S=[P[1]]; M={big}}}"
+    if where == 3:
+        return "list", f"[{inner},{gen_mean(rng, 1, names)}]"
+    return rng.choice(("parse", "mean")), inner
+
+
 def respace(rng, text, spaces):
     """Rejoin the pieces of ``text`` with separators drawn from ``spaces``."""
     out = []
@@ -175,6 +201,17 @@ def build_cases():
         rule, text = gen_text(rng, names)
         if rng.random() < 0.3:
             text = mutate(rng, text)
+        add(rule, respace(rng, text, (" ", "\n", "\t")), rng.random() < 0.8)
+    rng = random.Random("dsl-corpus:invariant")  # its own stream: the cases above stay put
+    for _ in range(300):  # invariant{...}: grammar-valid
+        rule, text = gen_invariant_text(rng, [])
+        add(rule, respace(rng, text, (" ",)), rng.random() < 0.5)
+    for _ in range(300):  # invariant{...}: mutated
+        rule, text = gen_invariant_text(rng, names if rng.random() < 0.3 else [])
+        add(rng.choice((rule, "parse")), mutate(rng, respace(rng, text, (" ",))),
+            rng.random() < 0.5)
+    for _ in range(150):  # invariant{...} over registered names
+        rule, text = gen_invariant_text(rng, names)
         add(rule, respace(rng, text, (" ", "\n", "\t")), rng.random() < 0.8)
     return cases
 

@@ -37,10 +37,11 @@ NON_STRICT_SESSION = ('{"x": {"kind": "invariant", '
 # An entry under a name no text can reach (here an outer function's): the
 # session file is at fault (exit 3), as for any name --as-mean refuses.
 RESERVED_NAME_SESSION = '{"sum": {"kind": "invariant", "means": ["P[1]", "P[0]"]}}'
-# What the CLI says instead of the library's advice to call assert_strict(),
-# which no DSL text or flag reaches.
-CLI_STRICT_ADVICE = ("is not known to be strict; an iterated family takes power means P[s], B "
-                     "and names registered with --as-mean")
+# The one refusal of a member not known to be strict, from the library and the
+# CLI alike; it names no assert_strict(), which no longer exists.
+STRICT_ADVICE = ("is not known to be strict; strict means are power means P[s], B, invariant "
+                 "means (invariant{M=[...]} or a registered name) and, from the library, a "
+                 "DerivedMean built with strict=True")
 # Session input deeper than the interpreter's recursion limit, though no mean
 # text nests a bracket: 400 names, each the invariant mean of P[1] and the
 # name before it, and JSON nested 100,000 deep.
@@ -301,7 +302,13 @@ class TestInvariant:
     def test_non_strict_family_exit_4(self, capsys, family):
         code, out, err = run(capsys, "invariant", family, "--at", "1,2")
         assert (code, out) == (4, "")
-        assert CLI_STRICT_ADVICE in err and "assert_strict" not in err
+        assert STRICT_ADVICE in err and "assert_strict" not in err
+
+    def test_strictness_is_judged_after_the_tol(self, capsys):
+        # a non-strict family and a bad --tol: the node checks its tol first (exit 3)
+        code, out, err = run(capsys, "invariant", "[beta{S=P[1]; mu=sum},P[0]]",
+                             "--at", "1,2", "--tol", "2")
+        assert (code, out) == (3, "") and "tolerance must lie strictly between" in err
 
     def test_unconverged_exit_5(self, capsys):
         # a spread of 1e-300 relative is below the float spacing at the limit
@@ -358,10 +365,10 @@ class TestSession:
         code, out, err = run(capsys, *argv, "--session", str(session))
         assert code == 3 and out == ""
         assert f"session file {session} does not load, entry 'x'" in err
-        assert CLI_STRICT_ADVICE in err and "assert_strict" not in err
+        assert STRICT_ADVICE in err and "assert_strict" not in err
 
     @pytest.mark.parametrize("flags, expected", [
-        (["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]"], (4, CLI_STRICT_ADVICE)),
+        (["[T{mu=sum; S=[P[1]]; M=[P[0],P[2]]},P[1]]"], (4, STRICT_ADVICE)),
         (["[P[1],P[0]]", "--tol=2"], (3, "tolerance must lie strictly between 0 and 1")),
     ], ids=["non-strict-family", "bad-tol"])
     def test_registration_keeps_the_argv_exit_code(self, capsys, tmp_path, flags, expected):
@@ -371,6 +378,37 @@ class TestSession:
         assert (code, out) == (expected[0], "") and expected[1] in err
         assert "session file" not in err and not session.exists()
         assert "assert_strict" not in err
+
+    def test_forward_reference_names_the_later_entry(self, capsys, tmp_path):
+        session = tmp_path / "session.json"
+        session.write_text(FORWARD_REFERENCE_SESSION, encoding="utf-8")
+        code, out, err = run(capsys, "eval", "P[1]", "--at", "2,8", "--session", str(session))
+        assert (code, out) == (3, "")
+        assert err == (f"error: session file {session} does not load, entry 'a' "
+                       """(means ["b", "P[1]"]): unknown mean name 'b' at line 1, column 1 """
+                       "(expected registered name); 'b' is a later entry, and each entry "
+                       "sees only the names before it\n")
+
+    @pytest.mark.parametrize("name", ["invariant", "tol"])
+    def test_entry_named_by_a_keyword_exit_3(self, capsys, tmp_path, name):
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({name: {"kind": "invariant", "means": ["P[1]", "P[0]"]}}),
+                           encoding="utf-8")
+        code, out, err = run(capsys, "eval", "P[1]", "--at", "2,8", "--session", str(session))
+        assert (code, out) == (3, "")
+        assert f"entry {name!r}: {name!r} is not a registrable name" in err
+
+    def test_member_of_another_arity_is_refused(self, capsys, pinned_session):
+        # agm takes 2 entries, so a 3-member family could never be evaluated
+        before = Path(pinned_session).read_bytes()
+        code, out, err = run(capsys, "invariant", "[agm,P[1],P[2]]", "--as-mean", "wrong",
+                             "--session", pinned_session)
+        assert (code, out) == (3, "")
+        assert err == "error: agm takes 2 entries, but the family has 3 means\n"
+        assert Path(pinned_session).read_bytes() == before
+        code, _, err = run(capsys, "eval", "invariant{M=[agm,P[1],P[2]]}", "--at", "1,2,3",
+                           "--session", pinned_session)
+        assert code == 3 and "agm takes 2 entries" in err
 
     def test_unwritable_session_exit_3(self, capsys, tmp_path):
         session = str(tmp_path / "missing-dir" / "session.json")
@@ -406,9 +444,11 @@ class TestSession:
 
     @pytest.mark.parametrize("steps, cause", [
         ([("agm", "[P[1],P[0]]"), ("agm", "[agm,P[1]]")],
-         """'agm' (means ["agm", "P[1]"]): unknown mean name 'agm'"""),
+         """'agm' (means ["agm", "P[1]"]): unknown mean name 'agm' at line 1, column 1 """
+         "(expected registered name)"),
         ([("a", "[P[1],P[0]]"), ("b", "[a,P[1]]"), ("a", "[b,P[0]]")],
-         """'a' (means ["b", "P[0]"]): unknown mean name 'b'"""),
+         """'a' (means ["b", "P[0]"]): unknown mean name 'b' at line 1, column 1 (expected """
+         "registered name); 'b' is a later entry, and each entry sees only the names before it"),
     ], ids=["refers-to-itself", "refers-to-a-later-name"])
     def test_registration_that_would_not_load_is_refused(self, capsys, tmp_path, steps, cause):
         session = tmp_path / "session.json"
@@ -421,8 +461,7 @@ class TestSession:
         code, _, err = run(capsys, "invariant", family, "--as-mean", name,
                            "--session", str(session))
         # the new entry is at fault, not the file: one cause, the argv's name
-        assert code == 3 and err == (f"error: refusing to register {cause} at line 1, "
-                                     "column 1 (expected registered name)\n")
+        assert code == 3 and err == f"error: refusing to register {cause}\n"
         assert session.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["session.json"]
         code, out, _ = run(capsys, "eval", name, "--at", "1,2",
@@ -440,6 +479,50 @@ class TestSession:
     def test_as_mean_needs_session(self, capsys):
         code, _, _ = run(capsys, "invariant", "[P[1],P[-1]]", "--as-mean", "gm")
         assert code == 3
+
+
+class TestInvariantText:
+    """``invariant{M=[...]; tol=...}``: the text an unnamed invariant mean prints."""
+
+    def test_complementary_mean_in_one_argv(self, capsys):
+        # mu = K, the invariant mean of A and H: its Pexider solution from the library
+        from meanforge import PowerMean, complementary_mean, eval_mean
+        complement = complementary_mean((PowerMean(1),), (PowerMean(1), PowerMean(-1)))
+        code, out, _ = run(capsys, "eval", str(complement), "--at", "2,8", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["output"]
+        assert value.hex() == eval_mean(complement, (2, 8)).hex()
+
+    def test_parse_prints_the_text_back(self, capsys):
+        text = "invariant{M=[P[1],P[0]]; tol=0.001}"
+        code, out, _ = run(capsys, "parse", text)
+        assert (code, out) == (0, f"mean: {text}\n")
+        code, out, _ = run(capsys, "parse", "invariant{M=[P[1],P[0]]; tol=0.000000000001}")
+        assert (code, out) == (0, "mean: invariant{M=[P[1],P[0]]}\n")
+
+    def test_registered_member_text_reloads(self, capsys, tmp_path):
+        session = tmp_path / "session.json"
+        family = "[invariant{M=[P[1],P[0]]; tol=0.001},P[-1]]"
+        code, _, _ = run(capsys, "invariant", family, "--as-mean", "k", "--session", str(session))
+        assert code == 0
+        entry = json.loads(session.read_text(encoding="utf-8"))["k"]
+        assert entry["means"] == ["invariant{M=[P[1],P[0]]; tol=0.001}", "P[-1]"]
+        _, direct, _ = run(capsys, "invariant", family, "--at", "1,2", "--format", "json")
+        code, out, _ = run(capsys, "eval", "k", "--at", "1,2", "--session", str(session),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["output"] == json.loads(direct)["output"]["limit"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("invariant{M=[beta{S=P[1]; mu=sum},P[0]]}", 4),
+        ("invariant{M=[P[1],P[0]]; tol=0}", 3),
+        ("invariant{M=[P[1]];}", 2),
+    ], ids=["non-strict-member", "tol-0", "empty-tol-field"])
+    def test_exit_codes(self, capsys, text, expected):
+        code, out, err = run(capsys, "eval", text, "--at", "1,2")
+        assert (code, out) == (expected, "")
+        if expected == 4:
+            assert err == ("hypothesis violated: beta{S=P[1]; mu=sum} " + STRICT_ADVICE + "\n")
 
 
 class TestParseCommand:
@@ -615,7 +698,7 @@ def _bad_tol(text: str) -> bool:
 
 _ENTRIES = ("1", "2.5", "7", "0", "-1", "1e-320", "1e200", "800", "nan", "inf")
 _MEANS = ("P[0]", "P[1]", "P[-2]", "P[3]", "B", "agm", "beta{S=P[1]; mu=mean[P[0]]}",
-          "P[", "Q[1]", "")
+          "P[", "Q[1]", "", "invariant{M=[P[1],agm]; tol=0.001}", "invariant{M=[B,P[0],P[1]]}")
 _OUTERS = ("sum", "prod", "powsum[2]", "qa[exp]", "qa[log]", "qa[pow[3]]",
            "mean[P[2]]", "mean[agm]", "qa[", "mean[B]")
 _FAMILIES = ("[P[1],P[0]]", "[P[1],P[-1]]", "[P[2],B]", "[agm,P[1]]", "[P[1]]",

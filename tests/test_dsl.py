@@ -10,6 +10,8 @@ from meanforge import (
     BetaMean,
     DomainError,
     GeneralizedBetaMean,
+    HypothesisViolation,
+    InvariantMean,
     MeanForgeError,
     MeanOuter,
     ParseError,
@@ -17,6 +19,7 @@ from meanforge import (
     ProblemSpec,
     Product,
     Sum,
+    complementary_mean,
     eval_mean,
     format_expr,
     invariant_mean,
@@ -26,6 +29,7 @@ from meanforge import (
     parse_outer,
 )
 from meanforge.dsl import MAX_NESTING, is_valid_name
+from meanforge.means import DEFAULT_TOL
 
 CORPUS = Path(__file__).parent / "data" / "dsl_corpus.json"
 
@@ -148,31 +152,38 @@ generators = st.one_of(
 )
 
 base_means = st.one_of(nice_orders.map(PowerMean), st.just(BetaMean()))
+# the default tolerance prints no tol field; any other in (0, 1) does
+tols = st.one_of(st.just(DEFAULT_TOL),
+                 st.floats(min_value=1e-20, max_value=0.9, allow_nan=False))
 
 
-def outer_strategy(means):
+def invariants(min_size=1, max_size=3):
+    """Invariant means of strict members; a family of n means takes n entries."""
+    return st.builds(InvariantMean,
+                     st.lists(base_means, min_size=min_size, max_size=max_size).map(tuple), tols)
+
+
+def outer_strategy(means, arity=None):
+    """Outers; ``mean[invariant{...}]`` pins ``arity`` entries when one is given."""
     return st.one_of(
         st.just(Sum()),
         st.just(Product()),
         positive_exponents.map(lambda p: Sum("pow", p)),
         generators,
         nice_orders.map(lambda s: MeanOuter(PowerMean(s))),
+        invariants(arity or 1, arity or 3).map(MeanOuter),
     )
 
 
 mean_exprs = st.recursive(
-    base_means,
+    st.one_of(base_means, invariants()),
     lambda children: st.builds(GeneralizedBetaMean, children, outer_strategy(children)),
     max_leaves=4,
 )
 
-problems = st.builds(
-    lambda outer, means, split: ProblemSpec(
-        outer=outer, small=tuple(means[:split]), big=tuple(means[split:])),
-    outer_strategy(base_means),
-    st.lists(base_means, min_size=3, max_size=8),
-    st.integers(1, 1),
-).filter(lambda p: len(p.small) < len(p.big))
+problems = st.lists(st.one_of(base_means, invariants()), min_size=3, max_size=8).flatmap(
+    lambda means: st.builds(lambda outer: ProblemSpec(outer, tuple(means[:1]), tuple(means[1:])),
+                            outer_strategy(base_means, len(means) - 1)))
 
 expressions = st.one_of(mean_exprs, outer_strategy(base_means), problems)
 
@@ -180,15 +191,16 @@ expressions = st.one_of(mean_exprs, outer_strategy(base_means), problems)
 def problems_of(means):
     return st.builds(
         lambda outer, small, big: ProblemSpec(outer, tuple(small), tuple(big)),
-        outer_strategy(base_means),
+        outer_strategy(base_means, 3),
         st.lists(means, min_size=1, max_size=2),
         st.lists(means, min_size=3, max_size=3),
     )
 
 
-# problems nested in mean lists and in beta{...}, and beta{...} in problems
+# problems nested in mean lists and in beta{...}, and beta{...} in problems;
+# invariant means among the leaves and as the outers mean[...]
 nested_means = st.recursive(
-    base_means,
+    st.one_of(base_means, invariants()),
     lambda children: st.one_of(
         problems_of(children),
         st.builds(GeneralizedBetaMean, children, outer_strategy(children))),
@@ -211,6 +223,44 @@ class TestRoundTrip:
         spec = parse(text)
         assert parse(format_expr(spec)) == spec
         assert format_expr(spec) == text
+
+    @given(invariants())
+    def test_invariant_text_round_trip(self, mean):
+        text = str(mean)
+        assert parse(text) == mean and parse(text).tol == mean.tol
+        assert ("; tol=" in text) == (mean.tol != DEFAULT_TOL)
+
+    def test_complementary_mean_text_round_trip(self):
+        # the paper's mu = K: the Pexider solution under the invariant mean of A and H
+        complement = complementary_mean((PowerMean(1),), (PowerMean(1), PowerMean(-1)))
+        text = str(complement)
+        assert text == "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}"
+        assert parse(text) == complement
+        value = eval_mean(complement, (2, 8))
+        assert eval_mean(parse(text), (2, 8)).hex() == value.hex() and value == 3.2
+
+    def test_invariant_parses_wherever_a_mean_does(self):
+        agm = InvariantMean((PowerMean(1), PowerMean(0)), 0.001)
+        assert parse("invariant{ M = [P[1], P[0]] ; tol = 0.001 }") == agm
+        assert parse("mean[invariant{M=[P[1],P[0]]; tol=0.001}]") == MeanOuter(agm)
+        assert parse("beta{S=invariant{M=[P[1],P[0]]; tol=0.001}; mu=sum}") == \
+            GeneralizedBetaMean(agm, Sum())
+        assert parse_mean_list("[invariant{M=[P[1],P[0]]; tol=0.001},P[2]]") == \
+            (agm, PowerMean(2))
+
+    @pytest.mark.parametrize("text, error", [
+        ("invariant{M=[P[1],beta{S=P[1]; mu=sum}]}", HypothesisViolation),
+        ("invariant{M=[P[1],P[0]]; tol=0}", DomainError),
+        ("invariant{M=[P[1],P[0]]; tol=1}", DomainError),
+        ("invariant{M=[P[1],invariant{M=[P[1],P[0],P[2]]}]}", ArityError),
+        ("invariant{M=[P[1]];}", ParseError),
+        ("invariant{tol=0.5; M=[P[1]]}", ParseError),
+        ("invariant{M=[P[1]]; tol=0.5; tol=0.5}", ParseError),
+        ("invariant", ParseError),
+    ])
+    def test_invariant_refusals(self, text, error):
+        with pytest.raises(error):
+            parse(text)
 
     def test_registered_name_round_trip(self):
         named = invariant_mean((PowerMean(1), PowerMean(0)), name="agm")
@@ -334,5 +384,5 @@ class TestNames:
         assert is_valid_name("_k")
 
     def test_reserved_and_malformed(self):
-        for bad in ("P", "beta", "sum", "mu", "2ab", "a-b", ""):
+        for bad in ("P", "beta", "sum", "mu", "invariant", "tol", "2ab", "a-b", ""):
             assert not is_valid_name(bad)

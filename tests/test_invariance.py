@@ -85,8 +85,8 @@ class TestGaussIterate:
             check_strict_family((PowerMean(1), problem))
         assert str(refused.value) == (
             "T{mu=sum; S=[P[0]]; M=[P[-1],P[1]]} is not known to be strict; strict means "
-            "are power means P[s], B, invariant means (registered names) and a "
-            "DerivedMean built with strict=True")
+            "are power means P[s], B, invariant means (invariant{M=[...]} or a registered "
+            "name) and, from the library, a DerivedMean built with strict=True")
 
     def test_non_mean_escape_detected(self):
         runaway = DerivedMean(name="runaway", fn=lambda sv: 2.0 * sv[-1],
@@ -195,6 +195,20 @@ class TestInvariantMean:
             InvariantMean(())
         with pytest.raises(HypothesisViolation):
             InvariantMean((PowerMean(1), opaque), name="agm")
+
+    def test_member_pinned_to_another_arity_rejected(self):
+        # every iterate of a family of n means has n entries, so a member that
+        # takes another count could never be evaluated
+        agm = invariant_mean((PowerMean(1), PowerMean(0)), name="agm")
+        pinned = DerivedMean("mid", lambda sv: 0.5 * (sv[0] + sv[-1]), arity=2, strict=True)
+        for member in (agm, pinned):
+            with pytest.raises(ArityError, match=f"^{member} takes 2 entries, but the "
+                                                 "family has 3 means$"):
+                InvariantMean((member, PowerMean(1), PowerMean(2)))
+            with pytest.raises(ArityError, match="takes 2 entries"):
+                check_strict_family((PowerMean(1), member, PowerMean(2)))
+            # at its own arity the member is admitted
+            assert eval_mean(InvariantMean((member, PowerMean(1))), (1.0, 2.0)) > 1.0
 
     def test_symmetry_is_exact(self):
         compound = invariant_mean((PowerMean(1), PowerMean(0)))

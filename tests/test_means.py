@@ -482,8 +482,9 @@ class TestOuterFunctions:
         lax = DerivedMean(name="lax", fn=lambda sv: sv[0])
         with pytest.raises(DomainError, match=re.escape(
                 "not an outer function: lax is not known to be strict; "
-                "strict means are power means P[s], B, invariant means (registered names) "
-                "and a DerivedMean built with strict=True")):
+                "strict means are power means P[s], B, invariant means (invariant{M=[...]} "
+                "or a registered name) and, from the library, a DerivedMean built with "
+                "strict=True")):
             MeanOuter(lax)
         MeanOuter(DerivedMean(name="lax", fn=lambda sv: sv[0], strict=True))
 
