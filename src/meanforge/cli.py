@@ -41,8 +41,9 @@ from .errors import (
     MeanForgeError,
     ParseError,
 )
-from .implicit import _sample_arity, solve_scalar, verify_embedding
-from .means import DEFAULT_TOL, MeanExpr, eval_mean, eval_outer, is_mean_expr
+from .implicit import _balance, _sample_arity, verify_embedding
+from .means import DEFAULT_TOL, MeanExpr, OuterFn, eval_mean, eval_outer
+from .ordering import as_vector
 from .sampling import SamplePlan
 
 EXIT_OK = 0
@@ -116,11 +117,9 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
             try:
                 family = tuple(dsl.parse_mean(text, registry) for text in texts)
             except ParseError as exc:  # a later entry's name is unknown here, yet in the file
-                later = [n for n in data if n not in registry and n != name
-                         and f"unknown mean name {n!r}" in str(exc)]
-                if not later:
+                if exc.name == name or exc.name not in data:
                     raise
-                raise DomainError(f"{exc}; {later[0]!r} is a later entry, and each entry "
+                raise DomainError(f"{exc}; {exc.name!r} is a later entry, and each entry "
                                   "sees only the names before it") from None
             registry[name] = invariance.invariant_mean(family, tol, name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, MeanForgeError) as exc:
@@ -158,7 +157,7 @@ def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) 
 def _cmd_eval(args, registry: dict[str, MeanExpr]) -> int:
     expr = dsl.parse(args.expr, registry)
     at = _parse_floats(args.at, "vector")
-    value = eval_mean(expr, at) if is_mean_expr(expr) else eval_outer(expr, at)
+    value = eval_outer(expr, at) if isinstance(expr, OuterFn) else eval_mean(expr, at)
     record = {"kind": "eval",
               "input": {"expr": dsl.format_expr(expr), "at": list(at)},
               "output": value}
@@ -171,9 +170,7 @@ def _cmd_solve(args, registry: dict[str, MeanExpr]) -> int:
     if not isinstance(problem, dsl.ProblemSpec):
         raise DomainError("expected a problem specification T{mu=...; S=[...]; M=[...]}")
     at = _parse_floats(args.at, "vector")
-    prefix = tuple(eval_mean(s, at) for s in problem.small)
-    target = tuple(eval_mean(m, at) for m in problem.big)
-    result = solve_scalar(problem.outer, prefix, target, tol=args.tol)
+    result = _balance(problem, as_vector(at), args.tol)  # eval's call, at --tol
     record = {"kind": "solve",
               "input": {"problem": dsl.format_expr(problem), "at": list(at)},
               "output": {"root": result.root,
@@ -278,12 +275,8 @@ def _cmd_check(args, registry: dict[str, MeanExpr]) -> int:
 
 def _cmd_parse(args, registry: dict[str, MeanExpr]) -> int:
     expr = dsl.parse(args.text, registry)
-    if isinstance(expr, dsl.ProblemSpec):
-        kind = "problem"
-    elif is_mean_expr(expr):
-        kind = "mean"
-    else:
-        kind = "outer"
+    kind = ("problem" if isinstance(expr, dsl.ProblemSpec)
+            else "outer" if isinstance(expr, OuterFn) else "mean")
     canonical = dsl.format_expr(expr)
     record = {"kind": "parse", "input": {"text": args.text},
               "output": {"canonical": canonical, "type": kind}}

@@ -175,9 +175,11 @@ class _Parser:
         of ``fields`` per field in order, the last ``optional`` omissible: the values read."""
         values = []
         for i, (label, rule) in enumerate(fields):
-            if i >= len(fields) - optional and self._accept("}"):
+            punct, may_end = ";" if i else "{", i >= len(fields) - optional
+            if may_end and self._accept("}"):
                 return values
-            self._expect_punct(";" if i else "{")
+            if not self._accept(punct):
+                raise self._fail((repr(punct), "'}'") if may_end else (repr(punct),))
             self._take("ident", (f"'{label}='",), (label,))
             self._expect_punct("=")
             values.append(rule())
@@ -211,7 +213,7 @@ class _Parser:
             self._advance()
             return self.registry[tok.text]
         raise ParseError(f"unknown mean name {tok.text!r}",
-                         tok.line, tok.column, ("registered name",))
+                         tok.line, tok.column, ("registered name",), tok.text)
 
     def outer(self) -> OuterFn:
         keyword = self._take("ident", _OUTER_KEYWORDS, _OUTER_KEYWORDS)

@@ -21,12 +21,14 @@ class ArityError(MeanForgeError):
 
 
 class ParseError(MeanForgeError):
-    """Rejected DSL text, with position and the tokens that were expected."""
+    """Rejected DSL text, with position, the expected tokens and any unresolved ``name``."""
 
-    def __init__(self, message: str, line: int, column: int, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, line: int, column: int, expected: tuple[str, ...] = (),
+                 name: str | None = None):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
+        self.name = name
         detail = f"{message} at line {line}, column {column}"
         if self.expected:
             detail += " (expected " + " | ".join(self.expected) + ")"

@@ -192,9 +192,9 @@ def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     return ProblemSpec(outer, tuple(small), tuple(big))
 
 
-def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
-                  v: tuple[float, ...]) -> float:
-    """Value of an implicit or generalized-Beta mean at the validated vector ``v``."""
+def _balance(mean: Union[ProblemSpec, GeneralizedBetaMean], v: tuple[float, ...],
+             tol: float = DEFAULT_TOL) -> SolveResult:
+    """The :class:`SolveResult` of ``mean``'s balance equation at the validated vector ``v``."""
     if isinstance(mean, GeneralizedBetaMean):  # inner(v) in [min v, max v]: embedded
         if len(v) < 2:
             raise ArityError("the balanced mean needs at least 2 entries")
@@ -202,7 +202,13 @@ def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
     else:
         values = _eval_family(mean.small + mean.big, v)  # S first, so its errors win
         prefix, target = values[:len(mean.small)], values[len(mean.small):]
-    result = solve_scalar(mean.outer, prefix, target)
+    return solve_scalar(mean.outer, prefix, target, tol)
+
+
+def balance_value(mean: Union[ProblemSpec, GeneralizedBetaMean],
+                  v: tuple[float, ...]) -> float:
+    """Value of an implicit or generalized-Beta mean at the validated vector ``v``."""
+    result = _balance(mean, v)
     if result.status != "converged":
         raise ConvergenceError(f"{mean}: no convergence within "
                                f"{result.iterations} bisection steps")

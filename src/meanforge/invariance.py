@@ -6,8 +6,9 @@ vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
 asserted every step.  ``invariant_mean`` is the ``InvariantMean`` node ``K``.
-One private loop iterates the family through the unchecked mean kernels;
-:func:`gauss_iterate` validates first, a node's value relies on the node's checks.
+One private loop iterates the family through the unchecked mean kernels.  A
+node's value relies on the node's checks; :func:`gauss_iterate` checks its tol and
+start vector, then, at equal lengths, builds the node to check and classify the family.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
@@ -32,9 +33,7 @@ from .means import (
     _eval_family,
     _eval_mean,
     _power_family,
-    _power_plan,
     check_positive,
-    check_strict_family,
     check_tol,
 )
 from .implicit import verify_embedding
@@ -78,15 +77,15 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     positive; a positive constant one converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
     a few ulp of max, at every scale), which makes the spread nonincreasing.
-    The family is classified once: two or more power means go through the
-    shared-log kernel ``means._power_family`` at the min and max in hand.
+    Errors come in order: the tol, a non-finite start, a length unequal to the family's,
+    then the family, which the ``InvariantMean`` node checks and classifies once:
+    two or more power means go through the shared-log kernel ``means._power_family``.
     """
     check_tol(tol)
     family = tuple(family)
     u = as_vector(start)
-    if len(family) == len(u):  # else _gauss raises the ArityError, which comes first
-        check_strict_family(family)
-    return IterationTrace(*_gauss(family, _power_plan(family), u, tol))
+    plan = InvariantMean(family, tol)._power if len(family) == len(u) else None
+    return IterationTrace(*_gauss(family, plan, u, tol))
 
 
 def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...], tol: float):

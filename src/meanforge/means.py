@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Callable, Optional, Sequence, get_args
+from typing import Callable, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import ArityError, DomainError, HypothesisViolation
@@ -50,7 +50,6 @@ __all__ = [
     "InvariantMean",
     "DerivedMean",
     "MeanExpr",
-    "is_mean_expr",
     "is_strict",
     "check_strict_family",
     "Sum",
@@ -227,12 +226,6 @@ class DerivedMean(Frozen, compare=None):
 
 # `|`, not typing.Union: its cache would keep old classes and modules alive past a reload
 MeanExpr = PowerMean | BetaMean | GeneralizedBetaMean | ProblemSpec | InvariantMean | DerivedMean
-
-_MEAN_TYPES = get_args(MeanExpr)
-
-
-def is_mean_expr(obj) -> bool:
-    return isinstance(obj, _MEAN_TYPES)
 
 
 def is_strict(mean: MeanExpr) -> bool:

@@ -176,6 +176,29 @@ class TestSolve:
         assert code == 5 and record["status"] == "max-iterations"
         assert record["iterations"] == 200
 
+    @pytest.mark.parametrize("problem", [
+        EXAMPLE_PROBLEM,
+        "T{mu=sum; S=[P[0]]; M=[agm,P[-1],P[1]]}",
+        "T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}",
+        "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}",
+    ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary"])
+    def test_solve_and_eval_print_the_same_root(self, capsys, pinned_session, problem):
+        flags = ("--at", "2,8", "--session", pinned_session, "--format", "json")
+        code, out, err = run(capsys, "solve", problem, *flags)
+        assert code == 0, err
+        root = json.loads(out)["output"]["root"]
+        code, out, err = run(capsys, "eval", problem, *flags)
+        assert code == 0, err
+        assert json.loads(out)["output"].hex() == root.hex()
+
+    def test_s_error_wins_over_m_error(self, capsys):
+        # at one entry, B has no exponent 1/(k-1) and the two-mean invariant no coordinates
+        problem = "T{mu=sum; S=[B]; M=[P[1],invariant{M=[P[1],P[0]]}]}"
+        expected = ("error: Beta-type mean needs at least 2 entries "
+                    "(the exponent 1/(k-1) is undefined for k=1)\n")
+        assert run(capsys, "solve", problem, "--at", "5") == (3, "", expected)
+        assert run(capsys, "eval", problem, "--at", "5") == (3, "", expected)
+
     def test_eval_of_the_same_problem_exit_5(self, capsys):
         # eval reaches the step limit through balance_value's ConvergenceError
         code, out, err = run(capsys, "eval", "T{mu=prod; S=[P[0]]; M=[P[-1],P[1]]}",

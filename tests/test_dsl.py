@@ -101,8 +101,9 @@ class TestParsing:
         assert eval_mean(parse_mean("agh", registry), (2, 8)) == pytest.approx(4.0)
 
     def test_unknown_ident(self):
-        with pytest.raises(ParseError, match="unknown mean name"):
+        with pytest.raises(ParseError, match="unknown mean name") as err:
             parse("mystery")
+        assert err.value.name == "mystery"
 
 
 class TestErrorKinds:
@@ -261,6 +262,15 @@ class TestRoundTrip:
     def test_invariant_refusals(self, text, error):
         with pytest.raises(error):
             parse(text)
+
+    def test_record_that_may_end_expects_either(self, capsys):
+        from meanforge.cli import main
+        assert main(["parse", "invariant{M=[P[1]] x}"]) == 2
+        assert capsys.readouterr() == ("", "parse error: unexpected 'x' at line 1, column 20 "
+                                           "(expected ';' | '}')\n")
+        with pytest.raises(ParseError) as err:  # a field that must follow: ';' alone
+            parse("T{mu=sum x")
+        assert err.value.expected == ("';'",)
 
     def test_registered_name_round_trip(self):
         named = invariant_mean((PowerMean(1), PowerMean(0)), name="agm")

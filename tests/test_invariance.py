@@ -70,6 +70,17 @@ class TestGaussIterate:
         with pytest.raises(ArityError):
             gauss_iterate((PowerMean(1),), (1.0, 2.0))
 
+    def test_errors_come_tol_then_start_then_length_then_family(self):
+        opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
+        with pytest.raises(DomainError, match="tolerance must lie strictly between 0 and 1"):
+            gauss_iterate((PowerMean(1), opaque), (1.0, math.inf), tol=2.0)
+        with pytest.raises(DomainError, match="vector entries must be finite"):
+            gauss_iterate((PowerMean(1), opaque), (1.0, math.nan))
+        with pytest.raises(ArityError, match="need one mean per coordinate: 2 means"):
+            gauss_iterate((PowerMean(1), opaque), (1.0, 2.0, 3.0))
+        with pytest.raises(HypothesisViolation, match="opaque is not known to be strict"):
+            gauss_iterate((PowerMean(1), opaque), (-1.0, 2.0))
+
     def test_unasserted_derived_rejected(self):
         opaque = DerivedMean(name="opaque", fn=lambda sv: sv[0])
         with pytest.raises(HypothesisViolation):
