@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ._frozen import Frozen
 from .errors import ArityError, ConvergenceError, HypothesisViolation
@@ -37,6 +37,7 @@ from .means import (
     MeanExpr,
     OuterFn,
     ProblemSpec,
+    Sum,
     _eval_family,
     _eval_mean,
     _eval_outer,
@@ -119,7 +120,9 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     relative bracket width, so the root is accurate to ``tol`` *relative* even
     across orders of magnitude; ``tol`` must lie in (0, 1).  After
     ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps use
-    the outer kernel at ``prefix + (x,) * fill``; goal and residual, :func:`eval_outer`.
+    the outer kernel at ``prefix + (x,) * fill``, a :class:`Sum` outer the same
+    floats with g over the prefix computed once (see :func:`_sum_step`); goal
+    and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -151,6 +154,8 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
+    if isinstance(outer, Sum):
+        f = _sum_step(outer, v, fill, lo, f)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
     if f(lo) - goal >= 0.0:
@@ -178,6 +183,40 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
             hi = mid
     root = 0.5 * (lo + hi)
     return SolveResult(root, bracket, residual(root), iterations, status)
+
+
+def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
+              kernel_step: Callable[[float], float]) -> Callable[[float], float]:
+    """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with g(v) computed once.
+
+    A step sums ``g(v) + [g(x)] * fill``: the floats ``fsum`` sums in the kernel,
+    in the same order, so the value is the kernel's bit for bit.  Where the
+    kernel raises, at a non-positive prefix entry under log or pow, at an
+    overflowing g(v) and at a step that is not finite, ``kernel_step`` runs
+    and raises its error, with one exception: when every term is nonnegative
+    (exp, pow, or entries and ``lo`` nonnegative under id), an overflowing
+    step exceeds every float, hence the finite goal, and is ``inf``.
+    """
+    g = outer._g
+    if outer._positive and min(v) <= 0.0:
+        return kernel_step
+    try:
+        terms = list(v) if g is None else [g(x) for x in v]
+        nonneg = min(terms) >= 0.0 and (lo if g is None else g(lo)) >= 0.0
+    except OverflowError:
+        return kernel_step
+    fsum, inf = math.fsum, math.inf
+
+    def step(x: float) -> float:
+        try:
+            value = fsum(terms + [x if g is None else g(x)] * fill)
+        except OverflowError:  # fsum and g raise it
+            value = inf
+        if value < inf:
+            return value
+        return inf if nonneg else kernel_step(x)
+
+    return step
 
 
 def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],

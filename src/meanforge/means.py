@@ -270,6 +270,8 @@ class Sum(Frozen):
     ``Sum()`` is the plain sum and ``Sum("pow", p)`` the power sum, p > 0
     (p <= 0 would not be strictly increasing); log and pow need positive
     entries.  Text: ``sum``, ``qa[log]``, ``qa[exp]``, ``powsum[p]``.
+    The generator function is worked out once, as ``_g``: None for id,
+    ``math.log``, ``math.exp`` or ``x -> x ** p``.
     """
 
     generator: str = "id"
@@ -288,6 +290,11 @@ class Sum(Frozen):
             raise DomainError(
                 f"power-sum exponent must be positive, got {self.exponent!r}: "
                 "a power with exponent <= 0 is not strictly increasing")
+        g = {"log": math.log, "exp": math.exp}.get(self.generator)
+        if self.generator == "pow":
+            g = float(self.exponent).__rpow__  # x -> x ** p, bit for bit
+        object.__setattr__(self, "_g", g)  # not fields
+        object.__setattr__(self, "_positive", self.generator in ("log", "pow"))
 
     def __str__(self) -> str:
         if self.generator == "id":
@@ -520,18 +527,9 @@ def _eval_outer(outer: OuterFn, v: tuple[float, ...]) -> float:
     """:func:`eval_outer` at a validated tuple ``v`` of the outer's arity, in any order."""
     try:
         if isinstance(outer, Sum):
-            g = outer.generator
-            if g == "id":
-                value = math.fsum(v)
-            elif g == "exp":
-                value = math.fsum(map(math.exp, v))
-            else:
+            if outer._positive:
                 check_positive(min(v), outer)
-                if g == "log":
-                    value = math.fsum(map(math.log, v))
-                else:
-                    p = outer.exponent
-                    value = math.fsum([x ** p for x in v])
+            value = math.fsum(v if outer._g is None else map(outer._g, v))
         elif isinstance(outer, Product):
             check_positive(min(v), outer)
             value = math.prod(sorted(v))  # the one outer that rounds by order

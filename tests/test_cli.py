@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from meanforge.cli import main
+from meanforge.implicit import DEFAULT_TOL
 
 M1_AT_1_4 = 1.8738824415736874
 EXAMPLE_PROBLEM = "T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}"
@@ -125,6 +126,18 @@ class TestEval:
                              "--at", "1e-300,1e300,1e300", "--format", "json")
         assert code == 0, err
         assert json.loads(out)["output"]["root"] == pytest.approx(2e300 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("expr, at, want", [
+        ("beta{S=P[1]; mu=qa[exp]}", "709.7,1,1", 709.00685281944010),
+        ("beta{S=P[1]; mu=sum}", "1.7e308,1,1", 5.6666666666666665e307),
+        ("beta{S=P[1]; mu=powsum[2]}", "1.3e154,1,1", 8.6666666666666663e153),
+    ])
+    def test_sum_outer_overflowing_at_the_bracket_end(self, capsys, expr, at, want):
+        # the outer overflows at fill copies of max(v), though its value at the
+        # root is finite; roots from mpmath at 50 digits
+        code, out, err = run(capsys, "eval", expr, "--at", at, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["output"] == pytest.approx(want, rel=DEFAULT_TOL)
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "P[", "--at", "2,8")

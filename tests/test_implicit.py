@@ -243,11 +243,12 @@ def solver_cases(draw):
     outer = (MeanOuter(InvariantMean(INVARIANT_MEMBERS[:n])) if text == "invariant"
              else parse_outer(text))
     high = 8.0 if text == "qa[exp]" else 1e3
+    low = -high if text == "sum" else 1e-3  # sum, the one outer that takes negatives
     if draw(st.booleans()):
-        entry = st.one_of(st.floats(1e-3, high), st.sampled_from((1.0, 2.0, high)))
+        entry = st.one_of(st.floats(low, high), st.sampled_from((1.0, 2.0, high)))
     else:  # near-constant: the boundary steps decide at the outer's rounding level
-        base = draw(st.floats(1e-3, high))
-        entry = st.floats(base, base * (1.0 + draw(st.sampled_from((1e-14, 1e-11)))))
+        base = draw(st.floats(low, high))
+        entry = st.floats(base, base + abs(base) * draw(st.sampled_from((1e-14, 1e-11))))
     target = draw(st.lists(entry, min_size=n, max_size=n))
     # entry k of a sorted embedded prefix may be anything in [w_k, w_{k+n-m}]
     w = sorted(target)
@@ -266,6 +267,25 @@ class TestSolverBitIdentity:
         want = _reference_solve(outer, prefix, target)
         # bit for bit: a bisection step evaluates the vector the public path does
         assert (result.root, result.residual, result.iterations, result.status) == want
+
+    @pytest.mark.parametrize("text, prefix, target", [
+        # non-positive prefix entries that the embedding relaxation admits
+        ("qa[log]", (0.0,), (1e-10, 1.0)),
+        ("qa[log]", (-1e-10,), (1e-10, 1.0)),
+        ("powsum[2]", (0.0,), (1e-10, 1.0)),
+        ("powsum[2]", (-1e-10,), (1e-10, 1.0)),
+        ("qa[exp]", (1.0,), (800.0, 1.0)),  # the goal overflows
+        ("sum", (-1e308,), (1.5e308, 1.6e308, -1e308)),  # a mixed-sign goal overflows
+        ("sum", (8e307,), (-1e308, 8e307, 1.7e308)),  # a mixed-sign step overflows at max(w)
+    ])
+    def test_errors_equal_the_reference_loop(self, text, prefix, target):
+        outer = parse_outer(text)
+        with pytest.raises(DomainError) as want:
+            _reference_solve(outer, prefix, target)
+        with pytest.raises(DomainError) as got:
+            solve_scalar(outer, prefix, target)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
     def test_near_constant_targets(self):
         # ties at rounding level decide the boundary steps; there an outer
