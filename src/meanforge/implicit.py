@@ -41,6 +41,8 @@ from .means import (
     _eval_family,
     _eval_mean,
     _eval_outer,
+    _midpoint,
+    _narrow,
     _power_plan,
     check_tol,
     declared_arity,
@@ -116,9 +118,10 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     Requires ``prefix`` embedded in ``target``, checked on the validated inputs
     with rounding relaxation by the kernel ``ordering._embeds``; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
-    verdict, as the bracket guarantee is void without it.  Convergence is on
-    relative bracket width, so the root is accurate to ``tol`` *relative* even
-    across orders of magnitude; ``tol`` must lie in (0, 1).  After
+    verdict, as the bracket guarantee is void without it.  The bracket is
+    settled by ``means._narrow``, the rule Gauss iteration stops by: at relative
+    width ``tol`` (in (0, 1)), so the root is accurate to ``tol`` *relative* even
+    across orders of magnitude, or at float resolution.  After
     ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps use
     the outer kernel at ``prefix + (x,) * fill``, a :class:`Sum` outer the same
     floats with g over the prefix computed once (see :func:`_sum_step`); goal
@@ -154,34 +157,25 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
+    f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
     if isinstance(outer, Sum):
         f = _sum_step(outer, v, fill, lo, f)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
-    if f(lo) - goal >= 0.0:
+    if f_lo - goal >= 0.0:
         return SolveResult(lo, bracket, residual(lo), 0, "converged")
     if f(hi) - goal <= 0.0:
         return SolveResult(hi, bracket, residual(hi), 0, "converged")
 
     iterations = 0
-    status = "max-iterations"
-    while True:
-        width = hi - lo
-        if width <= tol * max(abs(lo), abs(hi)):
-            status = "converged"
-            break
-        if iterations >= MAX_BISECTION_STEPS:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # float resolution exhausted
-            status = "converged"
-            break
+    while (mid := _narrow(lo, hi, tol)) is not None and iterations < MAX_BISECTION_STEPS:
         iterations += 1
         if f(mid) - goal < 0.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
+    root = _midpoint(lo, hi)
+    status = "converged" if mid is None else "max-iterations"
     return SolveResult(root, bracket, residual(root), iterations, status)
 
 
@@ -190,21 +184,16 @@ def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
     """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with g(v) computed once.
 
     A step sums ``g(v) + [g(x)] * fill``: the floats ``fsum`` sums in the kernel,
-    in the same order, so the value is the kernel's bit for bit.  Where the
-    kernel raises, at a non-positive prefix entry under log or pow, at an
-    overflowing g(v) and at a step that is not finite, ``kernel_step`` runs
-    and raises its error, with one exception: when every term is nonnegative
-    (exp, pow, or entries and ``lo`` nonnegative under id), an overflowing
-    step exceeds every float, hence the finite goal, and is ``inf``.
+    in the same order, so the value is the kernel's bit for bit.  The caller has
+    run ``kernel_step(lo)``, so the prefix is one the kernel takes and g(v) is
+    finite.  A step that is not finite is ``inf`` when every term is nonnegative
+    (exp, pow, or entries and ``lo`` nonnegative under id): it exceeds every
+    float, hence the finite goal.  A mixed-sign one runs ``kernel_step``, which
+    raises the kernel's overflow error.
     """
     g = outer._g
-    if outer._positive and min(v) <= 0.0:
-        return kernel_step
-    try:
-        terms = list(v) if g is None else [g(x) for x in v]
-        nonneg = min(terms) >= 0.0 and (lo if g is None else g(lo)) >= 0.0
-    except OverflowError:
-        return kernel_step
+    terms = list(v) if g is None else [g(x) for x in v]
+    nonneg = min(terms) >= 0.0 and (lo if g is None else g(lo)) >= 0.0
     fsum, inf = math.fsum, math.inf
 
     def step(x: float) -> float:

@@ -6,9 +6,11 @@ vector is the unique mean ``K`` invariant under the mapping, i.e.
 ``K(M_1(v), ..., M_n(v)) = K(v)``.  The iteration spread (max - min) never
 grows because each new coordinate lies inside the previous range; that is
 asserted every step.  ``invariant_mean`` is the ``InvariantMean`` node ``K``.
-One private loop iterates the family through the unchecked mean kernels.  A
-node's value relies on the node's checks; :func:`gauss_iterate` checks its tol and
-start vector, then, at equal lengths, builds the node to check and classify the family.
+One private loop iterates the family through the unchecked mean kernels and
+stops by the balance solver's rule: at relative spread ``tol`` or at float
+resolution.  A node's value relies on the node's checks; :func:`gauss_iterate`
+checks its tol and start vector, then, at equal lengths, builds the node to
+check and classify the family.
 
 Given such a family and a smaller family embedded in it, the complementary
 mean is the unique mean ``T`` with ``K(S_1(v),..,S_m(v),T(v),..,T(v)) = K(v)``;
@@ -32,6 +34,8 @@ from .means import (
     ProblemSpec,
     _eval_family,
     _eval_mean,
+    _midpoint,
+    _narrow,
     _power_family,
     check_positive,
     check_tol,
@@ -71,9 +75,11 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
                   tol: float = DEFAULT_TOL) -> IterationTrace:
     """Iterate v <- (M_1(v), ..., M_n(v)) until the coordinates collapse.
 
-    Stops when max - min of the iterate drops below ``tol`` (in (0, 1))
-    relative to its magnitude, reporting the midpoint of the final range;
-    after ``DEFAULT_CAP`` steps the trace is unconverged.  The start must be
+    Stops by the solver's rule (``means._narrow``): once max - min of the
+    iterate drops below ``tol`` (in (0, 1)) relative to its magnitude, or no
+    float lies strictly inside [min, max].  Either way the trace is converged,
+    its limit the midpoint of the final range (also where ``min + max``
+    overflows); after ``DEFAULT_CAP`` steps it is unconverged.  The start must be
     positive; a positive constant one converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
     a few ulp of max, at every scale), which makes the spread nonincreasing.
@@ -97,10 +103,9 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
     check_positive(lo, "Gauss iteration")
     iterations = 0
     while True:
-        spread = hi - lo
-        converged = spread <= tol * max(abs(lo), abs(hi))
-        if converged or iterations >= DEFAULT_CAP:
-            return iterations, spread, 0.5 * (lo + hi), converged
+        settled = _narrow(lo, hi, tol) is None
+        if settled or iterations >= DEFAULT_CAP:
+            return iterations, hi - lo, _midpoint(lo, hi), settled
         nxt = _eval_family(family, u) if plan is None else _power_family(plan, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
         slack = _CONTAINMENT_SLACK * hi  # relative: the entries are positive

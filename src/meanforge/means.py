@@ -84,6 +84,24 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """``0.5 * (lo + hi)``, or ``0.5 * lo + 0.5 * hi`` where ``lo + hi`` overflows."""
+    mid = 0.5 * (lo + hi)
+    return mid if mid - mid == 0.0 else 0.5 * lo + 0.5 * hi
+
+
+def _narrow(lo: float, hi: float, tol: float) -> Optional[float]:
+    """The next midpoint of ``[lo, hi]``, or None once the bracket is settled.
+
+    The one stopping rule of bisection and Gauss iteration: settled when
+    ``hi - lo <= tol * max(|lo|, |hi|)`` or when no float lies strictly inside.
+    """
+    if hi - lo <= tol * (hi if hi >= -lo else -lo):
+        return None
+    mid = _midpoint(lo, hi)
+    return mid if lo < mid < hi else None
+
+
 def check_positive(lowest: float, what: object) -> None:
     """Reject a smallest entry ``lowest`` <= 0; ``what`` is formatted only when raising."""
     if lowest <= 0.0:

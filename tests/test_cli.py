@@ -152,6 +152,62 @@ class TestEval:
         assert code == 2
 
 
+class TestFloatRangeEnds:
+    """Brackets and iterates whose ends sum past the largest float or have no float inside."""
+
+    def test_agm_where_the_ends_sum_past_the_largest_float(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        code, out, err = run(capsys, "eval", "invariant{M=[P[1],P[0]]}", "--at", "1.7e308,1e308",
+                             "--format", "json")
+        assert code == 0, err
+        value = json.loads(out)["output"]
+        assert value == 1.3268198717019799e+308
+        with mpmath.workdps(50):
+            want = mpmath.agm(mpmath.mpf(1.7e308), mpmath.mpf(1e308))
+            assert abs(value - want) / want <= DEFAULT_TOL
+
+    def test_constant_start_at_the_largest_floats(self, capsys):
+        code, out, err = run(capsys, "invariant", "[P[1],P[0]]", "--at", "1.7e308,1.7e308",
+                             "--format", "json")
+        assert code == 0, err
+        output = json.loads(out)["output"]
+        assert (output["limit"], output["converged"]) == (1.7e308, True)
+
+    def test_complementary_mean_where_the_ends_sum_past_the_largest_float(self, capsys):
+        # the complement of A under the arithmetic-harmonic invariant mean is H
+        mpmath = pytest.importorskip("mpmath")
+        code, out, err = run(capsys, "eval",
+                             "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}",
+                             "--at", "1.7e308,1e308", "--format", "json")
+        assert code == 0, err
+        value = json.loads(out)["output"]
+        assert value == pytest.approx(1.2592592592592593e+308, rel=DEFAULT_TOL)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(1.7e308), mpmath.mpf(1e308)
+            assert abs(value - 2 * a * b / (a + b)) / value <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("expr", ["beta{S=P[-1]; mu=sum}", "beta{S=P[0]; mu=mean[P[2]]}"])
+    def test_balance_roots_where_the_ends_sum_past_the_largest_float(self, capsys, expr):
+        # x solves H(v) + x = a + b, or G(v)^2 + x^2 = a^2 + b^2
+        mpmath = pytest.importorskip("mpmath")
+        code, out, err = run(capsys, "eval", expr, "--at", "1e300,1e308", "--format", "json")
+        assert code == 0, err
+        value = json.loads(out)["output"]
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(1e300), mpmath.mpf(1e308)
+            if "sum" in expr:
+                want = a + b - 2 * a * b / (a + b)
+            else:
+                want = mpmath.sqrt(a ** 2 + b ** 2 - a * b)
+            assert abs(value - want) / want <= 1e-12
+
+    def test_subnormal_start_with_no_float_inside(self, capsys):
+        code, out, err = run(capsys, "eval", "invariant{M=[P[1],P[0]]}", "--at", "5e-324,1e-323",
+                             "--format", "json")
+        assert code == 0, err
+        assert 5e-324 <= json.loads(out)["output"] <= 1e-323
+
+
 class TestSolve:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, "solve", EXAMPLE_PROBLEM, "--at", "1,4",
@@ -346,13 +402,27 @@ class TestInvariant:
                              "--at", "1,2", "--tol", "2")
         assert (code, out) == (3, "") and "tolerance must lie strictly between" in err
 
-    def test_unconverged_exit_5(self, capsys):
-        # a spread of 1e-300 relative is below the float spacing at the limit
-        code, out, _ = run(capsys, "invariant", "[P[1],P[0]]", "--at", "1,3",
-                           "--tol", "1e-300", "--format", "json")
+    def test_unconverged_exit_5(self, capsys, monkeypatch):
+        from meanforge import invariance
+        monkeypatch.setattr(invariance, "DEFAULT_CAP", 2)
+        code, out, _ = run(capsys, "invariant", "[P[1],P[-1]]", "--at", "1,100",
+                           "--format", "json")
         assert code == 5
         output = json.loads(out)["output"]
-        assert (output["converged"], output["iterations"]) == (False, 10_000)
+        assert (output["converged"], output["iterations"]) == (False, 2)
+
+    def test_float_resolution_ends_the_iteration(self, capsys):
+        # a spread of 1e-300 relative is below the float spacing at the limit:
+        # the iterate settles as a bisection bracket does, with no float inside
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "invariant", "[P[1],P[0]]", "--at", "1,3",
+                           "--tol", "1e-300", "--format", "json")
+        assert code == 0
+        output = json.loads(out)["output"]
+        assert output["converged"] is True and output["iterations"] <= 10
+        with mpmath.workdps(50):
+            want = mpmath.agm(1, 3)
+            assert abs(output["limit"] - want) / want <= 2.3e-16
 
 
 class TestSession:

@@ -66,6 +66,23 @@ class TestGaussIterate:
             trace = gauss_iterate((PowerMean(s), PowerMean(t)), v)
             assert trace.converged and trace.iterations <= 200
 
+    def test_float_resolution_ends_the_iteration(self):
+        # at tol=1e-17 (below the float spacing) and at subnormal starts the
+        # iterate settles with no float inside [min, max], as a bisection
+        # bracket does, instead of running to the cap
+        rng = random.Random(17)
+        for family in ((PowerMean(1), PowerMean(0)), (PowerMean(1), PowerMean(-1)),
+                       (PowerMean(2), PowerMean(-1)),
+                       (PowerMean(1), PowerMean(0), PowerMean(-1))):
+            for _ in range(100):
+                scale = rng.choice((1.0, 1e200, 1e-200, 1e300, 1e-300))
+                wide = tuple(scale * math.exp(rng.uniform(-7.0, 7.0)) for _ in family)
+                subnormal = tuple(rng.randint(1, 2 ** 20) * 5e-324 for _ in family)
+                for v, tol in ((wide, 1e-17), (subnormal, DEFAULT_TOL)):
+                    trace = gauss_iterate(family, v, tol)
+                    assert trace.converged and trace.iterations <= 64, (family, v)
+                    assert min(v) <= trace.limit <= max(v)
+
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             gauss_iterate((PowerMean(1),), (1.0, 2.0))
