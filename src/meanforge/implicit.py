@@ -33,11 +33,15 @@ from .ordering import (_embeds, _first_failure, as_vector, is_embedded, is_embed
                        is_ordered_majorized)
 from .means import (
     DEFAULT_TOL,
+    GEOMETRIC_ORDER,
     GeneralizedBetaMean,
     MeanExpr,
+    MeanOuter,
     OuterFn,
+    PowerMean,
     ProblemSpec,
     Sum,
+    _MIN_NORMAL,
     _eval_family,
     _eval_mean,
     _eval_outer,
@@ -122,10 +126,10 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     settled by ``means._narrow``, the rule Gauss iteration stops by: at relative
     width ``tol`` (in (0, 1)), so the root is accurate to ``tol`` *relative* even
     across orders of magnitude, or at float resolution.  After
-    ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps use
-    the outer kernel at ``prefix + (x,) * fill``, a :class:`Sum` outer the same
-    floats with g over the prefix computed once (see :func:`_sum_step`); goal
-    and residual, :func:`eval_outer`.
+    ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps take
+    the outer kernel's value at ``prefix + (x,) * fill``, for a :class:`Sum` or
+    ``mean[P[s]]`` outer from the prefix's terms computed once (see :func:`_step`);
+    goal and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -158,8 +162,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
 
     goal = eval_outer(outer, w)
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
-    if isinstance(outer, Sum):
-        f = _sum_step(outer, v, fill, lo, f)
+    f = _step(outer, v, fill, lo, f)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
     if f_lo - goal >= 0.0:
@@ -177,6 +180,24 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     root = _midpoint(lo, hi)
     status = "converged" if mid is None else "max-iterations"
     return SolveResult(root, bracket, residual(root), iterations, status)
+
+
+def _step(outer: OuterFn, v: tuple[float, ...], fill: int, lo: float,
+          kernel_step: Callable[[float], float]) -> Callable[[float], float]:
+    """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with the prefix's terms computed once.
+
+    Bit for bit the kernel's value: a step hands ``fsum`` the kernel's floats
+    (exactly rounded, so their order does not matter).  The caller has run
+    ``kernel_step(lo)``, so the prefix is one the kernel takes.  A :class:`Sum`
+    or ``mean[P[s]]`` outer gets its own step (:func:`_sum_step`,
+    :func:`_power_step`); any other outer, ``kernel_step`` itself.  Each builder
+    is its own function, so a solve makes only its own outer's closure cells.
+    """
+    if isinstance(outer, Sum):
+        return _sum_step(outer, v, fill, lo, kernel_step)
+    if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
+        return _power_step(outer.mean.order, v, fill, kernel_step)
+    return kernel_step
 
 
 def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
@@ -204,6 +225,48 @@ def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
         if value < inf:
             return value
         return inf if nonneg else kernel_step(x)
+
+    return step
+
+
+def _power_step(s: float, v: tuple[float, ...], fill: int,
+                kernel_step: Callable[[float], float]) -> Callable[[float], float]:
+    """The step of a ``mean[P[s]]`` outer: :func:`means._power_mean` at ``v + (x,) * fill``.
+
+    The prefix's terms ``expm1(s*log(p/anchor))`` (``log(p/anchor)`` at a
+    geometric order) are formed once, against its own anchor: max for s > 0,
+    min otherwise.  A step adds ``fill`` copies of x's term.  A step whose x
+    passes that anchor re-anchors at x, as the kernel does, and forms the
+    prefix's terms there.  One whose min/max leaves the normal floats, where the
+    kernel takes its wide form, runs ``kernel_step``.
+    """
+    v_lo, v_hi = min(v), max(v)
+    if v_lo / v_hi < _MIN_NORMAL:  # so is every step's vector
+        return kernel_step
+    up, geometric, n = s > 0.0, abs(s) < GEOMETRIC_ORDER, len(v) + fill
+    log, expm1, log1p, exp, fsum = math.log, math.expm1, math.log1p, math.exp, math.fsum
+    anchor = v_hi if up else v_lo
+    terms = [log(p / anchor) for p in v]
+    own = log(1.0)  # x's term when x is the anchor
+    if not geometric:
+        terms = [expm1(s * t) for t in terms]
+        own = expm1(s * own)
+    own = [own] * fill
+
+    def step(x: float) -> float:
+        low = x if x < v_lo else v_lo
+        high = x if x > v_hi else v_hi
+        if low / high < _MIN_NORMAL:
+            return kernel_step(x)
+        a = high if up else low  # the kernel's anchor
+        if a == anchor:
+            t = log(x / a)
+            ts = terms + [t if geometric else expm1(s * t)] * fill
+        else:  # x passes the prefix's anchor
+            ts = ([log(p / a) for p in v] if geometric
+                  else [expm1(s * log(p / a)) for p in v]) + own
+        mean = fsum(ts) / n
+        return a * exp(mean if geometric else log1p(mean) / s)
 
     return step
 

@@ -250,7 +250,11 @@ class TestSolve:
         "T{mu=sum; S=[P[0]]; M=[agm,P[-1],P[1]]}",
         "T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}",
         "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}",
-    ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary"])
+        # mean[P[s]] steps form the prefix's terms once per solve
+        "T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}",
+        "T{mu=mean[P[-1]]; S=[P[0]]; M=[P[-2],P[1]]}",
+    ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary", "mean-P0",
+            "mean-P-1"])
     def test_solve_and_eval_print_the_same_root(self, capsys, pinned_session, problem):
         flags = ("--at", "2,8", "--session", pinned_session, "--format", "json")
         code, out, err = run(capsys, "solve", problem, *flags)

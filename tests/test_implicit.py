@@ -1,5 +1,9 @@
+import functools
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,8 +41,8 @@ from meanforge.checks import (
     solver_instances,
 )
 from meanforge.dsl import parse_mean, parse_outer
-from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS
-from meanforge.means import _eval_family
+from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS, _step
+from meanforge.means import _eval_family, _eval_outer
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
@@ -229,7 +233,8 @@ def _reference_solve(outer, prefix, target, tol=DEFAULT_TOL):
 
 # One outer of every kind; "invariant" is mean[<invariant>] over n members.
 SOLVER_OUTERS = ("sum", "prod", "powsum[0.5]", "powsum[2]", "qa[log]", "qa[exp]",
-                 "qa[pow[1.5]]", "mean[P[-1.5]]", "mean[P[0]]", "mean[P[2]]", "invariant")
+                 "qa[pow[1.5]]", "mean[P[-1.5]]", "mean[P[-1]]", "mean[P[0]]", "mean[P[0.5]]",
+                 "mean[P[2]]", "invariant")
 INVARIANT_MEMBERS = (PowerMean(1), PowerMean(-1), PowerMean(0), BetaMean(),
                      PowerMean(2), PowerMean(-2))
 
@@ -307,69 +312,111 @@ class TestSolverBitIdentity:
             assert (result.root, result.residual, result.iterations, result.status) == want
 
 
-def _mp_balance_root(mpmath, outer, prefix, target):
-    """The root of outer(prefix, x, .., x) = outer(target), at mpmath precision.
+class TestPowerMeanStep:
+    """A ``mean[P[s]]`` solver step equals the outer kernel at ``v + (x,) * fill``, bit for bit.
 
-    Every outer here is Phi(sum g(x_i)) with a strictly monotone g, so the
-    root is g^-1((sum g(w) - sum g(v)) / fill); a power-mean outer has
-    g = x**s (log x at s = 0) and the product g = log.
+    The step forms the prefix's terms once against its own anchor; x below, at
+    and above that anchor, and vectors whose min/max leave the normal floats
+    (the kernel's wide form), must all give the kernel's float.
     """
-    fill = len(target) - len(prefix)
-    if isinstance(outer, MeanOuter):
-        s = mpmath.mpf(outer.mean.order)
-        g, g_inv = ((mpmath.log, mpmath.exp) if s == 0
-                    else (lambda x: x ** s, lambda y: y ** (1 / s)))
-    elif isinstance(outer, Product) or outer.generator == "log":
-        g, g_inv = mpmath.log, mpmath.exp
-    elif outer.generator == "exp":
-        g, g_inv = mpmath.exp, mpmath.log
-    elif outer.generator == "pow":
-        p = mpmath.mpf(outer.exponent)
-        g, g_inv = (lambda x: x ** p), (lambda y: y ** (1 / p))
-    else:
-        g = g_inv = lambda x: x
-    total = (mpmath.fsum(g(mpmath.mpf(x)) for x in target)
-             - mpmath.fsum(g(mpmath.mpf(x)) for x in prefix))
-    return g_inv(total / fill)
+
+    MEANS = (PowerMean(2), PowerMean(0.5), PowerMean(0), PowerMean(-1.5),
+             PowerMean(1e-300), PowerMean(-1e-300))  # the DSL writes no exponents
+    PREFIXES = ((3.5,), (2.0, 3.5, 8.0), (1.0, 8.0, 8.0),
+                (1e-300, 1e-290),  # tiny normals
+                (5e-324, 1e-323, 3e-320),  # subnormal entries, a normal ratio
+                (1e-200, 1e200))  # a prefix whose own ratio is wide
+
+    @staticmethod
+    def xs(prefix):
+        """x below, at and above each prefix entry, and far enough out to make the vector wide."""
+        xs = {5e-324, 1e-320, 1e-100, 1.0, 1e100, 1.7e308}
+        for p in prefix:
+            xs |= {p, math.nextafter(p, 0.0), math.nextafter(p, math.inf), 0.5 * p, 2.0 * p}
+        return sorted(x for x in xs if 0.0 < x < math.inf)
+
+    @pytest.mark.parametrize("mean", MEANS, ids=lambda m: f"P[{m.order!r}]")
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=repr)
+    @pytest.mark.parametrize("fill", (1, 3))
+    def test_equals_the_kernel(self, mean, prefix, fill):
+        outer = MeanOuter(mean)
+
+        def kernel(x):
+            return _eval_outer(outer, prefix + (x,) * fill)
+
+        kernel(min(prefix))  # solve_scalar's boundary step at min(target)
+        step = _step(outer, prefix, fill, min(prefix), kernel)
+        for x in self.xs(prefix):
+            assert step(x).hex() == kernel(x).hex(), x
+
+    def test_each_route_is_taken(self):
+        # the step's own sum at and beyond the anchor, and the kernel's wide form
+        outer, prefix, fill = MeanOuter(PowerMean(2)), (2.0, 3.5), 2
+        calls = []
+
+        def kernel(x):
+            calls.append(x)
+            return _eval_outer(outer, prefix + (x,) * fill)
+
+        step = _step(outer, prefix, fill, 2.0, kernel)
+        for x in (1.0, 3.5, 9.0):
+            step(x)
+        assert calls == []
+        step(1e-308)
+        assert calls == [1e-308]
+
+    def test_other_outers_run_the_kernel(self):
+        def kernel(x):
+            return x
+
+        for text in ("prod", "mean[B]"):
+            assert _step(parse_outer(text), (2.0,), 1, 1.0, kernel) is kernel
+
+
+@functools.cache
+def _accuracy_script():
+    """``data/make_accuracy.py`` as a module: the mpmath oracles and the ledger's recipe."""
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "make_accuracy", Path(__file__).parent / "data" / "make_accuracy.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRootOracles:
     """solve_scalar roots against the root of the same equation at 50 digits.
 
-    Instances are built as the balance workload builds them: power means at
-    embedded exponent windows of vectors from (0.5, 100), one in ten
-    near-constant, and from (0.5, 8) for qa[exp], whose root is otherwise not
-    determined in double precision.  Budget: the solver stops at relative
-    bracket width DEFAULT_TOL and returns the midpoint, so DEFAULT_TOL
-    relative leaves room for the rounding of the outer near the root.
+    Instances (``make_accuracy.root_instances``) are built as the balance
+    workload builds them.  Budget: the solver stops at relative bracket width
+    DEFAULT_TOL and returns the midpoint, so DEFAULT_TOL relative leaves room
+    for the rounding of the outer near the root.
     """
 
     @pytest.mark.parametrize("text", [t for t in SOLVER_OUTERS if t != "invariant"])
     def test_against_mpmath(self, text):
-        mpmath = pytest.importorskip("mpmath")
-        outer = parse_outer(text)
-        grid = tuple(k / 4 for k in range(-16, 17))
-        high = 8.0 if text == "qa[exp]" else 100.0
-        rng = random.Random(43)
-        worst = 0.0
-        with mpmath.workdps(50):
-            for index in range(200):
-                n = rng.randint(2, 6)
-                m = rng.randint(1, n - 1)
-                beta = sorted(rng.sample(grid, n))
-                alpha = [rng.choice([g for g in grid if beta[k] <= g <= beta[k + n - m]])
-                         for k in range(m)]
-                if index % 10 == 0:
-                    base = rng.uniform(0.5, high - 1e-6)
-                    v = tuple(base + 1e-7 * rng.random() for _ in range(3))
-                else:
-                    v = tuple(rng.uniform(0.5, high) for _ in range(rng.randint(2, 4)))
-                prefix = tuple(power_mean(a, v) for a in alpha)
-                target = tuple(power_mean(b, v) for b in beta)
-                root = solve_scalar(outer, prefix, target).root
-                want = _mp_balance_root(mpmath, outer, prefix, target)
-                worst = max(worst, float(abs(root - want) / want))
-        assert worst <= DEFAULT_TOL
+        assert _accuracy_script().worst_root_error(text, 43, 200) <= DEFAULT_TOL
+
+
+class TestAccuracyLedger:
+    """``data/accuracy.json``, recomputed: worst relative errors against mpmath at 50 digits.
+
+    ``data/make_accuracy.py`` records the rows (power means at s = 1, -1, 0,
+    2.5 and solver roots per outer kind).  A row fails when it is worse than
+    recorded by more than the ledger's factor, which absorbs libm differences.
+    """
+
+    def test_no_row_worse_than_recorded(self):
+        script = _accuracy_script()
+        ledger = json.loads(script.LEDGER.read_text(encoding="utf-8"))
+        rows = script.measure()
+        assert list(rows) == list(ledger["rows"])
+        worse = {name: (ledger["rows"][name], got) for name, got in rows.items()
+                 if got > ledger["factor"] * ledger["rows"][name]}
+        assert worse == {}
+
+    def test_covers_every_solver_outer(self):
+        assert set(_accuracy_script().SOLVE_OUTERS) == set(SOLVER_OUTERS) - {"invariant"}
 
 
 class TestImplicitMean:
