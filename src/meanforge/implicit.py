@@ -8,7 +8,8 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
-bracket finds the unique root; no derivative is assumed to exist.  Lifting
+bracket finds the unique root; no derivative is assumed to exist.  For a
+power-mean outer the root has a closed form, which is used instead.  Lifting
 the pointwise solve over vectors of mean values yields the means evaluated
 here: an implicit mean (``ProblemSpec``) balances a small family of means
 against a larger one, and ``GeneralizedBetaMean`` balances a single inner
@@ -42,12 +43,14 @@ from .means import (
     ProblemSpec,
     Sum,
     _MIN_NORMAL,
+    _anchored_exp,
     _eval_family,
     _eval_mean,
     _eval_outer,
     _midpoint,
     _narrow,
     _power_plan,
+    check_positive,
     check_tol,
     declared_arity,
     eval_outer,
@@ -117,19 +120,21 @@ def embedding_eps(w: Sequence[float]) -> float:
 
 def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float],
                  tol: float = DEFAULT_TOL) -> SolveResult:
-    """Solve ``outer(prefix, x, ..., x) = outer(target)`` for ``x`` by bisection.
+    """Solve ``outer(prefix, x, ..., x) = outer(target)`` for ``x``.
 
     Requires ``prefix`` embedded in ``target``, checked on the validated inputs
     with rounding relaxation by the kernel ``ordering._embeds``; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
-    verdict, as the bracket guarantee is void without it.  The bracket is
-    settled by ``means._narrow``, the rule Gauss iteration stops by: at relative
-    width ``tol`` (in (0, 1)), so the root is accurate to ``tol`` *relative* even
-    across orders of magnitude, or at float resolution.  After
-    ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps take
-    the outer kernel's value at ``prefix + (x,) * fill``, for a :class:`Sum` or
-    ``mean[P[s]]`` outer from the prefix's terms computed once (see :func:`_step`);
-    goal and residual, :func:`eval_outer`.
+    verdict, as the bracket guarantee is void without it.  A ``mean[P[s]]``
+    outer's root is then found in closed form (:func:`_power_root`), clamped to
+    the bracket, with ``iterations`` 0 and status ``"converged"``.  Other outers
+    bisect the bracket until ``means._narrow``, the rule Gauss iteration stops
+    by, settles it: at relative width ``tol`` (in (0, 1)), so the root is
+    accurate to ``tol`` *relative* even across orders of magnitude, or at float
+    resolution.  After ``MAX_BISECTION_STEPS`` steps the status is
+    ``"max-iterations"``.  Steps take the outer kernel's value at
+    ``prefix + (x,) * fill``, for a :class:`Sum` outer from g over the prefix
+    computed once (:func:`_sum_step`); goal and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -161,8 +166,12 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
+    if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
+        root = _power_root(outer.mean.order, v, w, fill, lo, hi)
+        return SolveResult(root, bracket, residual(root), 0, "converged")
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
-    f = _step(outer, v, fill, lo, f)
+    if isinstance(outer, Sum):
+        f = _sum_step(outer, v, fill, lo, f)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
     if f_lo - goal >= 0.0:
@@ -180,24 +189,6 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     root = _midpoint(lo, hi)
     status = "converged" if mid is None else "max-iterations"
     return SolveResult(root, bracket, residual(root), iterations, status)
-
-
-def _step(outer: OuterFn, v: tuple[float, ...], fill: int, lo: float,
-          kernel_step: Callable[[float], float]) -> Callable[[float], float]:
-    """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with the prefix's terms computed once.
-
-    Bit for bit the kernel's value: a step hands ``fsum`` the kernel's floats
-    (exactly rounded, so their order does not matter).  The caller has run
-    ``kernel_step(lo)``, so the prefix is one the kernel takes.  A :class:`Sum`
-    or ``mean[P[s]]`` outer gets its own step (:func:`_sum_step`,
-    :func:`_power_step`); any other outer, ``kernel_step`` itself.  Each builder
-    is its own function, so a solve makes only its own outer's closure cells.
-    """
-    if isinstance(outer, Sum):
-        return _sum_step(outer, v, fill, lo, kernel_step)
-    if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
-        return _power_step(outer.mean.order, v, fill, kernel_step)
-    return kernel_step
 
 
 def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
@@ -229,46 +220,42 @@ def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
     return step
 
 
-def _power_step(s: float, v: tuple[float, ...], fill: int,
-                kernel_step: Callable[[float], float]) -> Callable[[float], float]:
-    """The step of a ``mean[P[s]]`` outer: :func:`means._power_mean` at ``v + (x,) * fill``.
+def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...], fill: int,
+                lo: float, hi: float) -> float:
+    """The root of ``P[s](v, x, ..., x) = P[s](w)`` in closed form, clamped to ``[lo, hi]``.
 
-    The prefix's terms ``expm1(s*log(p/anchor))`` (``log(p/anchor)`` at a
-    geometric order) are formed once, against its own anchor: max for s > 0,
-    min otherwise.  A step adds ``fill`` copies of x's term.  A step whose x
-    passes that anchor re-anchors at x, as the kernel does, and forms the
-    prefix's terms there.  One whose min/max leaves the normal floats, where the
-    kernel takes its wide form, runs ``kernel_step``.
+    ``x^s = (sum(w^s) - sum(v^s)) / fill`` (logs at a geometric order), in the
+    kernel's anchored terms: one ``fsum`` of w's ``expm1(s*log(y/a))``
+    (``log(y/a)``) and v's negated ones, divided by ``fill`` and inverted as
+    ``a*exp(log1p(E)/s)``.  ``a`` is ``max(w + v)`` for s > 0 and ``min(w + v)``
+    otherwise, so no term overflows; where min/max leaves the normal floats,
+    ``log(y) - log(a)`` stands for ``log(y/a)``, as in ``means._wide_power_mean``.
+    Only the embedding relaxation or rounding make E <= -1 (x^s <= 0) or x
+    overflow; the root is then the end of the bracket that the sign of s points at.
     """
-    v_lo, v_hi = min(v), max(v)
-    if v_lo / v_hi < _MIN_NORMAL:  # so is every step's vector
-        return kernel_step
-    up, geometric, n = s > 0.0, abs(s) < GEOMETRIC_ORDER, len(v) + fill
-    log, expm1, log1p, exp, fsum = math.log, math.expm1, math.log1p, math.exp, math.fsum
-    anchor = v_hi if up else v_lo
-    terms = [log(p / anchor) for p in v]
-    own = log(1.0)  # x's term when x is the anchor
-    if not geometric:
-        terms = [expm1(s * t) for t in terms]
-        own = expm1(s * own)
-    own = [own] * fill
-
-    def step(x: float) -> float:
-        low = x if x < v_lo else v_lo
-        high = x if x > v_hi else v_hi
-        if low / high < _MIN_NORMAL:
-            return kernel_step(x)
-        a = high if up else low  # the kernel's anchor
-        if a == anchor:
-            t = log(x / a)
-            ts = terms + [t if geometric else expm1(s * t)] * fill
-        else:  # x passes the prefix's anchor
-            ts = ([log(p / a) for p in v] if geometric
-                  else [expm1(s * log(p / a)) for p in v]) + own
-        mean = fsum(ts) / n
-        return a * exp(mean if geometric else log1p(mean) / s)
-
-    return step
+    check_positive(min(v), "power mean")
+    low, high = min(lo, min(v)), max(hi, max(v))
+    up = s > 0.0
+    a = high if up else low
+    log, fsum = math.log, math.fsum
+    if low / high < _MIN_NORMAL:
+        shift = log(a)
+        tw, tv = [log(y) - shift for y in w], [log(y) - shift for y in v]
+    else:
+        tw, tv = [log(y / a) for y in w], [log(y / a) for y in v]
+    if abs(s) < GEOMETRIC_ORDER:
+        m = fsum(tw + [-t for t in tv]) / fill
+    else:
+        expm1 = math.expm1
+        e = fsum([expm1(s * t) for t in tw] + [-expm1(s * t) for t in tv]) / fill
+        if e <= -1.0:
+            return lo if up else hi
+        m = math.log1p(e) / s
+    try:
+        x = _anchored_exp(a, m)
+    except OverflowError:
+        return hi
+    return min(max(x, lo), hi)
 
 
 def implicit_mean(small: Sequence[MeanExpr], big: Sequence[MeanExpr],

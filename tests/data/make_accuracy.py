@@ -13,10 +13,17 @@ exact value from mpmath at ``DPS`` digits:
 * ``solve_scalar <outer>``, the root of the balance equation for each outer
   kind, over the instances of :func:`root_instances`.
 
+The wide rows (``"wide"``) judge the solver on :func:`wide_instances`, with the
+exact root at ``WIDE_DPS`` digits (at 50 some exact roots cancel to 0).  Per
+outer kind but ``qa[exp]`` (whose root over such vectors is not determined in
+double precision) they record the worst relative error among converged roots,
+and how many solves ended in max-iterations, were refused with a
+``MeanForgeError``, or converged to a root off by more than ``OFF``.
+
 ``tests/test_implicit.py::TestAccuracyLedger`` recomputes every row and fails
-when one is worse than recorded by more than ``FACTOR``, which absorbs libm
-differences between platforms.  Re-record only with this script, and give the
-table before and after in CHANGES.md.
+when one is worse than recorded: an error by more than ``FACTOR``, which absorbs
+libm differences between platforms, or a count that rises.  Re-record only with
+this script, and give the table before and after in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from pathlib import Path
 
 import mpmath
 
-from meanforge import MeanOuter, Product, power_mean, solve_scalar
+from meanforge import MeanForgeError, MeanOuter, Product, power_mean, solve_scalar
 from meanforge.dsl import parse_outer
 
 LEDGER = Path(__file__).with_name("accuracy.json")
@@ -40,6 +47,10 @@ SOLVE_OUTERS = ("sum", "prod", "powsum[0.5]", "powsum[2]", "qa[log]", "qa[exp]",
                 "mean[P[0.5]]", "mean[P[2]]")
 POWER_VECTORS = 1000
 ROOTS = 200
+WIDE_OUTERS = tuple(t for t in SOLVE_OUTERS if t != "qa[exp]")
+WIDE_ROOTS = 300
+WIDE_DPS = 700
+OFF = 1e-11
 
 
 def exact_power_mean(order, v):
@@ -97,21 +108,36 @@ def root_instances(text, seed, count):
     in ten near-constant, and from (0.5, 8) for qa[exp], whose root is
     otherwise not determined in double precision.
     """
-    grid = tuple(k / 4 for k in range(-16, 17))
     high = 8.0 if text == "qa[exp]" else 100.0
     rng = random.Random(seed)
     for index in range(count):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, n - 1)
-        beta = sorted(rng.sample(grid, n))
-        alpha = [rng.choice([g for g in grid if beta[k] <= g <= beta[k + n - m]])
-                 for k in range(m)]
+        alpha, beta = _exponents(rng)
         if index % 10 == 0:
             base = rng.uniform(0.5, high - 1e-6)
             v = tuple(base + 1e-7 * rng.random() for _ in range(3))
         else:
             v = tuple(rng.uniform(0.5, high) for _ in range(rng.randint(2, 4)))
         yield tuple(power_mean(a, v) for a in alpha), tuple(power_mean(b, v) for b in beta)
+
+
+def wide_instances(seed, count):
+    """``count`` (prefix, target) pairs as in :func:`root_instances`, v log-uniform in 1e±150."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha, beta = _exponents(rng)
+        v = tuple(10 ** rng.uniform(-150, 150) for _ in range(rng.randint(2, 4)))
+        yield tuple(power_mean(a, v) for a in alpha), tuple(power_mean(b, v) for b in beta)
+
+
+def _exponents(rng):
+    """Exponents (alpha, beta) of power families S and M with S embedded in M, m < n <= 6."""
+    grid = tuple(k / 4 for k in range(-16, 17))
+    n = rng.randint(2, 6)
+    m = rng.randint(1, n - 1)
+    beta = sorted(rng.sample(grid, n))
+    alpha = [rng.choice([g for g in grid if beta[k] <= g <= beta[k + n - m]])
+             for k in range(m)]
+    return alpha, beta
 
 
 def worst_root_error(text, seed, count):
@@ -123,6 +149,27 @@ def worst_root_error(text, seed, count):
             want = balance_root(outer, prefix, target)
             worst = max(worst, float(abs(solve_scalar(outer, prefix, target).root - want) / want))
     return worst
+
+
+def wide_row(text, seed, count):
+    """The wide row of the outer ``text`` over :func:`wide_instances` (see the module docstring)."""
+    outer = parse_outer(text)
+    row = {"worst": 0.0, "max_iterations": 0, "refused": 0, "off": 0}
+    with mpmath.workdps(WIDE_DPS):
+        for prefix, target in wide_instances(seed, count):
+            try:
+                result = solve_scalar(outer, prefix, target)
+            except MeanForgeError:
+                row["refused"] += 1
+                continue
+            if result.status != "converged":
+                row["max_iterations"] += 1
+                continue
+            want = balance_root(outer, prefix, target)
+            error = float(abs(result.root - want) / want)
+            row["worst"] = max(row["worst"], error)
+            row["off"] += error > OFF
+    return row
 
 
 def measure():
@@ -140,13 +187,24 @@ def measure():
     return rows
 
 
+def measure_wide():
+    """The ledger's wide rows: name -> {worst, max_iterations, refused, off}."""
+    return {f"solve_scalar {text}": wide_row(text, f"wide:{text}", WIDE_ROOTS)
+            for text in WIDE_OUTERS}
+
+
 def main():
-    rows = measure()
-    LEDGER.write_text(json.dumps({"dps": DPS, "factor": FACTOR, "rows": rows}, indent=1) + "\n",
+    rows, wide = measure(), measure_wide()
+    LEDGER.write_text(json.dumps({"dps": DPS, "factor": FACTOR, "rows": rows,
+                                  "wide_dps": WIDE_DPS, "wide": wide}, indent=1) + "\n",
                       encoding="utf-8")
     width = max(map(len, rows))
     for name, worst in rows.items():
         print(f"{name:<{width}}  {worst:.2e}")
+    print(f"\nwide ({WIDE_ROOTS} per outer)  worst  max-iterations  refused  off > {OFF:g}")
+    for name, row in wide.items():
+        print(f"{name:<{width}}  {row['worst']:.2e}  {row['max_iterations']:3d}  "
+              f"{row['refused']:3d}  {row['off']:3d}")
 
 
 if __name__ == "__main__":

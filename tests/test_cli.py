@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -201,6 +202,20 @@ class TestFloatRangeEnds:
                 want = mpmath.sqrt(a ** 2 + b ** 2 - a * b)
             assert abs(value - want) / want <= 1e-12
 
+    @pytest.mark.parametrize("at, rtol", [("5e-324,1", 0.0), ("1e-200,1e200,1", 1e-13)])
+    def test_beta_type_mean_through_its_balance_equation(self, capsys, at, rtol):
+        # beta{S=P[1]; mu=mean[P[0]]} is B = (k*prod(v)/sum(v))**(1/(k-1)): within
+        # rtol of it, or one float spacing at a subnormal root
+        mpmath = pytest.importorskip("mpmath")
+        code, out, err = run(capsys, "eval", "beta{S=P[1];mu=mean[P[0]]}", "--at", at,
+                             "--format", "json")
+        assert code == 0, err
+        value = json.loads(out)["output"]
+        with mpmath.workdps(50):
+            v = [mpmath.mpf(float(x)) for x in at.split(",")]
+            want = (len(v) * mpmath.fprod(v) / mpmath.fsum(v)) ** (mpmath.mpf(1) / (len(v) - 1))
+            assert abs(value - want) <= max(rtol * want, math.ulp(float(want)))
+
     def test_subnormal_start_with_no_float_inside(self, capsys):
         code, out, err = run(capsys, "eval", "invariant{M=[P[1],P[0]]}", "--at", "5e-324,1e-323",
                              "--format", "json")
@@ -250,7 +265,7 @@ class TestSolve:
         "T{mu=sum; S=[P[0]]; M=[agm,P[-1],P[1]]}",
         "T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}",
         "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}",
-        # mean[P[s]] steps form the prefix's terms once per solve
+        # mean[P[s]] outers, whose roots have a closed form
         "T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}",
         "T{mu=mean[P[-1]]; S=[P[0]]; M=[P[-2],P[1]]}",
     ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary", "mean-P0",

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -41,8 +42,8 @@ from meanforge.checks import (
     solver_instances,
 )
 from meanforge.dsl import parse_mean, parse_outer
-from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS, _step
-from meanforge.means import _eval_family, _eval_outer
+from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS
+from meanforge.means import GEOMETRIC_ORDER, _eval_family
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
@@ -263,15 +264,34 @@ def solver_cases(draw):
     return outer, tuple(draw(st.permutations(prefix))), tuple(target)
 
 
+def _assert_matches_reference(outer, prefix, target):
+    """solve_scalar against :func:`_reference_solve`: bit for bit where it bisects.
+
+    A ``mean[P[s]]`` outer's closed-form root is converged after 0 steps, lies
+    in the bracket, and leaves a residual at most the loop's plus 4 ulp of the
+    goal and the kernel's own rounding there.  The kernel's value is
+    ``a*exp(m)`` with ``|m| <= log(max/min)``, so it moves in relative steps of
+    about ``ulp(m)``; the loop bisects those float values and can find a zero
+    residual beside the exact root, whose own residual is such a step.
+    """
+    result = solve_scalar(outer, prefix, target)
+    want = _reference_solve(outer, tuple(prefix), target)
+    if not (isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean)):
+        # bit for bit: a bisection step evaluates the vector the public path does
+        assert (result.root, result.residual, result.iterations, result.status) == want
+        return
+    lo, hi = result.bracket
+    assert (result.status, result.iterations) == ("converged", 0)
+    assert lo <= result.root <= hi
+    goal = eval_outer(outer, target)
+    assert result.residual <= want[1] + 4.0 * math.ulp(goal) + 2.0 * goal * math.ulp(math.log(hi / lo))
+
+
 class TestSolverBitIdentity:
     @settings(max_examples=300, deadline=None)
     @given(solver_cases())
     def test_solve_scalar_equals_public_reference_loop(self, case):
-        outer, prefix, target = case
-        result = solve_scalar(outer, prefix, target)
-        want = _reference_solve(outer, prefix, target)
-        # bit for bit: a bisection step evaluates the vector the public path does
-        assert (result.root, result.residual, result.iterations, result.status) == want
+        _assert_matches_reference(*case)
 
     @pytest.mark.parametrize("text, prefix, target", [
         # non-positive prefix entries that the embedding relaxation admits
@@ -282,6 +302,11 @@ class TestSolverBitIdentity:
         ("qa[exp]", (1.0,), (800.0, 1.0)),  # the goal overflows
         ("sum", (-1e308,), (1.5e308, 1.6e308, -1e308)),  # a mixed-sign goal overflows
         ("sum", (8e307,), (-1e308, 8e307, 1.7e308)),  # a mixed-sign step overflows at max(w)
+        # the same prefixes under mean[P[s]], whose closed form checks them as the kernel does
+        ("mean[P[0]]", (0.0,), (1e-10, 1.0)),
+        ("mean[P[0]]", (-1e-10,), (1e-10, 1.0)),
+        ("mean[P[2]]", (0.0,), (1e-10, 1.0)),
+        ("mean[P[2]]", (-1e-10,), (1e-10, 1.0)),
     ])
     def test_errors_equal_the_reference_loop(self, text, prefix, target):
         outer = parse_outer(text)
@@ -306,18 +331,21 @@ class TestSolverBitIdentity:
             prefix = [rng.choice((w[k], w[k + n - m], rng.uniform(w[k], w[k + n - m])))
                       for k in range(m)]
             rng.shuffle(prefix)
-            outer = rng.choice(outers)
-            result = solve_scalar(outer, prefix, target)
-            want = _reference_solve(outer, tuple(prefix), target)
-            assert (result.root, result.residual, result.iterations, result.status) == want
+            _assert_matches_reference(rng.choice(outers), prefix, target)
 
 
 class TestPowerMeanStep:
-    """A ``mean[P[s]]`` solver step equals the outer kernel at ``v + (x,) * fill``, bit for bit.
+    """A ``mean[P[s]]`` solve's one step, the closed form, against mpmath.
 
-    The step forms the prefix's terms once against its own anchor; x below, at
-    and above that anchor, and vectors whose min/max leave the normal floats
-    (the kernel's wide form), must all give the kernel's float.
+    The target is the prefix and ``fill`` extra entries, so the exact root is
+    the power mean of the extras, which mpmath evaluates.  They lie below, at
+    and above each prefix entry and far enough out to make the vector wide, so
+    the anchor comes from either side and ``log(y) - log(a)`` stands in where
+    min/max leaves the normal floats.  The closed form rounds its anchored
+    terms by about ``eps*(1 + L)``, ``L = log(max(w)/min(w))``, and the float
+    equation amplifies that by its condition number ``n*(P[s](w)/x)**s/fill``.
+    Where the product reaches 1, x's term is below the rounding of the anchor's:
+    the float goal does not determine x, and only the bracket is checked.
     """
 
     MEANS = (PowerMean(2), PowerMean(0.5), PowerMean(0), PowerMean(-1.5),
@@ -339,38 +367,33 @@ class TestPowerMeanStep:
     @pytest.mark.parametrize("prefix", PREFIXES, ids=repr)
     @pytest.mark.parametrize("fill", (1, 3))
     def test_equals_the_kernel(self, mean, prefix, fill):
+        script = _accuracy_script()
         outer = MeanOuter(mean)
+        order = 0.0 if abs(mean.order) < GEOMETRIC_ORDER else mean.order
+        xs = self.xs(prefix)
+        pairs = zip(xs, xs) if fill == 1 else itertools.combinations_with_replacement(xs, 2)
+        with script.mpmath.workdps(40):
+            for x, y in pairs:
+                extras = (x,) + (y,) * (fill - 1)
+                target = prefix + extras
+                result = solve_scalar(outer, prefix, target)
+                lo, hi = result.bracket
+                assert (result.iterations, result.status) == (0, "converged")
+                assert lo <= result.root <= hi
+                exact = script.exact_power_mean(order, extras)
+                condition = (len(target) * (script.exact_power_mean(order, target) / exact) ** order
+                             / fill)
+                bound = 4.0 * 2.0 ** -53 * condition * (1.0 + math.log(hi) - math.log(lo))
+                if bound < 1.0:
+                    assert abs(result.root - exact) <= bound * exact + 5e-324, extras
 
-        def kernel(x):
-            return _eval_outer(outer, prefix + (x,) * fill)
-
-        kernel(min(prefix))  # solve_scalar's boundary step at min(target)
-        step = _step(outer, prefix, fill, min(prefix), kernel)
-        for x in self.xs(prefix):
-            assert step(x).hex() == kernel(x).hex(), x
-
-    def test_each_route_is_taken(self):
-        # the step's own sum at and beyond the anchor, and the kernel's wide form
-        outer, prefix, fill = MeanOuter(PowerMean(2)), (2.0, 3.5), 2
-        calls = []
-
-        def kernel(x):
-            calls.append(x)
-            return _eval_outer(outer, prefix + (x,) * fill)
-
-        step = _step(outer, prefix, fill, 2.0, kernel)
-        for x in (1.0, 3.5, 9.0):
-            step(x)
-        assert calls == []
-        step(1e-308)
-        assert calls == [1e-308]
-
-    def test_other_outers_run_the_kernel(self):
-        def kernel(x):
-            return x
-
-        for text in ("prod", "mean[B]"):
-            assert _step(parse_outer(text), (2.0,), 1, 1.0, kernel) is kernel
+    @pytest.mark.parametrize("order", (0.0, -0.01, 2.0))
+    def test_relaxed_prefix_far_below_the_bracket(self, order):
+        # the embedding relaxation admits 5e-324 against (1e-10, 1e300): the
+        # closed form's x is past every float, and the root is max(w) as the loop's
+        outer, prefix, target = MeanOuter(PowerMean(order)), (5e-324,), (1e-10, 1e300)
+        assert solve_scalar(outer, prefix, target).root == _reference_solve(outer, prefix, target)[0] \
+            == 1e300
 
 
 @functools.cache
@@ -399,11 +422,14 @@ class TestRootOracles:
 
 
 class TestAccuracyLedger:
-    """``data/accuracy.json``, recomputed: worst relative errors against mpmath at 50 digits.
+    """``data/accuracy.json``, recomputed: worst relative errors against mpmath.
 
     ``data/make_accuracy.py`` records the rows (power means at s = 1, -1, 0,
-    2.5 and solver roots per outer kind).  A row fails when it is worse than
-    recorded by more than the ledger's factor, which absorbs libm differences.
+    2.5 and solver roots per outer kind, at 50 digits) and the wide rows (solver
+    roots on vectors spanning 1e±150, at 700 digits, with counts of
+    max-iterations, refused and off solves).  A row fails when an error is worse
+    than recorded by more than the ledger's factor, which absorbs libm
+    differences, or when a count rises.
     """
 
     def test_no_row_worse_than_recorded(self):
@@ -413,6 +439,16 @@ class TestAccuracyLedger:
         assert list(rows) == list(ledger["rows"])
         worse = {name: (ledger["rows"][name], got) for name, got in rows.items()
                  if got > ledger["factor"] * ledger["rows"][name]}
+        assert worse == {}
+
+    def test_no_wide_row_worse_than_recorded(self):
+        script = _accuracy_script()
+        ledger = json.loads(script.LEDGER.read_text(encoding="utf-8"))
+        rows = script.measure_wide()
+        assert list(rows) == list(ledger["wide"])
+        worse = {name: (ledger["wide"][name], got) for name, got in rows.items()
+                 if got["worst"] > ledger["factor"] * ledger["wide"][name]["worst"]
+                 or any(got[k] > ledger["wide"][name][k] for k in ("max_iterations", "refused", "off"))}
         assert worse == {}
 
     def test_covers_every_solver_outer(self):
