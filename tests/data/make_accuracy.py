@@ -7,9 +7,10 @@ Run from the repository root::
 Each row is the worst ``|value - exact| / exact`` over seeded inputs, with the
 exact value from mpmath at ``DPS`` digits:
 
-* ``power_mean P[s]`` at s = 1, -1, 0 and 2.5, over vectors of 1-8 entries
-  log-uniform in (1e-3, 1e3), one in ten near-constant and one in ten
-  spanning (1e-300, 1e300);
+* ``power_mean P[s]`` at s = 1, -1, 0 and 2.5, and ``beta_mean``, each per
+  input class of :func:`power_vectors`: ``ordinary`` (1-8 entries log-uniform
+  in (1e-3, 1e3); 2-8 for ``beta_mean``), ``near-constant`` (one in ten) and
+  ``wide`` (one in ten, spanning (1e-300, 1e300));
 * ``solve_scalar <outer>``, the root of the balance equation for each outer
   kind, over the instances of :func:`root_instances`.
 
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import mpmath
 
-from meanforge import MeanForgeError, MeanOuter, Product, power_mean, solve_scalar
+from meanforge import MeanForgeError, MeanOuter, Product, beta_mean, power_mean, solve_scalar
 from meanforge.dsl import parse_outer
 
 LEDGER = Path(__file__).with_name("accuracy.json")
@@ -46,6 +47,8 @@ SOLVE_OUTERS = ("sum", "prod", "powsum[0.5]", "powsum[2]", "qa[log]", "qa[exp]",
                 "qa[pow[1.5]]", "mean[P[-1.5]]", "mean[P[-1]]", "mean[P[0]]",
                 "mean[P[0.5]]", "mean[P[2]]")
 POWER_VECTORS = 1000
+BETA_VECTORS = 3000
+CLASSES = ("ordinary", "near-constant", "wide")
 ROOTS = 200
 WIDE_OUTERS = tuple(t for t in SOLVE_OUTERS if t != "qa[exp]")
 WIDE_ROOTS = 300
@@ -62,17 +65,34 @@ def exact_power_mean(order, v):
     return (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
 
 
-def power_vectors(seed, count):
-    """``count`` vectors of 1-8 entries; one in ten near-constant, one in ten very wide."""
+def exact_beta_mean(v):
+    """The Beta-type mean of ``v`` at the working precision."""
+    xs = [mpmath.mpf(x) for x in v]
+    k = len(xs)
+    return (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+
+
+def power_vectors(seed, count, shortest=1):
+    """``count`` (class, vector) pairs of ``shortest``-8 entries; one in ten near-constant, one in ten wide."""
     rng = random.Random(seed)
     for index in range(count):
-        n = rng.randint(1, 8)
+        n = rng.randint(shortest, 8)
         if index % 10 == 0:
             base = 10 ** rng.uniform(-3, 3)
-            yield tuple(base * (1 + 1e-9 * rng.random()) for _ in range(n))
+            yield "near-constant", tuple(base * (1 + 1e-9 * rng.random()) for _ in range(n))
+        elif index % 10 == 1:
+            yield "wide", tuple(10 ** rng.uniform(-300, 300) for _ in range(n))
         else:
-            span = 300 if index % 10 == 1 else 3
-            yield tuple(10 ** rng.uniform(-span, span) for _ in range(n))
+            yield "ordinary", tuple(10 ** rng.uniform(-3, 3) for _ in range(n))
+
+
+def worst_by_class(evaluate, exact, vectors):
+    """The worst relative error of ``evaluate`` against ``exact`` in each input class."""
+    worst = dict.fromkeys(CLASSES, 0.0)
+    for kind, v in vectors:
+        want = exact(v)
+        worst[kind] = max(worst[kind], float(abs(evaluate(v) - want) / want))
+    return worst
 
 
 def balance_root(outer, prefix, target):
@@ -173,15 +193,15 @@ def wide_row(text, seed, count):
 
 
 def measure():
-    """The ledger's rows: name -> worst relative error."""
+    """The ledger's rows: name -> worst relative error, or class -> worst relative error."""
     rows = {}
     with mpmath.workdps(DPS):
         for order in POWER_ORDERS:
-            worst = 0.0
-            for v in power_vectors(f"accuracy:P[{order}]", POWER_VECTORS):
-                want = exact_power_mean(order, v)
-                worst = max(worst, float(abs(power_mean(order, v) - want) / want))
-            rows[f"power_mean P[{order:g}]"] = worst
+            rows[f"power_mean P[{order:g}]"] = worst_by_class(
+                lambda v: power_mean(order, v), lambda v: exact_power_mean(order, v),
+                power_vectors(f"accuracy:P[{order}]", POWER_VECTORS))
+        rows["beta_mean"] = worst_by_class(
+            beta_mean, exact_beta_mean, power_vectors("accuracy:B", BETA_VECTORS, 2))
     for text in SOLVE_OUTERS:
         rows[f"solve_scalar {text}"] = worst_root_error(text, f"accuracy:{text}", ROOTS)
     return rows
@@ -199,8 +219,10 @@ def main():
                                   "wide_dps": WIDE_DPS, "wide": wide}, indent=1) + "\n",
                       encoding="utf-8")
     width = max(map(len, rows))
+    print(f"{'':<{width}}  " + "  ".join(f"{kind:>13}" for kind in CLASSES))
     for name, worst in rows.items():
-        print(f"{name:<{width}}  {worst:.2e}")
+        cells = [worst[kind] for kind in CLASSES] if isinstance(worst, dict) else [worst]
+        print(f"{name:<{width}}  " + "  ".join(f"{cell:13.2e}" for cell in cells))
     print(f"\nwide ({WIDE_ROOTS} per outer)  worst  max-iterations  refused  off > {OFF:g}")
     for name, row in wide.items():
         print(f"{name:<{width}}  {row['worst']:.2e}  {row['max_iterations']:3d}  "
