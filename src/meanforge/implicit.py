@@ -9,7 +9,8 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
 bracket finds the unique root; no derivative is assumed to exist.  For a
-power-mean outer the root has a closed form, which is used instead.  Lifting
+power-mean outer the root has a closed form, the power-mean kernel with the
+prefix's terms subtracted, which is used instead.  Lifting
 the pointwise solve over vectors of mean values yields the means evaluated
 here: an implicit mean (``ProblemSpec``) balances a small family of means
 against a larger one, and ``GeneralizedBetaMean`` balances a single inner
@@ -34,7 +35,6 @@ from .ordering import (_embeds, _first_failure, as_vector, is_embedded, is_embed
                        is_ordered_majorized)
 from .means import (
     DEFAULT_TOL,
-    GEOMETRIC_ORDER,
     GeneralizedBetaMean,
     MeanExpr,
     MeanOuter,
@@ -42,15 +42,13 @@ from .means import (
     PowerMean,
     ProblemSpec,
     Sum,
-    _MIN_NORMAL,
-    _anchored_exp,
     _eval_family,
     _eval_mean,
     _eval_outer,
     _midpoint,
     _narrow,
+    _power_mean,
     _power_plan,
-    check_positive,
     check_tol,
     declared_arity,
     eval_outer,
@@ -224,35 +222,15 @@ def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...], fill: int,
                 lo: float, hi: float) -> float:
     """The root of ``P[s](v, x, ..., x) = P[s](w)`` in closed form, clamped to ``[lo, hi]``.
 
-    ``x^s = (sum(w^s) - sum(v^s)) / fill`` (logs at a geometric order), in the
-    kernel's anchored terms: one ``fsum`` of w's ``expm1(s*log(y/a))``
-    (``log(y/a)``) and v's negated ones, divided by ``fill`` and inverted as
-    ``a*exp(log1p(E)/s)``.  ``a`` is ``max(w + v)`` for s > 0 and ``min(w + v)``
-    otherwise, so no term overflows; where min/max leaves the normal floats,
-    ``log(y) - log(a)`` stands for ``log(y/a)``, as in ``means._wide_power_mean``.
-    Only the embedding relaxation or rounding make E <= -1 (x^s <= 0) or x
-    overflow; the root is then the end of the bracket that the sign of s points at.
+    ``x^s = (sum(w^s) - sum(v^s)) / fill`` (logs at a geometric order): the
+    power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
+    Only the embedding relaxation or rounding make x^s <= 0 or x overflow; the
+    root is then the end of the bracket that the sign of s points at.
     """
-    check_positive(min(v), "power mean")
-    low, high = min(lo, min(v)), max(hi, max(v))
-    up = s > 0.0
-    a = high if up else low
-    log, fsum = math.log, math.fsum
-    if low / high < _MIN_NORMAL:
-        shift = log(a)
-        tw, tv = [log(y) - shift for y in w], [log(y) - shift for y in v]
-    else:
-        tw, tv = [log(y / a) for y in w], [log(y / a) for y in v]
-    if abs(s) < GEOMETRIC_ORDER:
-        m = fsum(tw + [-t for t in tv]) / fill
-    else:
-        expm1 = math.expm1
-        e = fsum([expm1(s * t) for t in tw] + [-expm1(s * t) for t in tv]) / fill
-        if e <= -1.0:
-            return lo if up else hi
-        m = math.log1p(e) / s
     try:
-        x = _anchored_exp(a, m)
+        x = _power_mean(s, w, v, fill)
+    except ValueError:  # x^s <= 0
+        return lo if s > 0.0 else hi
     except OverflowError:
         return hi
     return min(max(x, lo), hi)

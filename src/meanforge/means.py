@@ -374,18 +374,45 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
     return _power_mean(order, as_vector(entries))
 
 
-def _power_mean(order: float, v: tuple[float, ...]) -> float:
-    """:func:`power_mean` at a finite ``order`` and a validated vector ``v``."""
-    lo, hi = min(v), max(v)
+def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] = (),
+                count: int = 0) -> float:
+    """``((sum(plus**s) - sum(minus**s)) / count)**(1/s)``, by logs at a geometric order s.
+
+    :func:`power_mean`'s anchored terms, over all entries; with no ``minus``, its
+    value (``count`` defaults to ``len(plus)``).  ``log(y) - log(anchor)`` stands
+    for ``log(y/anchor)`` where min/max leaves the normal floats.  With a
+    ``minus`` (``implicit._power_root``), a term ``z`` in (-708, -0.7) is the exact
+    pair ``-1, exp(z)``, so -1s of shared dominant entries cancel in ``fsum``, and
+    below a mean of -1/2, ``1 + mean`` is summed too.  Raises ``ValueError`` where
+    no power is left (``1 + mean <= 0``), ``OverflowError`` where the value overflows.
+    """
+    lo, hi = min(plus), max(plus)
+    if minus:
+        lo, hi = min(lo, min(minus)), max(hi, max(minus))
     check_positive(lo, "power mean")
     anchor = hi if order > 0.0 else lo
-    if lo / hi < _MIN_NORMAL:  # some x/anchor would leave the normal floats
-        return _wide_power_mean(order, v, anchor)
+    log, n = math.log, count or len(plus)
+    wide = lo / hi < _MIN_NORMAL  # some y/anchor would leave the normal floats
+    d, c = (1.0, log(anchor)) if wide else (anchor, 0.0)  # t = log(y/d) - c
     if abs(order) < GEOMETRIC_ORDER:
-        return anchor * math.exp(math.fsum([math.log(x / anchor) for x in v]) / len(v))
-    mean_expm1 = math.fsum([math.expm1(order * math.log(x / anchor))
-                            for x in v]) / len(v)
-    return anchor * math.exp(math.log1p(mean_expm1) / order)
+        terms = [log(y / d) - c for y in plus]
+        if minus:
+            terms += [c - log(y / d) for y in minus]
+        m = math.fsum(terms) / n
+    elif not minus:
+        m = math.log1p(math.fsum([math.expm1(order * (log(y / d) - c)) for y in plus]) / n) / order
+    else:
+        terms = []
+        for ys, sign in ((plus, 1.0), (minus, -1.0)):
+            for y in ys:
+                z = order * (log(y / d) - c)
+                if -708.0 < z < -0.7:  # exp(z) is normal
+                    terms += (-sign, sign * math.exp(z))
+                else:
+                    terms.append(sign * math.expm1(z))
+        mean = math.fsum(terms) / n
+        m = (math.log1p(mean) if mean >= -0.5 else log(math.fsum(terms + [n]) / n)) / order
+    return _anchored_exp(anchor, m) if wide else anchor * math.exp(m)
 
 
 def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list[float], bool, bool]]:
@@ -408,12 +435,13 @@ def _power_family(plan: tuple[list[float], bool, bool], v: tuple[float, ...],
 
     ``plan = _power_plan(family)``.  Checks run once, and ``log(x/anchor)`` once
     per anchor that two or more members share; a lone member takes one pass.
-    The formula is a copy of :func:`_power_mean`'s: a shared one slows that 2-6 %.
+    Where min/max leaves the normal floats, each member calls the kernel.  The
+    ratio route is a copy of :func:`_power_mean`'s: calling it slows this 2-6 %.
     """
     orders, share_hi, share_lo = plan
     check_positive(lo, "power mean")
     if lo / hi < _MIN_NORMAL:
-        return tuple([_wide_power_mean(s, v, hi if s > 0.0 else lo) for s in orders])
+        return tuple([_power_mean(s, v) for s in orders])
     t_hi = [math.log(x / hi) for x in v] if share_hi else None
     t_lo = [math.log(x / lo) for x in v] if share_lo else None
     n, values = len(v), []
@@ -427,21 +455,6 @@ def _power_family(plan: tuple[list[float], bool, bool], v: tuple[float, ...],
             m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
         values.append(anchor * math.exp(m))
     return tuple(values)
-
-
-def _wide_power_mean(order: float, v: tuple[float, ...], anchor: float) -> float:
-    """:func:`power_mean` with ``log(x/anchor)`` formed as ``log(x) - log(anchor)``.
-
-    Used only where min(v)/max(v) is below the normal floats; elsewhere the
-    ratio is more accurate, since the error of ``log(x)`` grows with |log x|.
-    """
-    shift = math.log(anchor)
-    t = [math.log(x) - shift for x in v]
-    if abs(order) < GEOMETRIC_ORDER:
-        m = math.fsum(t) / len(v)
-    else:
-        m = math.log1p(math.fsum([math.expm1(order * u) for u in t]) / len(v)) / order
-    return _anchored_exp(anchor, m)
 
 
 def _anchored_exp(anchor: float, m: float) -> float:
@@ -462,7 +475,13 @@ def beta_mean(entries: Sequence[float]) -> float:
 
 
 def _beta_mean(v: tuple[float, ...]) -> float:
-    """:func:`beta_mean` at a validated vector ``v``."""
+    """:func:`beta_mean` at a validated vector ``v``: ``hi*(k*prod(v/hi) / fsum(v/hi))**(1/(k-1))``.
+
+    With ``y = m*2**e`` (``frexp``), the product is kept as a mantissa, renormalized
+    at each sorted entry's ratio ``m/m_hi`` in (1/2, 2), and an exact exponent sum
+    ``q*(k-1) + r``; ``ldexp`` applies ``2**q`` and ``hi``'s exponent last, so no
+    intermediate leaves the normal floats.
+    """
     sv = sorted(v)
     lo, hi = sv[0], sv[-1]
     check_positive(lo, "Beta-type mean")
@@ -470,24 +489,16 @@ def _beta_mean(v: tuple[float, ...]) -> float:
     if k < 2:
         raise ArityError("Beta-type mean needs at least 2 entries "
                          "(the exponent 1/(k-1) is undefined for k=1)")
-    try:
-        total = math.fsum(sv)
-    except OverflowError:
-        total = math.inf
-    prod = math.prod(sv)  # ascending: no partial product is below min(1, lo)**k
-    if min(1.0, lo) ** k >= _MIN_NORMAL and prod < math.inf:
-        ratio = k * prod / total
-        if _MIN_NORMAL <= ratio < math.inf:
-            return min(max(ratio ** (1.0 / (k - 1)), lo), hi)  # rounding may leave [lo, hi]
-    # A product, the sum or their ratio left the normal floats (a subnormal has
-    # lost digits).  B is homogeneous, B(v) = hi*B(v/hi): through logarithms.
-    if lo / hi < _MIN_NORMAL:  # some x/hi would leave the normal floats
-        shift = math.log(hi)
-        t = [math.log(x) - shift for x in sv]
-    else:
-        t = [math.log(x / hi) for x in sv]
-    share = math.fsum([x / hi for x in sv])
-    return _anchored_exp(hi, (math.log(k) + math.fsum(t) - math.log(share)) / (k - 1))
+    frexp = math.frexp
+    m_hi, e_hi = frexp(hi)
+    p, e = 1.0, -k * e_hi
+    for y in sv:
+        m_y, e_y = frexp(y)
+        p, shift = frexp(p * (m_y / m_hi))
+        e += e_y + shift
+    q, r = divmod(e, k - 1)
+    root = (k * p / math.fsum([y / hi for y in sv])) ** (1.0 / (k - 1)) * 2.0 ** (r / (k - 1))
+    return min(max(math.ldexp(m_hi * root, e_hi + q), lo), hi)  # rounding may leave [lo, hi]
 
 
 def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:

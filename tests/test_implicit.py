@@ -395,6 +395,24 @@ class TestPowerMeanStep:
         assert solve_scalar(outer, prefix, target).root == _reference_solve(outer, prefix, target)[0] \
             == 1e300
 
+    def test_shared_dominant_entries_cancel(self):
+        # prefix and target share their two largest entries: each one's anchored
+        # term is -1 to double precision, and only the small entries fix the root
+        mpmath = pytest.importorskip("mpmath")
+        prefix = (1.376511362933826e-13, 2.130195332724786e+26, 2.230941052422598e+26)
+        target = (1.3379190954583884e-13, 1.936329149040982e-13) + prefix[1:]
+        root = solve_scalar(MeanOuter(PowerMean(2)), prefix, target).root
+        with mpmath.workdps(200):
+            exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(y) ** 2 for y in target)
+                                - mpmath.fsum(mpmath.mpf(y) ** 2 for y in prefix))
+            assert float(abs(root - exact) / exact) <= 1e-14
+
+    def test_subnormal_term_is_not_paired(self):
+        # anchored at 1.5e-323, the large entry's term is exp(-742), a subnormal
+        # with few digits: it stays -1, and the root is the bracket's end
+        target = (1.5e-323, 0.7673581403363521)
+        assert solve_scalar(MeanOuter(PowerMean(-1)), target[:1], target).root == target[1]
+
 
 @functools.cache
 def _accuracy_script():

@@ -28,7 +28,8 @@ from meanforge import (
     gauss_iterate,
     power_mean,
 )
-from meanforge.means import _eval_family, _eval_mean, _eval_outer, format_number
+from meanforge.means import (GEOMETRIC_ORDER, _MIN_NORMAL, _eval_family, _eval_mean, _eval_outer,
+                             format_number)
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -155,6 +156,56 @@ class TestPowerMean:
             assert power_mean(s, v) == power_mean(s, p)
 
 
+# On either side of each boundary between the power-mean kernel's routes: min/max
+# at _MIN_NORMAL (ratio logs or log differences), |s| at GEOMETRIC_ORDER (logs or
+# expm1 terms) and the mean log m at +-700 (where the wide route's exp is split).
+_ABOVE, _BELOW = math.nextafter(_MIN_NORMAL, 1.0), math.nextafter(_MIN_NORMAL, 0.0)
+_JUST_GEOMETRIC = math.nextafter(GEOMETRIC_ORDER, 0.0)
+ROUTE_PINS = [
+    (1.0, (_ABOVE * 1.0, 1e-100, 1.0), "0x1.5555555555556p-2"),
+    (-1.0, (_ABOVE * 1.0, 1e-100, 1.0), "0x1.8000000000000p-1021"),
+    (0.0, (_ABOVE * 1.0, 1e-100, 1.0), "0x1.84ab2aed9645ap-452"),
+    (2.5, (_ABOVE * 1.0, 1e-100, 1.0), "0x1.49ee032821818p-1"),
+    (-3.0, (_ABOVE * 1.0, 1e-100, 1.0), "0x1.7137449123ef7p-1022"),
+    (1.0, (_ABOVE * 1024.0, 1.024e-97, 1024.0), "0x1.5555555555556p+8"),
+    (-1.0, (_ABOVE * 1024.0, 1.024e-97, 1024.0), "0x1.8000000000000p-1011"),
+    (0.0, (_ABOVE * 1024.0, 1.024e-97, 1024.0), "0x1.84ab2aed9645ap-442"),
+    (2.5, (_ABOVE * 1024.0, 1.024e-97, 1024.0), "0x1.49ee032821818p+9"),
+    (-3.0, (_ABOVE * 1024.0, 1.024e-97, 1024.0), "0x1.7137449123ef7p-1012"),
+    (1.0, (_BELOW * 1.0, 1e-100, 1.0), "0x1.5555555555556p-2"),
+    (-1.0, (_BELOW * 1.0, 1e-100, 1.0), "0x1.7fffffffffffep-1021"),
+    (0.0, (_BELOW * 1.0, 1e-100, 1.0), "0x1.84ab2aed96456p-452"),
+    (2.5, (_BELOW * 1.0, 1e-100, 1.0), "0x1.49ee032821818p-1"),
+    (-3.0, (_BELOW * 1.0, 1e-100, 1.0), "0x1.7137449123ef5p-1022"),
+    (1.0, (_BELOW * 1024.0, 1.024e-97, 1024.0), "0x1.5555555555556p+8"),
+    (-1.0, (_BELOW * 1024.0, 1.024e-97, 1024.0), "0x1.7fffffffffffep-1011"),
+    (0.0, (_BELOW * 1024.0, 1.024e-97, 1024.0), "0x1.84ab2aed96456p-442"),
+    (2.5, (_BELOW * 1024.0, 1.024e-97, 1024.0), "0x1.49ee032821818p+9"),
+    (-3.0, (_BELOW * 1024.0, 1.024e-97, 1024.0), "0x1.7137449123ef5p-1012"),
+    (GEOMETRIC_ORDER, (0.5, 3.0, 7.0), "0x1.184a0aa58191fp+1"),
+    (GEOMETRIC_ORDER, (1e-310, 1.0, 1e+300), "0x1.e6b4b3964297fp-12"),
+    (-GEOMETRIC_ORDER, (0.5, 3.0, 7.0), "0x1.184a0aa58191ep+1"),
+    (-GEOMETRIC_ORDER, (1e-310, 1.0, 1e+300), "0x1.e6b4b3964286ap-12"),
+    (_JUST_GEOMETRIC, (0.5, 3.0, 7.0), "0x1.184a0aa58191fp+1"),
+    (_JUST_GEOMETRIC, (1e-310, 1.0, 1e+300), "0x1.e6b4b39642d4dp-12"),
+    (-_JUST_GEOMETRIC, (0.5, 3.0, 7.0), "0x1.184a0aa58191fp+1"),
+    (-_JUST_GEOMETRIC, (1e-310, 1.0, 1e+300), "0x1.e6b4b3964286ap-12"),
+    (0.0, (1e-310, 1.0082976962420251e+298), "0x1.0d8bfe921b2dbp-20"),
+    (0.0, (1e-310, 1.0494471058420255e+298), "0x1.12fdf7b2c110fp-20"),
+    (8.46e-05, (5e-324,) * 8 + (1e20,), "0x1.762c574cb4c2dp-944"),
+    (8.48e-05, (5e-324,) * 8 + (1e20,), "0x1.78924304ba4a1p-944"),
+    (0.0016, (5e-324, 5e-324, 5e-324, 1e+300), "0x1.5da64d4b5bf7ep-16"),
+    (0.00161, (5e-324, 5e-324, 5e-324, 1e+300), "0x1.b4b6a43a4fceep-13"),
+    (0.0053, (3e-308,) * 999 + (1.0,), "0x1.73958280a3002p-1011"),
+    (0.0055, (3e-308,) * 999 + (1.0,), "0x1.b242b1f5e9fd4p-1010"),
+]
+
+
+@pytest.mark.parametrize("order, v, bits", ROUTE_PINS)
+def test_power_mean_pinned_at_route_boundaries(order, v, bits):
+    assert power_mean(order, v).hex() == bits
+
+
 class TestBetaMean:
     def test_two_entries_is_harmonic(self):
         assert beta_mean((2, 8)) == 3.2
@@ -188,8 +239,8 @@ class TestBetaMean:
         assert math.isfinite(value) and 1e200 <= value <= 1e300
 
     def test_sum_overflow_mpmath_oracle(self):
-        # the sum overflows while the mean is finite: (k * prod / sum) goes
-        # through logarithms, also when the product alone stays finite
+        # the sum overflows while the mean is finite, also when the product
+        # alone stays finite: B is formed from v/max(v) and binary exponents
         mpmath = pytest.importorskip("mpmath")
         cases = [(1e200, 1.7e308, 1.7e308), (1e-300, 1e-10, 1.7e308, 1.7e308)]
         rng = random.Random(22)
@@ -210,7 +261,21 @@ class TestBetaMean:
                 got = beta_mean(v)
                 assert min(v) <= got <= max(v), (v, got)
                 worst = max(worst, float(abs(got - want) / want))
-        assert worst <= 5e-13
+        assert worst <= 1e-15
+
+    def test_many_entries_mpmath_oracle(self):
+        # 1200 mantissa ratios near 2 (0.99 against 1.0) would overflow a plain
+        # running product; the log-uniform vectors, underflow it
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(24)
+        cases = [(0.99,) * 1200 + (1.0,), (1.0,) * 1200 + (1.99,)] + [
+            tuple(10.0 ** rng.uniform(-300, 300) for _ in range(1500)) for _ in range(3)]
+        with mpmath.workdps(60):
+            for v in cases:
+                xs = [mpmath.mpf(x) for x in v]
+                k = len(xs)
+                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                assert float(abs(beta_mean(v) - want) / want) <= 1e-15, v[:3]
 
     def test_underflow_falls_back_to_logs(self):
         v = (1e-300, 1e-300, 1e-250)
@@ -250,7 +315,7 @@ class TestBetaMean:
                 assert math.isfinite(got), v
                 assert min(v) <= got <= max(v), v
                 worst = max(worst, float(abs(got - want) / want))
-        assert worst <= 5e-13
+        assert worst <= 1e-15
 
 
 class TestEvalMean:
