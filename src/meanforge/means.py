@@ -379,12 +379,13 @@ def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] 
     """``((sum(plus**s) - sum(minus**s)) / count)**(1/s)``, by logs at a geometric order s.
 
     :func:`power_mean`'s anchored terms, over all entries; with no ``minus``, its
-    value (``count`` defaults to ``len(plus)``).  ``log(y) - log(anchor)`` stands
+    value.  ``count`` must be ``len(plus) - len(minus)``, as each ``expm1`` term
+    drops a 1; the default 0 means ``len(plus)``.  ``log(y) - log(anchor)`` stands
     for ``log(y/anchor)`` where min/max leaves the normal floats.  With a
     ``minus`` (``implicit._power_root``), a term ``z`` in (-708, -0.7) is the exact
     pair ``-1, exp(z)``, so -1s of shared dominant entries cancel in ``fsum``, and
     below a mean of -1/2, ``1 + mean`` is summed too.  Raises ``ValueError`` where
-    no power is left (``1 + mean <= 0``), ``OverflowError`` where the value overflows.
+    no power is left (``1 + mean <= 0``), ``OverflowError`` where ``exp`` overflows.
     """
     lo, hi = min(plus), max(plus)
     if minus:
