@@ -165,7 +165,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
 
     goal = eval_outer(outer, w)
     if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
-        root = _power_root(outer.mean.order, v, w, fill, lo, hi)
+        root = _power_root(outer.mean.order, v, w, lo, hi)
         return SolveResult(root, bracket, residual(root), 0, "converged")
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
     if isinstance(outer, Sum):
@@ -218,17 +218,17 @@ def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
     return step
 
 
-def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...], fill: int,
+def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...],
                 lo: float, hi: float) -> float:
     """The root of ``P[s](v, x, ..., x) = P[s](w)`` in closed form, clamped to ``[lo, hi]``.
 
-    ``x^s = (sum(w^s) - sum(v^s)) / fill`` (logs at a geometric order): the
-    power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
+    ``x^s = (sum(w^s) - sum(v^s)) / (len(w) - len(v))`` (logs at a geometric order):
+    the power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
     Only the embedding relaxation or rounding make x^s <= 0 or x overflow; the
     root is then the end of the bracket that the sign of s points at.
     """
     try:
-        x = _power_mean(s, w, v, fill)
+        x = _power_mean(s, w, v)
     except ValueError:  # x^s <= 0
         return lo if s > 0.0 else hi
     except OverflowError:

@@ -374,43 +374,42 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
     return _power_mean(order, as_vector(entries))
 
 
-def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] = (),
-                count: int = 0) -> float:
-    """``((sum(plus**s) - sum(minus**s)) / count)**(1/s)``, by logs at a geometric order s.
+def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] = ()) -> float:
+    """``((sum(plus**s) - sum(minus**s)) / n)**(1/s)`` with ``n = len(plus) - len(minus)``.
 
-    :func:`power_mean`'s anchored terms, over all entries; with no ``minus``, its
-    value.  ``count`` must be ``len(plus) - len(minus)``, as each ``expm1`` term
-    drops a 1; the default 0 means ``len(plus)``.  ``log(y) - log(anchor)`` stands
-    for ``log(y/anchor)`` where min/max leaves the normal floats.  With a
-    ``minus`` (``implicit._power_root``), a term ``z`` in (-708, -0.7) is the exact
-    pair ``-1, exp(z)``, so -1s of shared dominant entries cancel in ``fsum``, and
+    :func:`power_mean`'s terms ``z = s*t`` over all entries (``t`` at a geometric
+    order s), ``t = log(y/anchor)``, or ``log(y) - log(anchor)`` where min/max
+    leaves the normal floats; with no ``minus``, its value.  With a ``minus``
+    (``implicit._power_root``), a ``z`` in (-708, -0.7) is the exact pair
+    ``-1, exp(z)``, so -1s of shared dominant entries cancel in ``fsum``, and
     below a mean of -1/2, ``1 + mean`` is summed too.  Raises ``ValueError`` where
     no power is left (``1 + mean <= 0``), ``OverflowError`` where ``exp`` overflows.
     """
-    lo, hi = min(plus), max(plus)
-    if minus:
-        lo, hi = min(lo, min(minus)), max(hi, max(minus))
+    ys = plus + minus  # plus itself when minus is ()
+    lo, hi = min(ys), max(ys)
     check_positive(lo, "power mean")
     anchor = hi if order > 0.0 else lo
-    log, n = math.log, count or len(plus)
+    geometric = abs(order) < GEOMETRIC_ORDER
+    s, log = (1.0 if geometric else order), math.log
     wide = lo / hi < _MIN_NORMAL  # some y/anchor would leave the normal floats
-    d, c = (1.0, log(anchor)) if wide else (anchor, 0.0)  # t = log(y/d) - c
-    if abs(order) < GEOMETRIC_ORDER:
-        terms = [log(y / d) - c for y in plus]
-        if minus:
-            terms += [c - log(y / d) for y in minus]
-        m = math.fsum(terms) / n
-    elif not minus:
-        m = math.log1p(math.fsum([math.expm1(order * (log(y / d) - c)) for y in plus]) / n) / order
+    if wide:
+        c = log(anchor)
+        z = [s * (log(y) - c) for y in ys]
+    else:
+        z = [s * log(y / anchor) for y in ys]
+    k, n = len(plus), len(plus) - len(minus)
+    if not minus:
+        m = math.fsum(z) / n if geometric else math.log1p(math.fsum(map(math.expm1, z)) / n) / order
+    elif geometric:
+        m = math.fsum(z[:k] + [-x for x in z[k:]]) / n
     else:
         terms = []
-        for ys, sign in ((plus, 1.0), (minus, -1.0)):
-            for y in ys:
-                z = order * (log(y / d) - c)
-                if -708.0 < z < -0.7:  # exp(z) is normal
-                    terms += (-sign, sign * math.exp(z))
-                else:
-                    terms.append(sign * math.expm1(z))
+        for i, x in enumerate(z):
+            sign = 1.0 if i < k else -1.0
+            if -708.0 < x < -0.7:  # exp(x) is normal
+                terms += (-sign, sign * math.exp(x))
+            else:
+                terms.append(sign * math.expm1(x))
         mean = math.fsum(terms) / n
         m = (math.log1p(mean) if mean >= -0.5 else log(math.fsum(terms + [n]) / n)) / order
     return _anchored_exp(anchor, m) if wide else anchor * math.exp(m)
@@ -499,7 +498,11 @@ def _beta_mean(v: tuple[float, ...]) -> float:
         e += e_y + shift
     q, r = divmod(e, k - 1)
     root = (k * p / math.fsum([y / hi for y in sv])) ** (1.0 / (k - 1)) * 2.0 ** (r / (k - 1))
-    return min(max(math.ldexp(m_hi * root, e_hi + q), lo), hi)  # rounding may leave [lo, hi]
+    try:
+        value = math.ldexp(m_hi * root, e_hi + q)
+    except OverflowError:  # rounded past hi = the largest float; B <= hi
+        return hi
+    return min(max(value, lo), hi)  # rounding may leave [lo, hi]
 
 
 def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:

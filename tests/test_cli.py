@@ -216,12 +216,17 @@ class TestFloatRangeEnds:
             want = (len(v) * mpmath.fprod(v) / mpmath.fsum(v)) ** (mpmath.mpf(1) / (len(v) - 1))
             assert abs(value - want) <= max(rtol * want, math.ulp(float(want)))
 
-    def test_beta_type_mean_across_the_float_range(self, capsys):
+    @pytest.mark.parametrize("expr, at, want", [
+        ("B", "1e-300,1e300,1", 1.7320508075688772e-150),
+        # at the largest float the scaled root rounds one ulp past it before the clamp
+        ("B", ",".join([repr(sys.float_info.max)] * 3), sys.float_info.max),
+        ("mean[B]", ",".join([repr(sys.float_info.max)] * 3), sys.float_info.max)])
+    def test_beta_type_mean_across_the_float_range(self, capsys, expr, at, want):
         # B's binary exponents sum exactly, so the span costs it no accuracy
-        code, out, err = run(capsys, "eval", "B", "--at", "1e-300,1e300,1", "--format", "json")
+        code, out, err = run(capsys, "eval", expr, "--at", at, "--format", "json")
         assert code == 0, err
         value = json.loads(out)["output"]
-        assert abs(value - 1.7320508075688772e-150) <= 1e-15 * 1.7320508075688772e-150
+        assert abs(value - want) <= 1e-15 * want
 
     def test_subnormal_start_with_no_float_inside(self, capsys):
         code, out, err = run(capsys, "eval", "invariant{M=[P[1],P[0]]}", "--at", "5e-324,1e-323",

@@ -242,7 +242,9 @@ class TestBetaMean:
         # the sum overflows while the mean is finite, also when the product
         # alone stays finite: B is formed from v/max(v) and binary exponents
         mpmath = pytest.importorskip("mpmath")
-        cases = [(1e200, 1.7e308, 1.7e308), (1e-300, 1e-10, 1.7e308, 1.7e308)]
+        top = sys.float_info.max
+        cases = [(1e200, 1.7e308, 1.7e308), (1e-300, 1e-10, 1.7e308, 1.7e308),
+                 (top, top, top), (top, top), (1e300, top, top)]
         rng = random.Random(22)
         while len(cases) < 400:
             v = tuple(math.exp(rng.uniform(-690.0, 709.0))
@@ -425,13 +427,14 @@ class TestFamilyKernel:
 
     # No kernel special-cases a constant vector: each formula must give its entry.
     @given(st.one_of(st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
-                                      1.0, 3.0, 1e300, 1.7e308]),
-                     st.floats(min_value=5e-324, max_value=1.7e308)),
+                                      1.0, 3.0, 1e300, 1.7e308, sys.float_info.max]),
+                     st.floats(min_value=5e-324, max_value=sys.float_info.max)),
            st.integers(1, 6),
            st.lists(st.one_of(orders, special_orders, st.sampled_from([1e10, -1e10])),
                     min_size=1, max_size=5))
     @example(5e-324, 2, [1e10, -1e10, 0.0])
     @example(1.7e308, 6, [1e10, -1e10, 0.0])
+    @example(sys.float_info.max, 3, [1.0])  # B's scaled root rounds one ulp past it
     def test_constant_vector_gives_its_entry_exactly(self, c, k, family_orders):
         v, want = (c,) * k, c.hex()
         family = tuple(PowerMean(s) for s in family_orders)
