@@ -60,7 +60,6 @@ __all__ = [
     "MAX_BISECTION_STEPS",
     "SolveResult",
     "EmbedReport",
-    "embedding_eps",
     "solve_scalar",
     "implicit_mean",
     "balance_value",
@@ -71,9 +70,7 @@ __all__ = [
 
 MAX_BISECTION_STEPS = 200
 
-# Relaxation applied when checking the embedding precondition on computed
-# mean values; scales with the magnitude of the target vector.
-EMBED_EPS_SCALE = 1e-9
+EMBED_RTOL = 1e-9  # the relative eps of every ordering check on computed means
 
 # Relative bound on the starred implicit mean's excess in compare_implicit_means.
 COMPARISON_RTOL = 1e-9
@@ -111,17 +108,12 @@ class EmbedReport(Frozen):
     certificate: Optional[dict] = None
 
 
-def embedding_eps(w: Sequence[float]) -> float:
-    """Relaxation used for embedding checks on computed values near ``w``'s scale."""
-    return EMBED_EPS_SCALE * max(map(abs, w))
-
-
 def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float],
                  tol: float = DEFAULT_TOL) -> SolveResult:
     """Solve ``outer(prefix, x, ..., x) = outer(target)`` for ``x``.
 
-    Requires ``prefix`` embedded in ``target``, checked on the validated inputs
-    with rounding relaxation by the kernel ``ordering._embeds``; a violation
+    Requires ``prefix`` embedded in ``target``, checked on the validated inputs by
+    the kernel ``ordering._embeds`` relaxed by ``EMBED_RTOL`` of each entry; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
     verdict, as the bracket guarantee is void without it.  A ``mean[P[s]]``
     outer's root is then found in closed form (:func:`_power_root`), clamped to
@@ -143,8 +135,8 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     pinned = declared_arity(outer)
     if pinned is not None and pinned != n:
         raise ArityError(f"{outer} takes {pinned} values but the target has {n}")
-    if not _embeds(sorted(v), sorted(w), embedding_eps(w)):
-        verdict = is_embedded_within(v, w, embedding_eps(w))
+    if not _embeds(sorted(v), sorted(w), EMBED_RTOL):
+        verdict = is_embedded_within(v, w, EMBED_RTOL)
         raise HypothesisViolation(
             "prefix is not embedded in the target vector (no solution is "
             "guaranteed and the bracket argument fails)",
@@ -224,8 +216,8 @@ def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...],
 
     ``x^s = (sum(w^s) - sum(v^s)) / (len(w) - len(v))`` (logs at a geometric order):
     the power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
-    Only the embedding relaxation or rounding make x^s <= 0 or x overflow; the
-    root is then the end of the bracket that the sign of s points at.
+    A prefix inside the embedding's relative slack, or rounding, can make x^s <= 0 or x
+    overflow; the root is then the end of the bracket that the sign of s points at.
     """
     try:
         x = _power_mean(s, w, v)
@@ -345,7 +337,7 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
         checked += 1
         values = _eval_family(small + big, v)
         small_values, big_values = values[:len(small)], values[len(small):]
-        if not _embeds(sorted(small_values), sorted(big_values), embedding_eps(big_values)):
+        if not _embeds(sorted(small_values), sorted(big_values), EMBED_RTOL):
             exact = is_embedded(small_values, big_values)
             return EmbedReport(
                 mode="refuted",
@@ -380,7 +372,7 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
     for v in sample_vectors(plan):
         values = _eval_family(low + high, v)
         low_values, high_values = values[:len(low)], values[len(low):]
-        k = _first_failure(sorted(low_values), sorted(high_values), embedding_eps(high_values), False)
+        k = _first_failure(sorted(low_values), sorted(high_values), EMBED_RTOL, False)
         if k:
             return {"rule": "sampled", "vector": list(v),
                     "low_values": list(low_values),

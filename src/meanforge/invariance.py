@@ -56,7 +56,7 @@ __all__ = [
 
 DEFAULT_CAP = 10_000
 
-_CONTAINMENT_SLACK = 8 * sys.float_info.epsilon
+_CONTAINMENT_RTOL = 8 * sys.float_info.epsilon
 
 # Relative bound on |K(M_1(v), ..., M_n(v)) - K(v)| / |K(v)| in verify_invariance.
 INVARIANCE_RTOL = 1e-8
@@ -82,7 +82,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     overflows); after ``DEFAULT_CAP`` steps it is unconverged.  The start must be
     positive; a positive constant one converges in zero iterations.  Every
     step asserts the new iterate stays inside the previous [min, max] (up to
-    a few ulp of max, at every scale), which makes the spread nonincreasing.
+    8 ulp of min below it and of max above it), which makes the spread nonincreasing.
     Errors come in order: the tol, a non-finite start, a length unequal to the family's,
     then the family, which the ``InvariantMean`` node checks and classifies once:
     two or more power means go through the shared-log kernel ``means._power_family``.
@@ -108,8 +108,7 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
             return iterations, hi - lo, _midpoint(lo, hi), settled
         nxt = _eval_family(family, u) if plan is None else _power_family(plan, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
-        slack = _CONTAINMENT_SLACK * hi  # relative: the entries are positive
-        if nlo < lo - slack or nhi > hi + slack:
+        if nlo < lo - _CONTAINMENT_RTOL * lo or nhi > hi + _CONTAINMENT_RTOL * hi:  # lo > 0
             raise HypothesisViolation(
                 "iterate escaped the previous range: some member of the "
                 "family is not a mean on this data",

@@ -377,9 +377,9 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
 def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] = ()) -> float:
     """``((sum(plus**s) - sum(minus**s)) / n)**(1/s)`` with ``n = len(plus) - len(minus)``.
 
-    :func:`power_mean`'s terms ``z = s*t`` over all entries (``t`` at a geometric
-    order s), ``t = log(y/anchor)``, or ``log(y) - log(anchor)`` where min/max
-    leaves the normal floats; with no ``minus``, its value.  With a ``minus``
+    :func:`power_mean`'s terms ``z = s*t`` over all entries (``t`` at a geometric order
+    s), ``t = log(y/anchor)``, or ``log(y) - log(anchor)`` where min/max leaves the
+    normal floats; with no ``minus``, its value clamped to [min, max].  With a ``minus``
     (``implicit._power_root``), a ``z`` in (-708, -0.7) is the exact pair
     ``-1, exp(z)``, so -1s of shared dominant entries cancel in ``fsum``, and
     below a mean of -1/2, ``1 + mean`` is summed too.  Raises ``ValueError`` where
@@ -412,7 +412,8 @@ def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] 
                 terms.append(sign * math.expm1(x))
         mean = math.fsum(terms) / n
         m = (math.log1p(mean) if mean >= -0.5 else log(math.fsum(terms + [n]) / n)) / order
-    return _anchored_exp(anchor, m) if wide else anchor * math.exp(m)
+    x = _anchored_exp(anchor, m) if wide else anchor * math.exp(m)
+    return x if minus else lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi), faster
 
 
 def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list[float], bool, bool]]:
@@ -453,7 +454,8 @@ def _power_family(plan: tuple[list[float], bool, bool], v: tuple[float, ...],
             m = math.log1p(math.fsum([math.expm1(s * math.log(x / anchor)) for x in v]) / n) / s
         else:
             m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
-        values.append(anchor * math.exp(m))
+        x = anchor * math.exp(m)
+        values.append(lo if x < lo else hi if x > hi else x)  # _power_mean's clamp
     return tuple(values)
 
 

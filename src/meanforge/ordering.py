@@ -10,10 +10,11 @@ compared, and for a longer ``v`` the sort orders swap roles.  ``v`` is
 by ``w`` and not longer than ``w``.
 
 All predicates compare floats exactly, through one core that returns the
-first failing position; ``is_embedded_within`` relaxes every inequality by
-an explicit ``eps`` so that verdicts on *computed* mean values do not fail
-on ties perturbed by rounding.  The library's own checks call the kernel
-``_embeds`` on sorted validated values and build a verdict only on failure.
+first failing position.  That core alone relaxes a comparison: for
+``is_embedded_within`` and the library's checks on *computed* mean values, by
+a relative ``eps`` of the entry it compares with, so that ties perturbed by
+rounding pass at any scale.  Those checks call it, or the kernel ``_embeds``,
+on sorted validated values and build a verdict only on failure.
 
 Note this is not the classical partial-sum majorization of symmetric-function
 theory: the relations here compare sorted entries directly.
@@ -100,19 +101,22 @@ _HOLDS, _EMBEDDED = OrderingCheck(True), OrderingVerdict(True, True, True)  # im
 
 def _first_failure(a: Sequence[float], b: Sequence[float], eps: float, minorize: bool) -> int:
     # The first failing position (1-based), or 0.  a, b ascending; compared on the shorter
-    # length from the bottom, or for majorization from the top (flipped when a is longer)
+    # length from the bottom, or for majorization from the top (flipped when a is longer),
+    # with b's entries y moved by eps*|y| first when eps > 0, so the loops compare plainly
+    if eps:
+        b = [y - eps * abs(y) for y in b] if minorize else [y + eps * abs(y) for y in b]
     if minorize != (len(a) <= len(b)):
         a, b = reversed(a), reversed(b)
     k = 0
     if minorize:
         for x, y in zip(a, b):
             k += 1
-            if not x >= y - eps:
+            if not x >= y:
                 return k
     else:
         for x, y in zip(a, b):
             k += 1
-            if not x <= y + eps:
+            if not x <= y:
                 return k
     return 0
 
@@ -151,7 +155,8 @@ def is_embedded(v: Sequence[float], w: Sequence[float]) -> OrderingVerdict:
 
 
 def is_embedded_within(v: Sequence[float], w: Sequence[float], eps: float) -> OrderingVerdict:
-    """Embeddability with every inequality relaxed by a finite ``eps >= 0``."""
+    """Embeddability with ``x >= y - eps*|y|`` and ``x <= y + eps*|y|`` for each compared
+    entry ``x`` of ``v`` and ``y`` of ``w``: relative to ``y``, for a finite ``eps >= 0``."""
     if not 0.0 <= eps < math.inf:  # NaN would make every inequality fail and inf every one hold
         raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
     a, b = sorted(as_vector(v)), sorted(as_vector(w))

@@ -228,6 +228,14 @@ class TestFloatRangeEnds:
         value = json.loads(out)["output"]
         assert abs(value - want) <= 1e-15 * want
 
+    def test_power_mean_at_the_largest_floats_is_finite(self, capsys):
+        # the anchored value overflowed to inf here before it was clamped to [min, max]
+        code, out, err = run(capsys, "eval", "P[-1]", "--at",
+                             "1.7976931348623157e308,1.7976931348623157e308,1.7976931348623155e308",
+                             "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["output"] == 1.7976931348623157e308
+
     def test_subnormal_start_with_no_float_inside(self, capsys):
         code, out, err = run(capsys, "eval", "invariant{M=[P[1],P[0]]}", "--at", "5e-324,1e-323",
                              "--format", "json")
@@ -258,6 +266,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "T{mu=sum; S=[P[5]]; M=[P[1],P[2]]}",
                            "--at", "1,4")
         assert code == 4 and "hypothesis" in err
+
+    def test_prefix_below_a_wide_target_exit_4(self, capsys):
+        # S = P[-3] = 1.26 lies 37 % below min(M) = 2.0, which an absolute slack
+        # of 1e-9*max(M) admitted (exit 0 with a residual of a fifth of the goal)
+        code, out, err = run(capsys, "solve", "T{mu=mean[P[0]]; S=[P[-3]]; M=[P[-1],P[1]]}",
+                             "--at", "1,1e10", "--format", "json")
+        assert (code, out) == (4, "")
+        witness = json.loads(err.splitlines()[-1].removeprefix("witness: "))
+        assert (witness["minorized"], witness["majorized"], witness["witness_index"]) == \
+            (False, True, 1)
 
     def test_non_problem_exit_3(self, capsys):
         code, _, _ = run(capsys, "solve", "P[2]", "--at", "1,4")

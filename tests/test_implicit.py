@@ -43,7 +43,7 @@ from meanforge.checks import (
 )
 from meanforge.dsl import parse_mean, parse_outer
 from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS
-from meanforge.means import GEOMETRIC_ORDER, _eval_family
+from meanforge.means import GEOMETRIC_ORDER, _eval_family, _power_mean
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
@@ -65,7 +65,7 @@ class TestSolveScalar:
 
     @pytest.mark.parametrize("shift", [1e-12, -1e-12])
     def test_constant_target_with_relaxed_prefix(self, shift):
-        # the prefix is within embedding_eps of the constant target, above it
+        # the prefix is within the relative slack of the constant target, above it
         # (the f(lo) >= goal exit) or below it (the f(hi) <= goal exit)
         prefix = (2.0 * (1.0 + shift),)
         result = solve_scalar(Sum(), prefix, (2.0, 2.0, 2.0))
@@ -110,6 +110,14 @@ class TestSolveScalar:
             solve_scalar(Sum(), (10.0,), (1.0, 2.0))
         assert err.value.witness == {"prefix": [10.0], "target": [1.0, 2.0], "minorized": True,
                                      "majorized": False, "witness_index": 1}
+
+    def test_prefix_below_a_wide_target_is_refused(self):
+        # 0.5 is within 1e-9*max(w) = 10 of min(w) = 1 but far outside 1e-9 of 1:
+        # the relaxation is relative to the compared entry, so no root is returned
+        with pytest.raises(HypothesisViolation) as err:
+            solve_scalar(MeanOuter(PowerMean(0)), (0.5,), (1.0, 1e10))
+        assert err.value.witness == {"prefix": [0.5], "target": [1.0, 1e10], "minorized": False,
+                                     "majorized": True, "witness_index": 1}
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, math.inf, math.nan])
     def test_tolerance_must_lie_in_unit_interval(self, tol):
@@ -294,7 +302,7 @@ class TestSolverBitIdentity:
         _assert_matches_reference(*case)
 
     @pytest.mark.parametrize("text, prefix, target", [
-        # non-positive prefix entries that the embedding relaxation admits
+        # non-positive prefix entries below a positive target, which the precondition refuses
         ("qa[log]", (0.0,), (1e-10, 1.0)),
         ("qa[log]", (-1e-10,), (1e-10, 1.0)),
         ("powsum[2]", (0.0,), (1e-10, 1.0)),
@@ -310,6 +318,15 @@ class TestSolverBitIdentity:
     ])
     def test_errors_equal_the_reference_loop(self, text, prefix, target):
         outer = parse_outer(text)
+        if min(prefix) <= 0.0 < min(target):
+            # a positive entry's relaxed lower bound is positive: the precondition
+            # refuses the prefix before the kernel sees it
+            with pytest.raises(HypothesisViolation) as err:
+                solve_scalar(outer, prefix, target)
+            assert err.value.witness == {"prefix": list(prefix), "target": list(target),
+                                         "minorized": False, "majorized": True,
+                                         "witness_index": 1}
+            return
         with pytest.raises(DomainError) as want:
             _reference_solve(outer, prefix, target)
         with pytest.raises(DomainError) as got:
@@ -389,11 +406,23 @@ class TestPowerMeanStep:
 
     @pytest.mark.parametrize("order", (0.0, -0.01, 2.0))
     def test_relaxed_prefix_far_below_the_bracket(self, order):
-        # the embedding relaxation admits 5e-324 against (1e-10, 1e300): the
-        # closed form's x is past every float, and the root is max(w) as the loop's
+        # the relaxation is relative to the entry compared with, so 5e-324 is
+        # refused against (1e-10, 1e300), however wide the target
         outer, prefix, target = MeanOuter(PowerMean(order)), (5e-324,), (1e-10, 1e300)
+        with pytest.raises(HypothesisViolation) as err:
+            solve_scalar(outer, prefix, target)
+        assert (err.value.witness["minorized"], err.value.witness["majorized"],
+                err.value.witness["witness_index"]) == (False, True, 1)
+
+    def test_admitted_prefix_whose_root_overflows(self):
+        # the prefix lies 6.3e-12 below min(w), inside the relaxation: the equation's
+        # x^s is a rounding-sized positive number, x is past every float, and the
+        # closed form's exp overflows; the root is max(w), as the loop's
+        outer, prefix, target = MeanOuter(PowerMean(-0.05)), (0.9999999999936755,), (1.0, 1e250)
+        with pytest.raises(OverflowError):
+            _power_mean(-0.05, target, prefix)
         assert solve_scalar(outer, prefix, target).root == _reference_solve(outer, prefix, target)[0] \
-            == 1e300
+            == 1e250
 
     def test_shared_dominant_entries_cancel(self):
         # prefix and target share their two largest entries: each one's anchored
@@ -606,6 +635,14 @@ class TestVerifyEmbedding:
         assert report.mode == "certified"
         assert report.certificate["rule"] == "power-mean-exponents"
         assert report.certificate["embedded"] is True
+
+    @pytest.mark.parametrize("lower, upper", [(1e-300, 1e-290), (1e290, 1e300)])
+    def test_rounding_ties_absorbed_at_every_scale(self, lower, upper):
+        # at two entries B is the harmonic mean: about a quarter of these samples
+        # compute B a rounding below P[-1], which the relative slack absorbs
+        plan = SamplePlan(arity=2, count=64, lower=lower, upper=upper)
+        report = verify_embedding((BetaMean(),), (PowerMean(-1), PowerMean(1)), plan)
+        assert (report.mode, report.samples_checked) == ("sampled", 64)
 
     def test_subsequence_certified(self):
         report = verify_embedding(EXAMPLE_BIG[1:3], EXAMPLE_BIG)

@@ -132,6 +132,14 @@ class TestGaussIterate:
             gauss_iterate((PowerMean(1), runaway), (scale, 2.0 * scale))
         assert caught.value.witness["iterate"] == [scale, 2.0 * scale]
 
+    def test_containment_slack_is_relative_to_each_end(self):
+        # 2.5e-15 below min is within 8 ulp of max but not of min: refused at the first step
+        dip = DerivedMean(name="dip", strict=True,
+                          fn=lambda sv: sv[0] * (1.0 - 2.5e-15) if sv[-1] > 2.0 * sv[0] else sv[0])
+        with pytest.raises(HypothesisViolation) as caught:
+            gauss_iterate((PowerMean(1), dip), (1.0, 1e6))
+        assert caught.value.witness["iterate"] == [1.0, 1e6]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, "2.0"])
     def test_derived_result_checked_in_a_family(self, value):
         # a NaN iterate would pass the containment check (its comparisons are

@@ -60,9 +60,17 @@ class TestPowerMean:
 
     @given(orders, positive_vectors)
     def test_mean_property(self, s, v):
-        value = power_mean(s, v)
-        slack = 1e-12 * max(v)
-        assert min(v) - slack <= value <= max(v) + slack
+        assert min(v) <= power_mean(s, v) <= max(v)
+
+    @pytest.mark.parametrize("order, v", [
+        # unclamped, one ulp above the maximum, and inf
+        (-3, (1.8268716790242738, 1.8268716790242736, 1.8268716790242738)),
+        (-1, (1.7976931348623157e308, 1.7976931348623157e308, 1.7976931348623155e308)),
+    ])
+    def test_value_clamped_into_min_max(self, order, v):
+        assert power_mean(order, v) == max(v)
+        # and so is a member of a power family, which shares its logs
+        assert _eval_family((PowerMean(order), PowerMean(2)), v)[0] == max(v)
 
     @given(orders, orders, positive_vectors)
     def test_monotone_in_order(self, s, t, v):

@@ -132,6 +132,20 @@ class TestRelaxedVariant:
         assert not is_embedded(v, w).embedded
         assert is_embedded_within(v, w, 1e-9).embedded
 
+    def test_slack_is_relative_to_the_compared_entry(self):
+        # at each end of a wide w the slack is 1e-9 of that end, not of max|w|
+        w = (1e-3, 1e10)
+        assert is_embedded_within((1e-3 * (1.0 - 0.5e-9),), w, 1e-9).embedded
+        low = is_embedded_within((1e-3 - 1e-10,), w, 1e-9)  # an absolute 1e-9 admits it
+        assert (low.minorized, low.majorized, low.witness_index) == (False, True, 1)
+        assert is_embedded_within((1e10 + 5.0,), w, 1e-9).embedded
+        assert not is_embedded_within((1e10 + 20.0,), w, 1e-9).majorized
+        # entries below zero: the slack is 1e-9 of |y|, on the side that relaxes
+        w = (-1e10, -1e-3)
+        assert is_embedded_within((-1e10 - 5.0,), w, 1e-9).embedded
+        high = is_embedded_within((-1e-3 + 1e-10,), w, 1e-9)  # so does an absolute 1e-9
+        assert (high.minorized, high.majorized, high.witness_index) == (True, False, 1)
+
     def test_negative_eps_rejected(self):
         with pytest.raises(DomainError):
             is_embedded_within((1,), (1, 2), -1e-3)
@@ -145,13 +159,16 @@ class TestRelaxedVariant:
 
 
 def _reference(v, w, eps):
-    """First failing positions (minorization, majorization) from the definitions; 0 if none."""
+    """First failing positions (minorization, majorization) from the definitions; 0 if none.
+
+    Each inequality is relaxed by ``eps`` of the entry of ``w`` it compares with.
+    """
     asc_v, asc_w = sorted(v), sorted(w)
     desc_v, desc_w = asc_v[::-1], asc_w[::-1]
     if len(v) > len(w):  # the sort orders swap roles
         asc_v, asc_w, desc_v, desc_w = desc_v, desc_w, asc_v, asc_w
-    lower = [k for k, (x, y) in enumerate(zip(asc_v, asc_w), 1) if not x >= y - eps]
-    upper = [k for k, (x, y) in enumerate(zip(desc_v, desc_w), 1) if not x <= y + eps]
+    lower = [k for k, (x, y) in enumerate(zip(asc_v, asc_w), 1) if not x >= y - eps * abs(y)]
+    upper = [k for k, (x, y) in enumerate(zip(desc_v, desc_w), 1) if not x <= y + eps * abs(y)]
     return min(lower, default=0), min(upper, default=0)
 
 
