@@ -9,8 +9,8 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
 bracket finds the unique root; no derivative is assumed to exist.  For a
-power-mean outer the root has a closed form, the power-mean kernel with the
-prefix's terms subtracted, which is used instead.  Lifting
+power-mean or power-sum outer the root has a closed form, the power-mean
+kernel with the prefix's terms subtracted, which is used instead.  Lifting
 the pointwise solve over vectors of mean values yields the means evaluated
 here: an implicit mean (``ProblemSpec``) balances a small family of means
 against a larger one, and ``GeneralizedBetaMean`` balances a single inner
@@ -116,15 +116,16 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     the kernel ``ordering._embeds`` relaxed by ``EMBED_RTOL`` of each entry; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
     verdict, as the bracket guarantee is void without it.  A ``mean[P[s]]``
-    outer's root is then found in closed form (:func:`_power_root`), clamped to
-    the bracket, with ``iterations`` 0 and status ``"converged"``.  Other outers
+    outer's root, and a ``Sum("pow", p)`` outer's at s = p (:func:`_power_order`),
+    is then found in closed form (:func:`_power_root`), clamped to the bracket,
+    with ``iterations`` 0 and status ``"converged"``.  Other outers
     bisect the bracket until ``means._narrow``, the rule Gauss iteration stops
     by, settles it: at relative width ``tol`` (in (0, 1)), so the root is
     accurate to ``tol`` *relative* even across orders of magnitude, or at float
     resolution.  After ``MAX_BISECTION_STEPS`` steps the status is
     ``"max-iterations"``.  Steps take the outer kernel's value at
-    ``prefix + (x,) * fill``, for a :class:`Sum` outer from g over the prefix
-    computed once (:func:`_sum_step`); goal and residual, :func:`eval_outer`.
+    ``prefix + (x,) * fill``, for ``sum``, ``qa[log]`` and ``qa[exp]`` from g over
+    the prefix computed once (:func:`_sum_step`); goal and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -156,8 +157,9 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
 
     goal = eval_outer(outer, w)
-    if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
-        root = _power_root(outer.mean.order, v, w, lo, hi)
+    order = _power_order(outer)
+    if order is not None:
+        root = _power_root(order, v, w, lo, hi)
         return SolveResult(root, bracket, residual(root), 0, "converged")
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
     if isinstance(outer, Sum):
@@ -181,6 +183,13 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     return SolveResult(root, bracket, residual(root), iterations, status)
 
 
+def _power_order(outer: OuterFn) -> Optional[float]:
+    """The order s of the P[s] balance equation ``outer`` shares (``mean[P[s]]``, ``powsum[s]``)."""
+    if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
+        return outer.mean.order
+    return outer.exponent if isinstance(outer, Sum) and outer.generator == "pow" else None
+
+
 def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
               kernel_step: Callable[[float], float]) -> Callable[[float], float]:
     """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with g(v) computed once.
@@ -189,7 +198,7 @@ def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
     in the same order, so the value is the kernel's bit for bit.  The caller has
     run ``kernel_step(lo)``, so the prefix is one the kernel takes and g(v) is
     finite.  A step that is not finite is ``inf`` when every term is nonnegative
-    (exp, pow, or entries and ``lo`` nonnegative under id): it exceeds every
+    (exp, or entries and ``lo`` nonnegative under id): it exceeds every
     float, hence the finite goal.  A mixed-sign one runs ``kernel_step``, which
     raises the kernel's overflow error.
     """
@@ -214,6 +223,7 @@ def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...],
                 lo: float, hi: float) -> float:
     """The root of ``P[s](v, x, ..., x) = P[s](w)`` in closed form, clamped to ``[lo, hi]``.
 
+    It is ``powsum[s]``'s root too, as sum(u^s) is increasing in P[s](u).
     ``x^s = (sum(w^s) - sum(v^s)) / (len(w) - len(v))`` (logs at a geometric order):
     the power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
     A prefix inside the embedding's relative slack, or rounding, can make x^s <= 0 or x

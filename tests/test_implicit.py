@@ -281,14 +281,36 @@ def _assert_matches_reference(outer, prefix, target):
     ``a*exp(m)`` with ``|m| <= log(max/min)``, so it moves in relative steps of
     about ``ulp(m)``; the loop bisects those float values and can find a zero
     residual beside the exact root, whose own residual is such a step.
+
+    A ``Sum("pow", p)`` outer's root is the ``mean[P[p]]`` outer's, bit for bit,
+    also converged after 0 steps in the bracket.  Its residual has its own bound.
+    With ``G = sum(w^p)`` the goal, ``eps = 2^-52``, ``L = log(max/min)`` (a normal
+    ratio, as here) and ``p <= 2``, it is at most ``(11 + 5*p*L)*eps*G``, the sum of:
+
+    * ``3*eps*G`` for evaluating it: each ``y**p`` is within 1 ulp (``eps*y^p``)
+      and each correctly rounded ``fsum`` within half an ulp, on both sides, and
+      each side's terms total about ``G`` (``sum(v^p) <= G``, ``v`` embedded in ``w``);
+    * ``4*(1 + p*L)*eps*G`` for the kernel's anchored terms: ``z = p*log(y/a)`` and
+      its ``expm1`` leave ``(y/a)^p`` off by at most ``2*(1 + |z|)*eps`` relative,
+      ``|z| <= p*L``, over the terms of ``w`` and ``v``, which total at most ``2G``;
+    * ``(4 + p*L)*eps*G`` for its closing ``x = a*exp(m)``, ``|p*m| <= p*L``, whose
+      rounding moves ``fill*x^p <= G`` by that relative.
     """
     result = solve_scalar(outer, prefix, target)
+    lo, hi = result.bracket
+    if isinstance(outer, Sum) and outer.generator == "pow":
+        p = outer.exponent
+        assert result.root == solve_scalar(MeanOuter(PowerMean(p)), prefix, target).root
+        assert (result.iterations, result.status) == (0, "converged")
+        assert lo <= result.root <= hi
+        goal = eval_outer(outer, target)
+        assert result.residual <= (11.0 + 5.0 * p * math.log(hi / lo)) * 2.0 ** -52 * goal
+        return
     want = _reference_solve(outer, tuple(prefix), target)
     if not (isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean)):
         # bit for bit: a bisection step evaluates the vector the public path does
         assert (result.root, result.residual, result.iterations, result.status) == want
         return
-    lo, hi = result.bracket
     assert (result.status, result.iterations) == ("converged", 0)
     assert lo <= result.root <= hi
     goal = eval_outer(outer, target)
@@ -441,6 +463,52 @@ class TestPowerMeanStep:
         # with few digits: it stays -1, and the root is the bracket's end
         target = (1.5e-323, 0.7673581403363521)
         assert solve_scalar(MeanOuter(PowerMean(-1)), target[:1], target).root == target[1]
+
+
+class TestPowerSumRoot:
+    """A ``Sum("pow", p)`` solve is the ``mean[P[p]]`` closed form: sum(u^p) is increasing in P[p](u)."""
+
+    @staticmethod
+    def exact(p, prefix, target):
+        """The root ``((sum(w^p) - sum(v^p)) / fill)^(1/p)``, at digits enough for the cancellation."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(200):
+            p = mpmath.mpf(p)
+            gap = (mpmath.fsum(mpmath.mpf(y) ** p for y in target)
+                   - mpmath.fsum(mpmath.mpf(y) ** p for y in prefix))
+            return float((gap / (len(target) - len(prefix))) ** (1 / p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(solver_cases().filter(lambda case: min(case[2]) > 0.0), st.sampled_from((0.5, 1.5, 2.0)))
+    def test_spellings_share_the_power_mean_root(self, case, p):
+        _, prefix, target = case
+        roots = [solve_scalar(parse_outer(t), prefix, target)
+                 for t in (f"powsum[{p}]", f"qa[pow[{p}]]", f"mean[P[{p}]]")]
+        assert roots[0].root == roots[1].root == roots[2].root
+        assert {(r.iterations, r.status) for r in roots} == {(0, "converged")}
+
+    @pytest.mark.parametrize("text, prefix, target", [
+        # each converged at min(w), off by 99 % and 48 %, when bisected
+        ("qa[pow[1.5]]", (5.597320759440126e-44,),
+         (6.319779032131247e-101, 9.772618674595997e-99, 5.597320759440126e-44)),
+        ("powsum[0.5]", (1.7345535571204612e-66, 268.4877646280216),
+         (1.5100165762185134e-66, 2.629091562027023e-66, 3.4691071142409223e-66, 268.4877646280216)),
+    ])
+    def test_root_far_below_the_dominant_entry(self, text, prefix, target):
+        outer = parse_outer(text)
+        exact = self.exact(outer.exponent, prefix, target)
+        result = solve_scalar(outer, prefix, target)
+        assert (result.iterations, result.status) == (0, "converged")
+        assert abs(result.root - exact) <= 1e-14 * exact
+
+    def test_top_of_the_float_range(self):
+        # a bisection step at max(w) forms 9e153^2 + 2 * 9e153^2, past the largest float;
+        # the closed form forms no power
+        prefix, target = (9e153,), (1.0, 9e153, 9e153)
+        exact = self.exact(2.0, prefix, target)
+        result = solve_scalar(parse_outer("powsum[2]"), prefix, target)
+        assert result.root == 6.363961030678928e+153
+        assert abs(result.root - exact) <= 2.0 ** -52 * exact
 
 
 @functools.cache
