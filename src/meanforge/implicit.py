@@ -9,8 +9,9 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
 bracket finds the unique root; no derivative is assumed to exist.  For a
-power-mean or power-sum outer the root has a closed form, the power-mean
-kernel with the prefix's terms subtracted, which is used instead.  Lifting
+power-mean or power-sum outer, and for ``sum`` (P[1]'s equation), the root has
+a closed form, the power mean with the prefix's terms subtracted, which is
+used instead.  Lifting
 the pointwise solve over vectors of mean values yields the means evaluated
 here: an implicit mean (``ProblemSpec``) balances a small family of means
 against a larger one, and ``GeneralizedBetaMean`` balances a single inner
@@ -49,6 +50,7 @@ from .means import (
     _narrow,
     _power_mean,
     _power_plan,
+    _unit_power,
     check_tol,
     declared_arity,
     eval_outer,
@@ -116,16 +118,18 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     the kernel ``ordering._embeds`` relaxed by ``EMBED_RTOL`` of each entry; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
     verdict, as the bracket guarantee is void without it.  A ``mean[P[s]]``
-    outer's root, and a ``Sum("pow", p)`` outer's at s = p (:func:`_power_order`),
-    is then found in closed form (:func:`_power_root`), clamped to the bracket,
-    with ``iterations`` 0 and status ``"converged"``.  Other outers
-    bisect the bracket until ``means._narrow``, the rule Gauss iteration stops
-    by, settles it: at relative width ``tol`` (in (0, 1)), so the root is
-    accurate to ``tol`` *relative* even across orders of magnitude, or at float
-    resolution.  After ``MAX_BISECTION_STEPS`` steps the status is
-    ``"max-iterations"``.  Steps take the outer kernel's value at
-    ``prefix + (x,) * fill``, for ``sum``, ``qa[log]`` and ``qa[exp]`` from g over
-    the prefix computed once (:func:`_sum_step`); goal and residual, :func:`eval_outer`.
+    outer's root, a ``Sum("pow", p)`` outer's at s = p and ``sum``'s at s = 1
+    (:func:`_power_order`) is then found in closed form (:func:`_power_root`),
+    clamped to the bracket, with ``iterations`` 0 and status ``"converged"``;
+    ``sum``'s with no sign check.  Other outers (``prod``, ``qa[log]``,
+    ``qa[exp]``, ``mean[...]`` over other means) bisect the bracket until
+    ``means._narrow``, the rule Gauss iteration stops by, settles it: at relative
+    width ``tol`` (in (0, 1)), so the root is accurate to ``tol`` *relative* even
+    across orders of magnitude, or at float resolution.  After
+    ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps take
+    the outer kernel's value at ``prefix + (x,) * fill``, for ``qa[log]`` and
+    ``qa[exp]`` from g over the prefix computed once (:func:`_sum_step`); goal and
+    residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -163,7 +167,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         return SolveResult(root, bracket, residual(root), 0, "converged")
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
     if isinstance(outer, Sum):
-        f = _sum_step(outer, v, fill, lo, f)
+        f = _sum_step(outer, v, fill)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
     if f_lo - goal >= 0.0:
@@ -184,37 +188,32 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
 
 
 def _power_order(outer: OuterFn) -> Optional[float]:
-    """The order s of the P[s] balance equation ``outer`` shares (``mean[P[s]]``, ``powsum[s]``)."""
+    """The order s of the P[s] balance equation ``outer`` shares (``mean[P[s]]``, ``powsum[s]``,
+    and ``sum`` at s = 1)."""
     if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
         return outer.mean.order
-    return outer.exponent if isinstance(outer, Sum) and outer.generator == "pow" else None
+    if isinstance(outer, Sum):
+        return {"id": 1.0, "pow": outer.exponent}.get(outer.generator)
+    return None
 
 
-def _sum_step(outer: Sum, v: tuple[float, ...], fill: int, lo: float,
-              kernel_step: Callable[[float], float]) -> Callable[[float], float]:
-    """``kernel_step``, the outer kernel at ``v + (x,) * fill``, with g(v) computed once.
+def _sum_step(outer: Sum, v: tuple[float, ...], fill: int) -> Callable[[float], float]:
+    """The ``qa[log]`` or ``qa[exp]`` kernel at ``v + (x,) * fill``, with g(v) computed once.
 
     A step sums ``g(v) + [g(x)] * fill``: the floats ``fsum`` sums in the kernel,
     in the same order, so the value is the kernel's bit for bit.  The caller has
-    run ``kernel_step(lo)``, so the prefix is one the kernel takes and g(v) is
-    finite.  A step that is not finite is ``inf`` when every term is nonnegative
-    (exp, or entries and ``lo`` nonnegative under id): it exceeds every
-    float, hence the finite goal.  A mixed-sign one runs ``kernel_step``, which
-    raises the kernel's overflow error.
+    run the kernel at ``lo``, so the prefix is one it takes and g(v) is finite.
+    Logs do not overflow, and exp's terms are positive: a step that overflows is
+    ``inf``, which exceeds every float, hence the finite goal.
     """
-    g = outer._g
-    terms = list(v) if g is None else [g(x) for x in v]
-    nonneg = min(terms) >= 0.0 and (lo if g is None else g(lo)) >= 0.0
-    fsum, inf = math.fsum, math.inf
+    g, fsum = outer._g, math.fsum
+    terms = [g(x) for x in v]
 
     def step(x: float) -> float:
         try:
-            value = fsum(terms + [x if g is None else g(x)] * fill)
-        except OverflowError:  # fsum and g raise it
-            value = inf
-        if value < inf:
-            return value
-        return inf if nonneg else kernel_step(x)
+            return fsum(terms + [g(x)] * fill)
+        except OverflowError:  # fsum and exp raise it
+            return math.inf
 
     return step
 
@@ -223,14 +222,16 @@ def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...],
                 lo: float, hi: float) -> float:
     """The root of ``P[s](v, x, ..., x) = P[s](w)`` in closed form, clamped to ``[lo, hi]``.
 
-    It is ``powsum[s]``'s root too, as sum(u^s) is increasing in P[s](u).
-    ``x^s = (sum(w^s) - sum(v^s)) / (len(w) - len(v))`` (logs at a geometric order):
-    the power-mean kernel ``means._power_mean`` with the prefix's terms subtracted.
-    A prefix inside the embedding's relative slack, or rounding, can make x^s <= 0 or x
-    overflow; the root is then the end of the bracket that the sign of s points at.
+    It is ``powsum[s]``'s root too, as sum(u^s) is increasing in P[s](u), and ``sum``'s
+    at s = 1.  ``x^s = (sum(w^s) - sum(v^s)) / (len(w) - len(v))``: at s = 1 from
+    exactly rounded sums (``means._unit_power``, which checks no sign, as ``sum`` takes
+    entries <= 0), and otherwise the power-mean kernel ``means._power_mean`` with the
+    prefix's terms subtracted (logs at a geometric order).  A prefix inside the
+    embedding's relative slack, or rounding, can make x^s <= 0 or x overflow; the root
+    is then the end of the bracket that the sign of s points at.
     """
     try:
-        x = _power_mean(s, w, v)
+        x = _unit_power(s, w, v, lo, hi) if s == 1.0 else _power_mean(s, w, v)
     except ValueError:  # x^s <= 0
         return lo if s > 0.0 else hi
     except OverflowError:

@@ -77,7 +77,9 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
 
     Stops by the solver's rule (``means._narrow``): once max - min of the
     iterate drops below ``tol`` (in (0, 1)) relative to its magnitude, or no
-    float lies strictly inside [min, max].  Either way the trace is converged,
+    float lies strictly inside [min, max]; or once a step returns the iterate
+    permuted, a fixed point in floats that rounding can leave a few ulp wide.
+    Each way the trace is converged,
     its limit the midpoint of the final range (also where ``min + max``
     overflows); after ``DEFAULT_CAP`` steps it is unconverged.  The start must be
     positive; a positive constant one converges in zero iterations.  Every
@@ -113,6 +115,8 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
                 "iterate escaped the previous range: some member of the "
                 "family is not a mean on this data",
                 witness={"iterate": list(u), "next": list(nxt)})
+        if nlo == lo and nhi == hi and sorted(nxt) == sorted(u):  # no later step narrows it
+            return iterations + 1, hi - lo, _midpoint(lo, hi), True
         u, lo, hi = nxt, nlo, nhi
         iterations += 1
 

@@ -367,11 +367,23 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
     ``t = log(x/anchor)``, anchored at max(v) for positive orders and min(v)
     otherwise, so ``s*t <= 0``: nothing overflows, and the 1/s exponent does
     not amplify rounding as s approaches 0.  At a constant vector every t is
-    0, so the value is the entry itself, exactly.
+    0, so the value is the entry itself, exactly.  Orders 1 and -1 are summed
+    exactly instead (:func:`_unit_power`), and clamped to [min, max] alike.
     """
     if not math.isfinite(order):
         raise DomainError("power-mean order must be finite")
-    return _power_mean(order, as_vector(entries))
+    return _power_value(order, as_vector(entries))
+
+
+def _power_value(order: float, v: tuple[float, ...]) -> float:
+    """:func:`power_mean` at a validated ``v``: :func:`_unit_power`, clamped, or the kernel."""
+    if order == 1.0 or order == -1.0:
+        lo, hi = min(v), max(v)
+        check_positive(lo, "power mean")
+        x = _unit_power(order, v, (), lo, hi)
+        if x is not None:
+            return lo if x < lo else hi if x > hi else x
+    return _power_mean(order, v)
 
 
 def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] = ()) -> float:
@@ -416,37 +428,64 @@ def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] 
     return x if minus else lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi), faster
 
 
-def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list[float], bool, bool]]:
-    """A power family's orders and whether two or more share each anchor; None for another family.
+def _unit_power(order: float, plus: tuple[float, ...], minus: tuple[float, ...],
+                lo: float, hi: float) -> Optional[float]:
+    """P[1] of ``plus`` less ``minus``'s terms, ``q = fsum(plus - minus)/n`` plus
+    ``fsum(plus - minus - n*q)/n``: correctly rounded but at near-ties, with no sign check
+    (terms scaled by ``2**-k`` where a partial sum overflows).  P[-1] of ``plus`` as
+    ``n/fsum(1/plus)``, within 1.5 ulp, or None where ``lo = min`` or ``hi = max`` leaves
+    [2**-960, 2**960], so that no 1/y leaves the normal floats and no sum overflows."""
+    n = len(plus) - len(minus)
+    if order > 0.0:
+        terms, k = (plus + tuple([-y for y in minus]) if minus else plus), 0
+        try:
+            q = math.fsum(terms) / n
+        except OverflowError:  # scaled, the terms and n copies of -q sum below 2**1023
+            k = (4 * len(terms)).bit_length()
+            terms = tuple([math.ldexp(y, -k) for y in terms])
+            q = math.fsum(terms) / n
+        return (q + math.fsum(terms + (-q,) * n) / n) * 2.0 ** k
+    if lo < 2.0 ** -960 or hi > 2.0 ** 960:  # the kernel takes these
+        return None
+    return n / math.fsum([1.0 / y for y in plus])
 
-    The anchor is max(v) for orders > 0 and min(v) for the others.
-    """
-    orders, up = [], 0
+
+def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list, list, list, bool, bool]]:
+    """A power family's orders; those that take the kernel; the ``(position, order)`` members
+    that take :func:`_unit_power` (orders 1 and -1); and whether two or more kernel orders
+    share each anchor, max(v) for orders > 0 and min(v) otherwise.  None for another family."""
+    orders, kernel, units, up = [], [], [], 0
     for m in family:
         if not isinstance(m, PowerMean):
             return None
-        orders.append(m.order)
-        up += m.order > 0.0
-    return orders, up > 1, len(orders) - up > 1
+        s = m.order
+        if s == 1.0 or s == -1.0:
+            units.append((len(orders), s))
+        else:
+            kernel.append(s)
+            up += s > 0.0
+        orders.append(s)
+    return orders, kernel, units, up > 1, len(kernel) - up > 1
 
 
-def _power_family(plan: tuple[list[float], bool, bool], v: tuple[float, ...],
+def _power_family(plan: tuple[list, list, list, bool, bool], v: tuple[float, ...],
                   lo: float, hi: float) -> tuple[float, ...]:
-    """``tuple(_power_mean(s, v) for s in orders)`` bit for bit, ``lo, hi = min(v), max(v)``.
+    """``tuple(_power_value(s, v) for s in orders)`` bit for bit, ``lo, hi = min(v), max(v)``.
 
     ``plan = _power_plan(family)``.  Checks run once, and ``log(x/anchor)`` once
-    per anchor that two or more members share; a lone member takes one pass.
+    per anchor that two or more kernel orders share; a lone one takes one pass.
     Where min/max leaves the normal floats, each member calls the kernel.  The
     ratio route is a copy of :func:`_power_mean`'s: calling it slows this 2-6 %.
+    The unit members' values go in at their positions last.
     """
-    orders, share_hi, share_lo = plan
+    orders, kernel, units, share_hi, share_lo = plan
     check_positive(lo, "power mean")
     if lo / hi < _MIN_NORMAL:
-        return tuple([_power_mean(s, v) for s in orders])
+        return tuple([_power_value(s, v) for s in orders])
     t_hi = [math.log(x / hi) for x in v] if share_hi else None
     t_lo = [math.log(x / lo) for x in v] if share_lo else None
     n, values = len(v), []
-    for s in orders:
+    for s in kernel:
         anchor, t = (hi, t_hi) if s > 0.0 else (lo, t_lo)
         if abs(s) < GEOMETRIC_ORDER:
             m = math.fsum(t or [math.log(x / anchor) for x in v]) / n
@@ -456,6 +495,9 @@ def _power_family(plan: tuple[list[float], bool, bool], v: tuple[float, ...],
             m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
         x = anchor * math.exp(m)
         values.append(lo if x < lo else hi if x > hi else x)  # _power_mean's clamp
+    for i, s in units:  # ascending positions, so each lands where its member is
+        x = _unit_power(s, v, (), lo, hi)
+        values.insert(i, _power_mean(s, v) if x is None else lo if x < lo else hi if x > hi else x)
     return tuple(values)
 
 
@@ -515,7 +557,7 @@ def eval_mean(mean: MeanExpr, entries: Sequence[float]) -> float:
 def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
     """:func:`eval_mean` at a validated vector ``v``: the kernel derived means call."""
     if isinstance(mean, PowerMean):
-        return _power_mean(mean.order, v)
+        return _power_value(mean.order, v)
     if isinstance(mean, BetaMean):
         return _beta_mean(v)
     if isinstance(mean, (ProblemSpec, GeneralizedBetaMean)):
@@ -582,17 +624,16 @@ def _eval_outer(outer: OuterFn, v: tuple[float, ...]) -> float:
 def check_mean_property(mean: MeanExpr, plan: SamplePlan) -> CheckReport:
     """Sampled check that ``mean`` stays within [min, max] and is symmetric.
 
-    Bounds are tested with 1e-12 relative slack (the evaluation itself can
-    exceed an extreme entry by a few ulp on near-constant input); symmetry
-    with 1e-12 relative tolerance, which built-in means beat bit-exactly.
+    Bounds are tested with 1e-12 slack relative to each bound (the evaluation
+    itself can pass an extreme entry by a few ulp on near-constant input);
+    symmetry with 1e-12 relative tolerance, which built-in means beat bit-exactly.
     """
     perm_rng = random.Random(plan.seed ^ 0x5DEECE66D)
     worst = 0.0
     for index, v in enumerate(sample_vectors(plan)):
         value = _eval_mean(mean, v)
         lo, hi = min(v), max(v)
-        slack = SYMMETRY_RTOL * hi
-        if not (lo - slack <= value <= hi + slack):
+        if not (lo - SYMMETRY_RTOL * abs(lo) <= value <= hi + SYMMETRY_RTOL * abs(hi)):
             return CheckReport(False, index + 1, counterexample={
                 "vector": list(v), "value": value, "min": lo, "max": hi,
                 "violated": "mean property"})

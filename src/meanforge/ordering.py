@@ -101,22 +101,20 @@ _HOLDS, _EMBEDDED = OrderingCheck(True), OrderingVerdict(True, True, True)  # im
 
 def _first_failure(a: Sequence[float], b: Sequence[float], eps: float, minorize: bool) -> int:
     # The first failing position (1-based), or 0.  a, b ascending; compared on the shorter
-    # length from the bottom, or for majorization from the top (flipped when a is longer),
-    # with b's entries y moved by eps*|y| first when eps > 0, so the loops compare plainly
-    if eps:
-        b = [y - eps * abs(y) for y in b] if minorize else [y + eps * abs(y) for y in b]
+    # length from the bottom, or for majorization from the top (flipped when a is longer).
+    # At eps > 0 each compared entry y of b is moved by eps*|y|; at eps = 0, none is
     if minorize != (len(a) <= len(b)):
         a, b = reversed(a), reversed(b)
     k = 0
     if minorize:
         for x, y in zip(a, b):
             k += 1
-            if not x >= y:
+            if not x >= (y - eps * abs(y) if eps else y):
                 return k
     else:
         for x, y in zip(a, b):
             k += 1
-            if not x <= y:
+            if not x <= (y + eps * abs(y) if eps else y):
                 return k
     return 0
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,9 +76,10 @@ class TestSolveScalar:
     def test_float_resolution_ends_the_bisection(self):
         # tol=1e-300 is below the float spacing at the root: the bracket's
         # midpoint meets an end before its width meets the tolerance
-        result = solve_scalar(Sum(), (1.0,), (0.5, 2.0), tol=1e-300)
+        # (prod bisects; 1 * x = 0.75 * 2 has the root 1.5)
+        result = solve_scalar(Product(), (1.0,), (0.75, 2.0), tol=1e-300)
         assert (result.root, result.residual, result.iterations, result.status) == \
-            (1.4999999999999996, 4.440892098500626e-16, 52, "converged")
+            (1.5, 0.0, 52, "converged")
 
     def test_pinned_outer_arity(self):
         outer = MeanOuter(InvariantMean((PowerMean(1), PowerMean(0))))
@@ -282,6 +284,9 @@ def _assert_matches_reference(outer, prefix, target):
     about ``ulp(m)``; the loop bisects those float values and can find a zero
     residual beside the exact root, whose own residual is such a step.
 
+    A ``sum`` outer's root is ``(sum(w) - sum(v)) / fill`` from exactly rounded sums,
+    so within 1 ulp of that rational number (clamped to the bracket), after 0 steps.
+
     A ``Sum("pow", p)`` outer's root is the ``mean[P[p]]`` outer's, bit for bit,
     also converged after 0 steps in the bracket.  Its residual has its own bound.
     With ``G = sum(w^p)`` the goal, ``eps = 2^-52``, ``L = log(max/min)`` (a normal
@@ -298,6 +303,12 @@ def _assert_matches_reference(outer, prefix, target):
     """
     result = solve_scalar(outer, prefix, target)
     lo, hi = result.bracket
+    if isinstance(outer, Sum) and outer.generator == "id":
+        exact = (sum(map(Fraction, target)) - sum(map(Fraction, prefix))) / (len(target) - len(prefix))
+        exact = min(max(exact, Fraction(lo)), Fraction(hi))
+        assert (result.iterations, result.status) == (0, "converged")
+        assert abs(Fraction(result.root) - exact) <= Fraction(math.ulp(result.root))
+        return
     if isinstance(outer, Sum) and outer.generator == "pow":
         p = outer.exponent
         assert result.root == solve_scalar(MeanOuter(PowerMean(p)), prefix, target).root
@@ -331,7 +342,7 @@ class TestSolverBitIdentity:
         ("powsum[2]", (-1e-10,), (1e-10, 1.0)),
         ("qa[exp]", (1.0,), (800.0, 1.0)),  # the goal overflows
         ("sum", (-1e308,), (1.5e308, 1.6e308, -1e308)),  # a mixed-sign goal overflows
-        ("sum", (8e307,), (-1e308, 8e307, 1.7e308)),  # a mixed-sign step overflows at max(w)
+        ("sum", (0.0,), (1e-10, 1.0)),  # the closed form keeps the precondition
         # the same prefixes under mean[P[s]], whose closed form checks them as the kernel does
         ("mean[P[0]]", (0.0,), (1e-10, 1.0)),
         ("mean[P[0]]", (-1e-10,), (1e-10, 1.0)),
@@ -509,6 +520,50 @@ class TestPowerSumRoot:
         result = solve_scalar(parse_outer("powsum[2]"), prefix, target)
         assert result.root == 6.363961030678928e+153
         assert abs(result.root - exact) <= 2.0 ** -52 * exact
+
+
+class TestSumRoot:
+    """A ``sum`` solve is P[1]'s closed form, ``(sum(w) - sum(v)) / fill``, with entries of any sign."""
+
+    @staticmethod
+    def exact(prefix, target):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):  # enough digits for sums across the whole float range
+            gap = mpmath.fsum(map(mpmath.mpf, target)) - mpmath.fsum(map(mpmath.mpf, prefix))
+            return gap / (len(target) - len(prefix))
+
+    def test_roots_with_negative_entries(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, n - 1)
+            scale = rng.choice((1.0, 1e-200, 1e200))
+            w = sorted(scale * rng.uniform(-1e3, 1e3) for _ in range(n))
+            prefix = tuple(rng.uniform(w[k], w[k + n - m]) for k in range(m))
+            result = solve_scalar(Sum(), prefix, tuple(w))
+            exact = self.exact(prefix, w)
+            assert (result.iterations, result.status) == (0, "converged")
+            assert w[0] <= result.root <= w[-1]
+            assert abs(result.root - exact) <= 0.5 * math.ulp(result.root)
+
+    @pytest.mark.parametrize("prefix, target, root", [
+        # a bisection step at max(w) overflowed (DomainError); the closed form forms no step
+        ((8e307,), (-1e308, 8e307, 1.7e308), 3.4999999999999996e+307),
+        # a partial sum passes the largest float, so the terms are scaled by a power of 2
+        ((-1.7e308,), (1.7e308, -1.7e308, 1.7e308), 1.7e308),
+    ])
+    def test_roots_near_the_largest_float(self, prefix, target, root):
+        result = solve_scalar(Sum(), prefix, target)
+        assert (result.root, result.iterations, result.status) == (root, 0, "converged")
+        assert root == float(self.exact(prefix, target))
+
+    @settings(max_examples=100, deadline=None)
+    @given(solver_cases().filter(lambda case: min(case[2]) > 0.0))
+    def test_spellings_share_the_order_1_root(self, case):
+        _, prefix, target = case
+        roots = {solve_scalar(parse_outer(t), prefix, target).root
+                 for t in ("sum", "powsum[1]", "mean[P[1]]")}
+        assert len(roots) == 1
 
 
 @functools.cache
@@ -734,26 +789,27 @@ class TestVerifyEmbedding:
         assert (report.samples_checked, witness) == (2, {
             "vector": [51.12747213686085, 40.49341374504143, 78.37985890347726],
             "small_values": [64.75740223390366],
-            "big_values": [50.960516073088584, 52.61984546263662, 56.66691492845984,
-                           61.01856397753372],
+            "big_values": [50.960516073088584, 52.619845462636626, 56.666914928459846,
+                           61.01856397753372],  # each as mpmath rounds it
             "minorized": True, "majorized": False, "witness_index": 1})
 
     # At the second sample (seed 4) each pair fails on another field: majorization
     # past a tie (P[2] against itself), with B in both families, or minorization.
+    # P[-1] and P[1] there, 16.117200232762357 and 46.202038441746126, are as mpmath rounds them.
     @pytest.mark.parametrize("small, big, fields", [
         ((PowerMean(2), PowerMean(1.5)), (PowerMean(-1), PowerMean(1), PowerMean(2)),
          {"small_values": [57.97531261949902, 52.80454344746061],
-          "big_values": [16.117200232762354, 46.202038441746126, 57.97531261949902],
+          "big_values": [16.117200232762357, 46.202038441746126, 57.97531261949902],
           "minorized": True, "majorized": False, "witness_index": 2}),
         ((BetaMean(), PowerMean(1.5), PowerMean(2)),
          (PowerMean(-1), PowerMean(1), PowerMean(2), BetaMean()),
          {"small_values": [23.03733517861311, 52.80454344746061, 57.97531261949902],
-          "big_values": [16.117200232762354, 46.202038441746126, 57.97531261949902,
+          "big_values": [16.117200232762357, 46.202038441746126, 57.97531261949902,
                          23.03733517861311],
           "minorized": True, "majorized": False, "witness_index": 2}),
         ((PowerMean(-2), BetaMean()), (PowerMean(-1), PowerMean(0), PowerMean(2)),
          {"small_values": [11.33697652482663, 23.03733517861311],
-          "big_values": [16.117200232762354, 29.05194453953616, 57.97531261949902],
+          "big_values": [16.117200232762357, 29.05194453953616, 57.97531261949902],
           "minorized": False, "majorized": True, "witness_index": 1}),
     ], ids=["past-a-tie", "mixed", "minorization"])
     def test_refuted_counterexample_pinned(self, small, big, fields):
@@ -880,7 +936,8 @@ class TestComparability:
         assert witness["low_values"][0] > witness["high_values"][0]
 
     def test_sampled_ordering_witness_pinned(self):
-        # at two entries B equals P[-1] exactly: the tie holds, P[2] > P[1] fails
+        # at two entries B equals P[-1] up to rounding: the tie holds, P[2] > P[1] fails;
+        # P[-1] is 1 ulp above mpmath's 9.307975966153668, which B rounds to
         with pytest.raises(HypothesisViolation, match="big. < big fails") as err:
             compare_implicit_means((PowerMean(0),), (PowerMean(-1), PowerMean(1)),
                                    (PowerMean(0),), (BetaMean(), PowerMean(2)), Sum(),
@@ -888,7 +945,7 @@ class TestComparability:
         assert err.value.witness == {
             "rule": "sampled", "vector": [15.497227080241027, 6.651509567958991],
             "low_values": [9.307975966153668, 11.924903075270798],
-            "high_values": [9.307975966153668, 11.074368324100009], "witness_index": 1}
+            "high_values": [9.30797596615367, 11.074368324100009], "witness_index": 1}
 
     @pytest.mark.parametrize("lower, upper", [(1, 100), (1e6, 1e8), (1e9, 1e11)])
     def test_a_tie_passes_at_every_scale(self, lower, upper):

@@ -83,6 +83,15 @@ class TestGaussIterate:
                     assert trace.converged and trace.iterations <= 64, (family, v)
                     assert min(v) <= trace.limit <= max(v)
 
+    def test_a_fixed_point_in_floats_settles(self):
+        # at these floats 1 ulp apart, P[1] is the middle one and P[0] and P[-1] round
+        # to the outer two: every step returns the iterate, 2 ulp wide
+        family = (PowerMean(1), PowerMean(0), PowerMean(-1))
+        v = tuple(float.fromhex(f"0x1.de13ff37d053{d}p+0") for d in "786")
+        trace = gauss_iterate(family, v, 1e-17)
+        assert (trace.iterations, trace.final_spread, trace.limit, trace.converged) == \
+            (1, v[1] - v[2], v[0], True)
+
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             gauss_iterate((PowerMean(1),), (1.0, 2.0))

@@ -29,7 +29,7 @@ from meanforge import (
     power_mean,
 )
 from meanforge.means import (GEOMETRIC_ORDER, _MIN_NORMAL, _eval_family, _eval_mean, _eval_outer,
-                             format_number)
+                             _power_mean, format_number)
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -211,7 +211,67 @@ ROUTE_PINS = [
 
 @pytest.mark.parametrize("order, v, bits", ROUTE_PINS)
 def test_power_mean_pinned_at_route_boundaries(order, v, bits):
-    assert power_mean(order, v).hex() == bits
+    # the kernel itself: power_mean takes the exact forms at orders 1 and -1 (TestUnitOrders)
+    assert _power_mean(order, v).hex() == bits
+
+
+class TestUnitOrders:
+    """P[1] and P[-1], from exactly rounded sums, against mpmath."""
+
+    @staticmethod
+    def exact(order, v):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            xs = [mpmath.mpf(x) for x in v]
+            mean = mpmath.fsum(xs) / len(xs) if order == 1 else len(xs) / mpmath.fsum(1 / x for x in xs)
+            return float(mean), mean
+
+    @pytest.mark.parametrize("v", [v for order, v, _ in ROUTE_PINS[:20] if order == 1.0],
+                             ids=lambda v: v[0].hex())
+    def test_at_the_kernel_route_vectors(self, v):
+        # P[1] as mpmath rounds it, where the kernel was 1 ulp off; P[-1] stays the
+        # kernel's, since the smallest entry lies below 2**-960
+        assert power_mean(1.0, v) == self.exact(1.0, v)[0]
+        assert power_mean(-1.0, v) == _power_mean(-1.0, v)
+        if v[0] == _ABOVE:
+            assert power_mean(1.0, v).hex() == "0x1.5555555555555p-2"
+
+    @pytest.mark.parametrize("order, bound", [(1.0, 2.0 ** -53), (-1.0, 1.5 * 2.0 ** -52)])
+    def test_mpmath_by_class(self, order, bound):
+        # ordinary, near-constant and wide vectors; on wide ones P[-1] takes the kernel
+        # where an entry leaves [2**-960, 2**960]
+        rng = random.Random(31)
+        worst = {"ordinary": 0.0, "near-constant": 0.0, "wide": 0.0}
+        for _ in range(600):
+            kind = rng.choice(list(worst))
+            n = rng.randint(1, 8)
+            if kind == "ordinary":
+                v = [math.exp(rng.uniform(-7.0, 7.0)) for _ in range(n)]
+            elif kind == "near-constant":
+                base = math.exp(rng.uniform(-7.0, 7.0))
+                v = [base * (1.0 + rng.random() * 1e-12) for _ in range(n)]
+            else:
+                v = [math.exp(rng.uniform(-690.0, 690.0)) for _ in range(n)]
+            _, exact = self.exact(order, v)
+            worst[kind] = max(worst[kind], float(abs(power_mean(order, v) - exact) / exact))
+        assert worst["ordinary"] <= bound and worst["near-constant"] <= bound
+        assert worst["wide"] <= (bound if order == 1.0 else 1e-15)
+
+    @pytest.mark.parametrize("v", [(1.7e308, 1.7e308, 1e308), (sys.float_info.max,) * 3,
+                                   (1.7e308, 1e-300, 1.7e308, 1.7e308, 5e-324)])
+    def test_sum_that_overflows_is_scaled(self, v):
+        # fsum(v) passes the largest float; the terms are scaled by a power of 2
+        with pytest.raises(OverflowError):
+            math.fsum(v)
+        assert power_mean(1.0, v) == self.exact(1.0, v)[0]
+
+    @pytest.mark.parametrize("v", [(1.7e308, 1.6e308, 1.5e308), (6e-309, 6e-309, 6e-309, 6e-309),
+                                   (1e-310, 1e-309)])
+    def test_entries_beyond_the_reciprocal_range_take_the_kernel(self, v):
+        # 1/x would be subnormal, overflow in fsum, or not be finite: the kernel's value
+        assert power_mean(-1.0, v) == _power_mean(-1.0, v)
+        _, exact = self.exact(-1.0, v)
+        assert abs(power_mean(-1.0, v) - exact) <= 2e-16 * exact + 2.5e-324  # half a subnormal step
 
 
 class TestBetaMean:
@@ -394,6 +454,7 @@ family_vectors = st.one_of(
         lambda c: tuple(c[0] + k * math.ulp(c[0]) for k in c[1])),  # near-constant
     st.sampled_from([(1e-310, 1.7e308), (1.7e308, 2.0, 1e-310), (5e-324, 1.0),
                      (1e-300, 1e300)]),  # min/max below the normal floats
+    st.sampled_from([(1.7e308, 1.5e308, 1e308), (6e-309, 9e-309)]),  # past P[-1]'s sums
     st.lists(st.sampled_from([-1.0, 0.0, 2.0, 3.5]), min_size=1, max_size=4).map(tuple))
 
 
@@ -704,6 +765,17 @@ class TestMeanPropertyChecker:
         plan = SamplePlan(arity=3, count=50, seed=1, lower=1e-20, upper=1e-18)
         report = check_mean_property(twice_max, plan)
         assert not report.passed and report.samples_checked == 1
+        assert report.counterexample["violated"] == "mean property"
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, 100.0), (1e-6, 1e6)])
+    def test_lower_bound_is_relative_to_the_minimum(self, lower, upper):
+        # below min(v) at every nonconstant vector, by 1e-13 of max(v): a slack of
+        # 1e-12*max(v) passes all 256 samples, one of 1e-12*min(v) fails the first
+        # sample after the near-constant one, which is inside either slack
+        low = DerivedMean(name="low", fn=lambda sv: sv[0] - 1e-13 * sv[-1])
+        report = check_mean_property(low, SamplePlan(arity=3, count=256, seed=3,
+                                                     lower=lower, upper=upper))
+        assert (report.passed, report.samples_checked) == (False, 2)
         assert report.counterexample["violated"] == "mean property"
 
     @pytest.mark.parametrize("lower, upper", [(1e-20, 1e-18), (1e-300, 1e-290),
