@@ -48,6 +48,7 @@ from .means import (
     _eval_outer,
     _midpoint,
     _narrow,
+    _power_family,
     _power_mean,
     _power_plan,
     _unit_power,
@@ -259,7 +260,9 @@ def _balance(mean: Union[ProblemSpec, GeneralizedBetaMean], v: tuple[float, ...]
             raise ArityError("the balanced mean needs at least 2 entries")
         prefix, target = (_eval_mean(mean.base, v),), v
     else:
-        values = _eval_family(mean.small + mean.big, v)  # S first, so its errors win
+        plan = mean._power  # _eval_family's, built once; S first, so its errors win
+        values = (_eval_family(mean.small + mean.big, v) if plan is None
+                  else _power_family(plan, v, min(v), max(v)))
         prefix, target = values[:len(mean.small)], values[len(mean.small):]
     return solve_scalar(mean.outer, prefix, target, tol)
 

@@ -20,6 +20,7 @@ it is the implicit mean (a ``ProblemSpec``) of the balance equation with
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Sequence
 
@@ -78,8 +79,8 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     Stops by the solver's rule (``means._narrow``): once max - min of the
     iterate drops below ``tol`` (in (0, 1)) relative to its magnitude, or no
     float lies strictly inside [min, max]; or once a step returns the iterate
-    permuted, a fixed point in floats that rounding can leave a few ulp wide.
-    Each way the trace is converged,
+    permuted and at most 4 ulp of max wide, a fixed point in floats that rounding
+    leaves (a wider one runs to the cap).  Each way the trace is converged,
     its limit the midpoint of the final range (also where ``min + max``
     overflows); after ``DEFAULT_CAP`` steps it is unconverged.  The start must be
     positive; a positive constant one converges in zero iterations.  Every
@@ -115,7 +116,8 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
                 "iterate escaped the previous range: some member of the "
                 "family is not a mean on this data",
                 witness={"iterate": list(u), "next": list(nxt)})
-        if nlo == lo and nhi == hi and sorted(nxt) == sorted(u):  # no later step narrows it
+        if (nlo == lo and nhi == hi and hi - lo <= 4.0 * math.ulp(hi)
+                and sorted(nxt) == sorted(u)):  # no later step narrows it
             return iterations + 1, hi - lo, _midpoint(lo, hi), True
         u, lo, hi = nxt, nlo, nhi
         iterations += 1

@@ -182,6 +182,7 @@ class ProblemSpec(Frozen):
         if pinned is not None and pinned != n:
             raise ArityError(
                 f"outer function takes {pinned} values but len(M)={n}")
+        object.__setattr__(self, "_power", _power_plan(self.small + self.big))  # not a field
 
     def __str__(self) -> str:
         small = ",".join(str(m) for m in self.small)
@@ -376,13 +377,11 @@ def power_mean(order: float, entries: Sequence[float]) -> float:
 
 
 def _power_value(order: float, v: tuple[float, ...]) -> float:
-    """:func:`power_mean` at a validated ``v``: :func:`_unit_power`, clamped, or the kernel."""
+    """:func:`power_mean` at a validated ``v``: :func:`_unit_power` or the kernel."""
     if order == 1.0 or order == -1.0:
         lo, hi = min(v), max(v)
         check_positive(lo, "power mean")
-        x = _unit_power(order, v, (), lo, hi)
-        if x is not None:
-            return lo if x < lo else hi if x > hi else x
+        return _unit_power(order, v, (), lo, hi)
     return _power_mean(order, v)
 
 
@@ -429,12 +428,13 @@ def _power_mean(order: float, plus: tuple[float, ...], minus: tuple[float, ...] 
 
 
 def _unit_power(order: float, plus: tuple[float, ...], minus: tuple[float, ...],
-                lo: float, hi: float) -> Optional[float]:
-    """P[1] of ``plus`` less ``minus``'s terms, ``q = fsum(plus - minus)/n`` plus
-    ``fsum(plus - minus - n*q)/n``: correctly rounded but at near-ties, with no sign check
-    (terms scaled by ``2**-k`` where a partial sum overflows).  P[-1] of ``plus`` as
-    ``n/fsum(1/plus)``, within 1.5 ulp, or None where ``lo = min`` or ``hi = max`` leaves
-    [2**-960, 2**960], so that no 1/y leaves the normal floats and no sum overflows."""
+                lo: float, hi: float) -> float:
+    """:func:`_power_mean` at order 1 or -1, clamped to [lo, hi].  P[1] of ``plus`` less
+    ``minus``'s terms is ``q = fsum(plus - minus)/n`` plus ``fsum(plus - minus - n*q)/n``:
+    correctly rounded but at near-ties, with no sign check (terms scaled by ``2**-k`` where
+    a partial sum overflows).  P[-1] of ``plus`` is ``n/fsum(1/plus)``, within 1.5 ulp, where
+    lo and hi lie in [2**-960, 2**960] (no 1/y leaves the normal floats, no sum overflows);
+    the kernel takes the rest, and every ``minus``."""
     n = len(plus) - len(minus)
     if order > 0.0:
         terms, k = (plus + tuple([-y for y in minus]) if minus else plus), 0
@@ -444,10 +444,12 @@ def _unit_power(order: float, plus: tuple[float, ...], minus: tuple[float, ...],
             k = (4 * len(terms)).bit_length()
             terms = tuple([math.ldexp(y, -k) for y in terms])
             q = math.fsum(terms) / n
-        return (q + math.fsum(terms + (-q,) * n) / n) * 2.0 ** k
-    if lo < 2.0 ** -960 or hi > 2.0 ** 960:  # the kernel takes these
-        return None
-    return n / math.fsum([1.0 / y for y in plus])
+        x = (q + math.fsum(terms + (-q,) * n) / n) * 2.0 ** k
+    elif minus or lo < 2.0 ** -960 or hi > 2.0 ** 960:
+        x = _power_mean(order, plus, minus)
+    else:
+        x = n / math.fsum([1.0 / y for y in plus])
+    return lo if x < lo else hi if x > hi else x
 
 
 def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list, list, list, bool, bool]]:
@@ -496,8 +498,7 @@ def _power_family(plan: tuple[list, list, list, bool, bool], v: tuple[float, ...
         x = anchor * math.exp(m)
         values.append(lo if x < lo else hi if x > hi else x)  # _power_mean's clamp
     for i, s in units:  # ascending positions, so each lands where its member is
-        x = _unit_power(s, v, (), lo, hi)
-        values.insert(i, _power_mean(s, v) if x is None else lo if x < lo else hi if x > hi else x)
+        values.insert(i, _unit_power(s, v, (), lo, hi))
     return tuple(values)
 
 

@@ -92,6 +92,13 @@ class TestGaussIterate:
         assert (trace.iterations, trace.final_spread, trace.limit, trace.converged) == \
             (1, v[1] - v[2], v[0], True)
 
+    def test_a_wide_fixed_point_does_not_settle(self):
+        # P[1e17] rounds to max and P[-1e17] to min, so each step swaps the entries;
+        # the limit, sqrt(2) (P[s]*P[-s] = ab at two entries), is no midpoint of (1, 2)
+        from meanforge import invariance
+        trace = gauss_iterate((PowerMean(1e17), PowerMean(-1e17)), (1.0, 2.0))
+        assert (trace.iterations, trace.final_spread, trace.converged) == (invariance.DEFAULT_CAP, 1.0, False)
+
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             gauss_iterate((PowerMean(1),), (1.0, 2.0))

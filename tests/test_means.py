@@ -29,7 +29,7 @@ from meanforge import (
     power_mean,
 )
 from meanforge.means import (GEOMETRIC_ORDER, _MIN_NORMAL, _eval_family, _eval_mean, _eval_outer,
-                             _power_mean, format_number)
+                             _power_mean, _unit_power, format_number)
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -272,6 +272,15 @@ class TestUnitOrders:
         assert power_mean(-1.0, v) == _power_mean(-1.0, v)
         _, exact = self.exact(-1.0, v)
         assert abs(power_mean(-1.0, v) - exact) <= 2e-16 * exact + 2.5e-324  # half a subnormal step
+
+
+    @pytest.mark.parametrize("plus, minus", [((1.0, 2.0, 4.0), (1.5,)), ((3.0, 5.0, 9.0), (4.0, 8.0))])
+    def test_minus_terms_at_order_minus_1_take_the_kernel(self, plus, minus):
+        # n/fsum(1/plus) would drop them; the kernel subtracts them, and the clamp holds
+        lo, hi = min(plus), max(plus)
+        kernel = _power_mean(-1.0, plus, minus)
+        assert _unit_power(-1.0, plus, minus, lo, hi) == min(max(kernel, lo), hi)
+        assert _unit_power(-1.0, plus, minus, lo, hi) != _unit_power(-1.0, plus, (), lo, hi)
 
 
 class TestBetaMean:
