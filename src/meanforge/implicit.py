@@ -48,7 +48,6 @@ from .means import (
     _eval_outer,
     _midpoint,
     _narrow,
-    _power_family,
     _power_mean,
     _power_plan,
     _unit_power,
@@ -260,9 +259,8 @@ def _balance(mean: Union[ProblemSpec, GeneralizedBetaMean], v: tuple[float, ...]
             raise ArityError("the balanced mean needs at least 2 entries")
         prefix, target = (_eval_mean(mean.base, v),), v
     else:
-        plan = mean._power  # _eval_family's, built once; S first, so its errors win
-        values = (_eval_family(mean.small + mean.big, v) if plan is None
-                  else _power_family(plan, v, min(v), max(v)))
+        # S first, so its errors win; the plan is built once, with the node
+        values = _eval_family(mean.small + mean.big, mean._power, v, min(v), max(v))
         prefix, target = values[:len(mean.small)], values[len(mean.small):]
     return solve_scalar(mean.outer, prefix, target, tol)
 
@@ -349,7 +347,7 @@ def verify_embedding(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
     checked = 0
     for v in sample_vectors(plan):
         checked += 1
-        values = _eval_family(small + big, v)
+        values = _eval_family(small + big, power, v, min(v), max(v))
         small_values, big_values = values[:len(small)], values[len(small):]
         if not _embeds(sorted(small_values), sorted(big_values), EMBED_RTOL):
             exact = is_embedded(small_values, big_values)
@@ -384,7 +382,7 @@ def _ordered_majorized_family(low: Sequence[MeanExpr], high: Sequence[MeanExpr],
         return {"rule": "power-mean-exponents", "low": lo_exp,
                 "high": hi_exp, "witness_index": check.witness_index}
     for v in sample_vectors(plan):
-        values = _eval_family(low + high, v)
+        values = _eval_family(low + high, power, v, min(v), max(v))
         low_values, high_values = values[:len(low)], values[len(low):]
         k = _first_failure(sorted(low_values), sorted(high_values), EMBED_RTOL, False)
         if k:

@@ -37,7 +37,7 @@ from .means import (
     _eval_mean,
     _midpoint,
     _narrow,
-    _power_family,
+    _power_plan,
     check_positive,
     check_tol,
 )
@@ -88,7 +88,7 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     8 ulp of min below it and of max above it), which makes the spread nonincreasing.
     Errors come in order: the tol, a non-finite start, a length unequal to the family's,
     then the family, which the ``InvariantMean`` node checks and classifies once:
-    two or more power means go through the shared-log kernel ``means._power_family``.
+    a power family goes through the shared-log route of ``means._eval_family``.
     """
     check_tol(tol)
     family = tuple(family)
@@ -109,7 +109,7 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
         settled = _narrow(lo, hi, tol) is None
         if settled or iterations >= DEFAULT_CAP:
             return iterations, hi - lo, _midpoint(lo, hi), settled
-        nxt = _eval_family(family, u) if plan is None else _power_family(plan, u, lo, hi)
+        nxt = _eval_family(family, plan, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
         if nlo < lo - _CONTAINMENT_RTOL * lo or nhi > hi + _CONTAINMENT_RTOL * hi:  # lo > 0
             raise HypothesisViolation(
@@ -143,10 +143,11 @@ def verify_invariance(candidate: MeanExpr, family: Sequence[MeanExpr],
     if plan.arity != len(family):
         raise ArityError(f"plan arity {plan.arity} != family size {len(family)}")
     worst, checked = 0.0, 0
+    power = _power_plan(family)  # once per call, not per sample
     for v in sample_vectors(plan):
         checked += 1
         direct = _eval_mean(candidate, v)
-        mapped = _eval_family(family, v)
+        mapped = _eval_family(family, power, v, min(v), max(v))
         through = _eval_mean(candidate, mapped)
         residual = abs(through - direct) / abs(direct) if direct else float("inf")
         worst = max(worst, residual)

@@ -441,8 +441,7 @@ def _unit_power(order: float, plus: tuple[float, ...], minus: tuple[float, ...],
         try:
             q = math.fsum(terms) / n
         except OverflowError:  # scaled, the terms and n copies of -q sum below 2**1023
-            k = (4 * len(terms)).bit_length()
-            terms = tuple([math.ldexp(y, -k) for y in terms])
+            terms, k = _scaled(terms)
             q = math.fsum(terms) / n
         x = (q + math.fsum(terms + (-q,) * n) / n) * 2.0 ** k
     elif minus or lo < 2.0 ** -960 or hi > 2.0 ** 960:
@@ -452,54 +451,23 @@ def _unit_power(order: float, plus: tuple[float, ...], minus: tuple[float, ...],
     return lo if x < lo else hi if x > hi else x
 
 
-def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list, list, list, bool, bool]]:
-    """A power family's orders; those that take the kernel; the ``(position, order)`` members
-    that take :func:`_unit_power` (orders 1 and -1); and whether two or more kernel orders
+def _scaled(terms: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """``terms`` times ``2**-k`` and ``k = (4*len(terms)).bit_length()``, for a sum that
+    overflows: exact but in the subnormals, and no partial sum, even with as many more
+    terms of at most the largest one, passes the largest float."""
+    k = (4 * len(terms)).bit_length()
+    return tuple([math.ldexp(y, -k) for y in terms]), k
+
+
+def _power_plan(family: tuple[MeanExpr, ...]) -> Optional[tuple[list, bool, bool]]:
+    """A power family's orders, and whether two or more of its kernel orders (not 1 or -1)
     share each anchor, max(v) for orders > 0 and min(v) otherwise.  None for another family."""
-    orders, kernel, units, up = [], [], [], 0
-    for m in family:
-        if not isinstance(m, PowerMean):
-            return None
-        s = m.order
-        if s == 1.0 or s == -1.0:
-            units.append((len(orders), s))
-        else:
-            kernel.append(s)
-            up += s > 0.0
-        orders.append(s)
-    return orders, kernel, units, up > 1, len(kernel) - up > 1
-
-
-def _power_family(plan: tuple[list, list, list, bool, bool], v: tuple[float, ...],
-                  lo: float, hi: float) -> tuple[float, ...]:
-    """``tuple(_power_value(s, v) for s in orders)`` bit for bit, ``lo, hi = min(v), max(v)``.
-
-    ``plan = _power_plan(family)``.  Checks run once, and ``log(x/anchor)`` once
-    per anchor that two or more kernel orders share; a lone one takes one pass.
-    Where min/max leaves the normal floats, each member calls the kernel.  The
-    ratio route is a copy of :func:`_power_mean`'s: calling it slows this 2-6 %.
-    The unit members' values go in at their positions last.
-    """
-    orders, kernel, units, share_hi, share_lo = plan
-    check_positive(lo, "power mean")
-    if lo / hi < _MIN_NORMAL:
-        return tuple([_power_value(s, v) for s in orders])
-    t_hi = [math.log(x / hi) for x in v] if share_hi else None
-    t_lo = [math.log(x / lo) for x in v] if share_lo else None
-    n, values = len(v), []
-    for s in kernel:
-        anchor, t = (hi, t_hi) if s > 0.0 else (lo, t_lo)
-        if abs(s) < GEOMETRIC_ORDER:
-            m = math.fsum(t or [math.log(x / anchor) for x in v]) / n
-        elif t is None:
-            m = math.log1p(math.fsum([math.expm1(s * math.log(x / anchor)) for x in v]) / n) / s
-        else:
-            m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
-        x = anchor * math.exp(m)
-        values.append(lo if x < lo else hi if x > hi else x)  # _power_mean's clamp
-    for i, s in units:  # ascending positions, so each lands where its member is
-        values.insert(i, _unit_power(s, v, (), lo, hi))
-    return tuple(values)
+    if not all(isinstance(m, PowerMean) for m in family):
+        return None
+    orders = [m.order for m in family]
+    kernel = [s for s in orders if s != 1.0 and s != -1.0]
+    up = sum(s > 0.0 for s in kernel)
+    return orders, up > 1, len(kernel) - up > 1
 
 
 def _anchored_exp(anchor: float, m: float) -> float:
@@ -580,16 +548,41 @@ def _eval_mean(mean: MeanExpr, v: tuple[float, ...]) -> float:
     raise TypeError(f"not a mean expression: {mean!r}")
 
 
-def _eval_family(family: tuple[MeanExpr, ...], v: tuple[float, ...]) -> tuple[float, ...]:
+def _eval_family(family: tuple[MeanExpr, ...], plan: Optional[tuple[list, bool, bool]],
+                 v: tuple[float, ...], lo: float, hi: float) -> tuple[float, ...]:
     """Exactly ``tuple(_eval_mean(m, v) for m in family)``, bit for bit, same errors.
 
-    Two or more power means share ``min(v)``, ``max(v)``, the checks and the
-    anchor logs (:func:`_power_family`); one member or other families go one by one.
+    ``plan = _power_plan(family)``, built once by whoever owns the family, and
+    ``lo, hi = min(v), max(v)``.  Without a plan the members go one by one.  A power
+    family runs its checks once, and ``log(x/anchor)`` once per anchor that two or more
+    kernel orders share; a lone one takes one pass, and orders 1 and -1 take
+    :func:`_unit_power`.  Where min/max leaves the normal floats, each member takes
+    :func:`_power_value`.  The ratio route is a copy of :func:`_power_mean`'s: calling
+    it slows this 2-6 %.
     """
-    plan = _power_plan(family) if len(family) > 1 else None
     if plan is None:
         return tuple([_eval_mean(m, v) for m in family])
-    return _power_family(plan, v, min(v), max(v))
+    orders, share_hi, share_lo = plan
+    check_positive(lo, "power mean")
+    if lo / hi < _MIN_NORMAL:
+        return tuple([_power_value(s, v) for s in orders])
+    t_hi = [math.log(x / hi) for x in v] if share_hi else None
+    t_lo = [math.log(x / lo) for x in v] if share_lo else None
+    n, values = len(v), []
+    for s in orders:
+        if s == 1.0 or s == -1.0:
+            values.append(_unit_power(s, v, (), lo, hi))
+            continue
+        anchor, t = (hi, t_hi) if s > 0.0 else (lo, t_lo)
+        if abs(s) < GEOMETRIC_ORDER:
+            m = math.fsum(t or [math.log(x / anchor) for x in v]) / n
+        elif t is None:
+            m = math.log1p(math.fsum([math.expm1(s * math.log(x / anchor)) for x in v]) / n) / s
+        else:
+            m = math.log1p(math.fsum([math.expm1(s * u) for u in t]) / n) / s
+        x = anchor * math.exp(m)
+        values.append(lo if x < lo else hi if x > hi else x)  # _power_mean's clamp
+    return tuple(values)
 
 
 def eval_outer(outer: OuterFn, entries: Sequence[float]) -> float:
@@ -617,6 +610,9 @@ def _eval_outer(outer: OuterFn, v: tuple[float, ...]) -> float:
             raise TypeError(f"not an outer function: {outer!r}")
     except OverflowError:  # fsum, ** and exp raise it; prod returns inf
         value = math.inf
+        if isinstance(outer, Sum) and outer._g is None:  # the total may be finite: sum scaled terms
+            terms, k = _scaled(v)
+            value = math.fsum(terms) * 2.0 ** k
     if not math.isfinite(value):
         raise DomainError(f"{outer} overflows at {list(v)!r}")
     return value

@@ -204,17 +204,15 @@ class TestFloatRangeEnds:
             assert abs(value - want) / want <= 1e-12
 
     @pytest.mark.parametrize("at, rtol", [("5e-324,1", 0.0), ("1e-200,1e200,1", 1e-13)])
-    def test_beta_type_mean_through_its_balance_equation(self, capsys, at, rtol):
+    def test_beta_type_mean_through_its_balance_equation(self, capsys, oracle, at, rtol):
         # beta{S=P[1]; mu=mean[P[0]]} is B = (k*prod(v)/sum(v))**(1/(k-1)): within
         # rtol of it, or one float spacing at a subnormal root
-        mpmath = pytest.importorskip("mpmath")
         code, out, err = run(capsys, "eval", "beta{S=P[1];mu=mean[P[0]]}", "--at", at,
                              "--format", "json")
         assert code == 0, err
         value = json.loads(out)["output"]
-        with mpmath.workdps(50):
-            v = [mpmath.mpf(float(x)) for x in at.split(",")]
-            want = (len(v) * mpmath.fprod(v) / mpmath.fsum(v)) ** (mpmath.mpf(1) / (len(v) - 1))
+        with oracle.mpmath.workdps(50):
+            want = oracle.exact_beta_mean([float(x) for x in at.split(",")])
             assert abs(value - want) <= max(rtol * want, math.ulp(float(want)))
 
     @pytest.mark.parametrize("expr, at, want", [

@@ -1,11 +1,8 @@
-import functools
-import importlib.util
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,11 +41,17 @@ from meanforge.checks import (
 )
 from meanforge.dsl import parse_mean, parse_outer
 from meanforge.implicit import COMPARISON_RTOL, DEFAULT_TOL, MAX_BISECTION_STEPS
-from meanforge.means import GEOMETRIC_ORDER, _eval_family, _power_mean
+from meanforge import means
+from meanforge.means import GEOMETRIC_ORDER, _power_mean
 
 # frozen from the closed forms evaluated independently of the solver
 M1_AT_1_4 = 1.8738824415736874
 M2_AT_1_4 = 1.7330699451428968
+
+
+def _eval_family(family, v):
+    """``means._eval_family`` at ``v``, with the family's plan built as its owner builds it."""
+    return means._eval_family(family, means._power_plan(family), v, min(v), max(v))
 
 
 class TestSolveScalar:
@@ -416,13 +419,12 @@ class TestPowerMeanStep:
     @pytest.mark.parametrize("mean", MEANS, ids=lambda m: f"P[{m.order!r}]")
     @pytest.mark.parametrize("prefix", PREFIXES, ids=repr)
     @pytest.mark.parametrize("fill", (1, 3))
-    def test_equals_the_kernel(self, mean, prefix, fill):
-        script = _accuracy_script()
+    def test_equals_the_kernel(self, oracle, mean, prefix, fill):
         outer = MeanOuter(mean)
         order = 0.0 if abs(mean.order) < GEOMETRIC_ORDER else mean.order
         xs = self.xs(prefix)
         pairs = zip(xs, xs) if fill == 1 else itertools.combinations_with_replacement(xs, 2)
-        with script.mpmath.workdps(40):
+        with oracle.mpmath.workdps(40):
             for x, y in pairs:
                 extras = (x,) + (y,) * (fill - 1)
                 target = prefix + extras
@@ -430,8 +432,8 @@ class TestPowerMeanStep:
                 lo, hi = result.bracket
                 assert (result.iterations, result.status) == (0, "converged")
                 assert lo <= result.root <= hi
-                exact = script.exact_power_mean(order, extras)
-                condition = (len(target) * (script.exact_power_mean(order, target) / exact) ** order
+                exact = oracle.exact_power_mean(order, extras)
+                condition = (len(target) * (oracle.exact_power_mean(order, target) / exact) ** order
                              / fill)
                 bound = 4.0 * 2.0 ** -53 * condition * (1.0 + math.log(hi) - math.log(lo))
                 if bound < 1.0:
@@ -551,6 +553,8 @@ class TestSumRoot:
         ((8e307,), (-1e308, 8e307, 1.7e308), 3.4999999999999996e+307),
         # a partial sum passes the largest float, so the terms are scaled by a power of 2
         ((-1.7e308,), (1.7e308, -1.7e308, 1.7e308), 1.7e308),
+        # so does one of the goal's, which eval_outer sums scaled alike
+        ((1e308,), (1e308, 1e308, -1e308), 0.0),
     ])
     def test_roots_near_the_largest_float(self, prefix, target, root):
         result = solve_scalar(Sum(), prefix, target)
@@ -566,17 +570,6 @@ class TestSumRoot:
         assert len(roots) == 1
 
 
-@functools.cache
-def _accuracy_script():
-    """``data/make_accuracy.py`` as a module: the mpmath oracles and the ledger's recipe."""
-    pytest.importorskip("mpmath")
-    spec = importlib.util.spec_from_file_location(
-        "make_accuracy", Path(__file__).parent / "data" / "make_accuracy.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRootOracles:
     """solve_scalar roots against the root of the same equation at 50 digits.
 
@@ -587,8 +580,8 @@ class TestRootOracles:
     """
 
     @pytest.mark.parametrize("text", [t for t in SOLVER_OUTERS if t != "invariant"])
-    def test_against_mpmath(self, text):
-        assert _accuracy_script().worst_root_error(text, 43, 200) <= DEFAULT_TOL
+    def test_against_mpmath(self, oracle, text):
+        assert oracle.worst_root_error(text, 43, 200) <= DEFAULT_TOL
 
 
 class TestAccuracyLedger:
@@ -611,27 +604,25 @@ class TestAccuracyLedger:
                 cells[f"{name} {kind}".rstrip()] = worst
         return cells
 
-    def test_no_row_worse_than_recorded(self):
-        script = _accuracy_script()
-        ledger = json.loads(script.LEDGER.read_text(encoding="utf-8"))
-        rows, recorded = self._cells(script.measure()), self._cells(ledger["rows"])
+    def test_no_row_worse_than_recorded(self, oracle):
+        ledger = json.loads(oracle.LEDGER.read_text(encoding="utf-8"))
+        rows, recorded = self._cells(oracle.measure()), self._cells(ledger["rows"])
         assert list(rows) == list(recorded)
         worse = {name: (recorded[name], got) for name, got in rows.items()
                  if got > ledger["factor"] * recorded[name]}
         assert worse == {}
 
-    def test_no_wide_row_worse_than_recorded(self):
-        script = _accuracy_script()
-        ledger = json.loads(script.LEDGER.read_text(encoding="utf-8"))
-        rows = script.measure_wide()
+    def test_no_wide_row_worse_than_recorded(self, oracle):
+        ledger = json.loads(oracle.LEDGER.read_text(encoding="utf-8"))
+        rows = oracle.measure_wide()
         assert list(rows) == list(ledger["wide"])
         worse = {name: (ledger["wide"][name], got) for name, got in rows.items()
                  if got["worst"] > ledger["factor"] * ledger["wide"][name]["worst"]
                  or any(got[k] > ledger["wide"][name][k] for k in ("max_iterations", "refused", "off"))}
         assert worse == {}
 
-    def test_covers_every_solver_outer(self):
-        assert set(_accuracy_script().SOLVE_OUTERS) == set(SOLVER_OUTERS) - {"invariant"}
+    def test_covers_every_solver_outer(self, oracle):
+        assert set(oracle.SOLVE_OUTERS) == set(SOLVER_OUTERS) - {"invariant"}
 
 
 class TestImplicitMean:
@@ -766,6 +757,14 @@ class TestVerifyEmbedding:
         plan = SamplePlan(arity=2, count=64, lower=lower, upper=upper)
         report = verify_embedding((BetaMean(),), (PowerMean(-1), PowerMean(1)), plan)
         assert (report.mode, report.samples_checked) == ("sampled", 64)
+
+    def test_builds_the_family_plan_once(self, plan_calls):
+        # the exponents are not embedded, but every sample's values are, within the
+        # relative slack: all 20 samples are evaluated with the one plan
+        small, big = (PowerMean(1 + 1e-12),), (PowerMean(0), PowerMean(1))
+        report = verify_embedding(small, big, SamplePlan(arity=3, count=20, seed=0))
+        assert (report.mode, report.samples_checked) == ("sampled", 20)
+        assert plan_calls == [small + big]
 
     def test_subsequence_certified(self):
         report = verify_embedding(EXAMPLE_BIG[1:3], EXAMPLE_BIG)

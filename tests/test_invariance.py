@@ -303,6 +303,12 @@ class TestVerifyInvariance:
             report = verify_invariance(mean, (mean, mean, mean), plan)
             assert report.passed and report.max_residual <= 1e-12
 
+    def test_builds_the_family_plan_once(self, plan_calls):
+        family = (PowerMean(1), PowerMean(-1))
+        report = verify_invariance(PowerMean(0), family, SamplePlan(arity=2, count=20, seed=1))
+        assert report.passed and report.samples_checked == 20
+        assert plan_calls == [family]
+
     def test_plan_arity_must_match(self):
         with pytest.raises(ArityError):
             verify_invariance(PowerMean(0), (PowerMean(1), PowerMean(-1)),
@@ -490,14 +496,6 @@ class TestScaledStarts:
         assert min(start) * (1 - 1e-12) <= trace.limit <= max(start) * (1 + 1e-12)
 
 
-def _mp_power_mean(mpmath, order, v):
-    xs = [mpmath.mpf(x) for x in v]
-    if order == 0:
-        return mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
-    s = mpmath.mpf(order)
-    return (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
-
-
 def _mp_root(mpmath, f, lo, hi):
     """Root of the increasing ``f`` on [lo, hi] by 200 bisection steps."""
     lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
@@ -532,9 +530,9 @@ class TestHighPrecisionOracles:
                 worst = max(worst, float(abs(eval_mean(ag, v) - want) / want))
         assert worst <= DEFAULT_TOL
 
-    def test_complementary_means_of_the_agm(self):
+    def test_complementary_means_of_the_agm(self, oracle):
         # K(P_s(v), T) = agm(v) with K the AGM, solved at 50 digits
-        mpmath = pytest.importorskip("mpmath")
+        mpmath = oracle.mpmath
         rng = random.Random(32)
         worst = 0.0
         with mpmath.workdps(50):
@@ -544,16 +542,16 @@ class TestHighPrecisionOracles:
                 for _ in range(10):
                     v = (rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0))
                     goal = mpmath.agm(*map(mpmath.mpf, v))
-                    prefix = _mp_power_mean(mpmath, s, v)
+                    prefix = oracle.exact_power_mean(s, v)
                     want = _mp_root(mpmath, lambda t: mpmath.agm(prefix, t) - goal,
                                     min(v), max(v))
                     worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
         assert worst <= 2e-12
 
-    def test_complementary_means_of_the_geometric(self):
+    def test_complementary_means_of_the_geometric(self, oracle):
         # the arithmetic-harmonic invariant mean is sqrt(v1*v2), so the
         # complement of P_s is v1*v2 / P_s(v)
-        mpmath = pytest.importorskip("mpmath")
+        mpmath = oracle.mpmath
         rng = random.Random(33)
         worst = 0.0
         with mpmath.workdps(50):
@@ -562,6 +560,6 @@ class TestHighPrecisionOracles:
                                                 (PowerMean(1), PowerMean(-1)))
                 for _ in range(20):
                     v = (rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0))
-                    want = mpmath.mpf(v[0]) * v[1] / _mp_power_mean(mpmath, s, v)
+                    want = mpmath.mpf(v[0]) * v[1] / oracle.exact_power_mean(s, v)
                     worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
         assert worst <= 2e-12

@@ -28,13 +28,19 @@ from meanforge import (
     gauss_iterate,
     power_mean,
 )
-from meanforge.means import (GEOMETRIC_ORDER, _MIN_NORMAL, _eval_family, _eval_mean, _eval_outer,
-                             _power_mean, _unit_power, format_number)
+from meanforge import means
+from meanforge.means import (GEOMETRIC_ORDER, _MIN_NORMAL, _eval_mean, _eval_outer, _power_mean,
+                             _unit_power, format_number)
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
 positive_vectors = st.lists(positive, min_size=1, max_size=6).map(tuple)
 orders = st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False)
+
+
+def _eval_family(family, v):
+    """``means._eval_family`` at ``v``, with the family's plan built as its owner builds it."""
+    return means._eval_family(family, means._power_plan(family), v, min(v), max(v))
 
 
 class TestPowerMean:
@@ -84,27 +90,18 @@ class TestPowerMean:
         for s in (1e-6, -1e-6):
             assert power_mean(s, v) == pytest.approx(g, rel=1e-4)
 
-    def test_mpmath_oracle(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-
-        def exact(s, v):
-            xs = [mpmath.mpf(x) for x in v]
-            if s == 0.0:
-                return mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
-            s = mpmath.mpf(s)
-            return (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
-
+    def test_mpmath_oracle(self, oracle):
         rng = random.Random(8)
         worst = 0.0
-        for s in (1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.5, 1.0, 2.0, 7.5, 300.0):
-            for order in (s, -s, 0.0):
-                for scale in (1.0, 1e200, 1e-200):
-                    for _ in range(12):
-                        v = [scale * rng.uniform(0.01, 100.0)
-                             for _ in range(rng.randint(2, 6))]
-                        want = exact(order, v)
-                        worst = max(worst, float(abs(power_mean(order, v) - want) / want))
+        with oracle.mpmath.workdps(50):
+            for s in (1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.5, 1.0, 2.0, 7.5, 300.0):
+                for order in (s, -s, 0.0):
+                    for scale in (1.0, 1e200, 1e-200):
+                        for _ in range(12):
+                            v = [scale * rng.uniform(0.01, 100.0)
+                                 for _ in range(rng.randint(2, 6))]
+                            want = oracle.exact_power_mean(order, v)
+                            worst = max(worst, float(abs(power_mean(order, v) - want) / want))
         assert worst <= 4e-15
 
     def test_orders_below_double_resolution_are_geometric(self):
@@ -121,10 +118,9 @@ class TestPowerMean:
         assert power_mean(2, (1e-320, 1e200, 3.0)) == \
             pytest.approx(1e200 / math.sqrt(3), rel=1e-15)
 
-    def test_wide_ratio_mpmath_oracle(self):
+    def test_wide_ratio_mpmath_oracle(self, oracle):
         # min/max below the normal floats with a normal result: exp of the
         # mean log-ratio can overflow or underflow although the mean cannot
-        mpmath = pytest.importorskip("mpmath")
         cases = [(0.0, (1e-310, 1.7e308)), (0.0, (1e-300, 1e300, 1e300)),
                  (1e-5, (1e-250, 1.7e308, 4.736943812155205e-271)),
                  (0.0, (5e-324,) + (1.7e308,) * 99)]
@@ -136,14 +132,9 @@ class TestPowerMean:
                 cases.append((rng.choice((0.0, 1e-5, -1e-5, rng.uniform(-3.0, 3.0),
                                           rng.uniform(-300.0, 300.0))), v))
         worst = 0.0
-        with mpmath.workdps(60):
+        with oracle.mpmath.workdps(60):
             for order, v in cases:
-                xs = [mpmath.mpf(x) for x in v]
-                if order == 0.0:
-                    want = mpmath.exp(mpmath.fsum(map(mpmath.log, xs)) / len(xs))
-                else:
-                    s = mpmath.mpf(order)
-                    want = (mpmath.fsum(x ** s for x in xs) / len(xs)) ** (1 / s)
+                want = oracle.exact_power_mean(order, v)
                 if not sys.float_info.min <= want <= sys.float_info.max:
                     continue
                 got = power_mean(order, v)
@@ -219,25 +210,23 @@ class TestUnitOrders:
     """P[1] and P[-1], from exactly rounded sums, against mpmath."""
 
     @staticmethod
-    def exact(order, v):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(60):
-            xs = [mpmath.mpf(x) for x in v]
-            mean = mpmath.fsum(xs) / len(xs) if order == 1 else len(xs) / mpmath.fsum(1 / x for x in xs)
+    def exact(oracle, order, v):
+        with oracle.mpmath.workdps(60):
+            mean = oracle.exact_power_mean(order, v)
             return float(mean), mean
 
     @pytest.mark.parametrize("v", [v for order, v, _ in ROUTE_PINS[:20] if order == 1.0],
                              ids=lambda v: v[0].hex())
-    def test_at_the_kernel_route_vectors(self, v):
+    def test_at_the_kernel_route_vectors(self, oracle, v):
         # P[1] as mpmath rounds it, where the kernel was 1 ulp off; P[-1] stays the
         # kernel's, since the smallest entry lies below 2**-960
-        assert power_mean(1.0, v) == self.exact(1.0, v)[0]
+        assert power_mean(1.0, v) == self.exact(oracle, 1.0, v)[0]
         assert power_mean(-1.0, v) == _power_mean(-1.0, v)
         if v[0] == _ABOVE:
             assert power_mean(1.0, v).hex() == "0x1.5555555555555p-2"
 
     @pytest.mark.parametrize("order, bound", [(1.0, 2.0 ** -53), (-1.0, 1.5 * 2.0 ** -52)])
-    def test_mpmath_by_class(self, order, bound):
+    def test_mpmath_by_class(self, oracle, order, bound):
         # ordinary, near-constant and wide vectors; on wide ones P[-1] takes the kernel
         # where an entry leaves [2**-960, 2**960]
         rng = random.Random(31)
@@ -252,25 +241,25 @@ class TestUnitOrders:
                 v = [base * (1.0 + rng.random() * 1e-12) for _ in range(n)]
             else:
                 v = [math.exp(rng.uniform(-690.0, 690.0)) for _ in range(n)]
-            _, exact = self.exact(order, v)
+            _, exact = self.exact(oracle, order, v)
             worst[kind] = max(worst[kind], float(abs(power_mean(order, v) - exact) / exact))
         assert worst["ordinary"] <= bound and worst["near-constant"] <= bound
         assert worst["wide"] <= (bound if order == 1.0 else 1e-15)
 
     @pytest.mark.parametrize("v", [(1.7e308, 1.7e308, 1e308), (sys.float_info.max,) * 3,
                                    (1.7e308, 1e-300, 1.7e308, 1.7e308, 5e-324)])
-    def test_sum_that_overflows_is_scaled(self, v):
+    def test_sum_that_overflows_is_scaled(self, oracle, v):
         # fsum(v) passes the largest float; the terms are scaled by a power of 2
         with pytest.raises(OverflowError):
             math.fsum(v)
-        assert power_mean(1.0, v) == self.exact(1.0, v)[0]
+        assert power_mean(1.0, v) == self.exact(oracle, 1.0, v)[0]
 
     @pytest.mark.parametrize("v", [(1.7e308, 1.6e308, 1.5e308), (6e-309, 6e-309, 6e-309, 6e-309),
                                    (1e-310, 1e-309)])
-    def test_entries_beyond_the_reciprocal_range_take_the_kernel(self, v):
+    def test_entries_beyond_the_reciprocal_range_take_the_kernel(self, oracle, v):
         # 1/x would be subnormal, overflow in fsum, or not be finite: the kernel's value
         assert power_mean(-1.0, v) == _power_mean(-1.0, v)
-        _, exact = self.exact(-1.0, v)
+        _, exact = self.exact(oracle, -1.0, v)
         assert abs(power_mean(-1.0, v) - exact) <= 2e-16 * exact + 2.5e-324  # half a subnormal step
 
 
@@ -315,10 +304,9 @@ class TestBetaMean:
         value = beta_mean(v)
         assert math.isfinite(value) and 1e200 <= value <= 1e300
 
-    def test_sum_overflow_mpmath_oracle(self):
+    def test_sum_overflow_mpmath_oracle(self, oracle):
         # the sum overflows while the mean is finite, also when the product
         # alone stays finite: B is formed from v/max(v) and binary exponents
-        mpmath = pytest.importorskip("mpmath")
         top = sys.float_info.max
         cases = [(1e200, 1.7e308, 1.7e308), (1e-300, 1e-10, 1.7e308, 1.7e308),
                  (top, top, top), (top, top), (1e300, top, top)]
@@ -332,28 +320,23 @@ class TestBetaMean:
             except OverflowError:
                 cases.append(v)
         worst = 0.0
-        with mpmath.workdps(60):
+        with oracle.mpmath.workdps(60):
             for v in cases:
-                xs = [mpmath.mpf(x) for x in v]
-                k = len(xs)
-                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                want = oracle.exact_beta_mean(v)
                 got = beta_mean(v)
                 assert min(v) <= got <= max(v), (v, got)
                 worst = max(worst, float(abs(got - want) / want))
         assert worst <= 1e-15
 
-    def test_many_entries_mpmath_oracle(self):
+    def test_many_entries_mpmath_oracle(self, oracle):
         # 1200 mantissa ratios near 2 (0.99 against 1.0) would overflow a plain
         # running product; the log-uniform vectors, underflow it
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(24)
         cases = [(0.99,) * 1200 + (1.0,), (1.0,) * 1200 + (1.99,)] + [
             tuple(10.0 ** rng.uniform(-300, 300) for _ in range(1500)) for _ in range(3)]
-        with mpmath.workdps(60):
+        with oracle.mpmath.workdps(60):
             for v in cases:
-                xs = [mpmath.mpf(x) for x in v]
-                k = len(xs)
-                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                want = oracle.exact_beta_mean(v)
                 assert float(abs(beta_mean(v) - want) / want) <= 1e-15, v[:3]
 
     def test_underflow_falls_back_to_logs(self):
@@ -361,12 +344,11 @@ class TestBetaMean:
         value = beta_mean(v)
         assert math.isfinite(value) and value > 0.0
 
-    def test_extreme_scales_mpmath_oracle(self):
+    def test_extreme_scales_mpmath_oracle(self, oracle):
         # B is homogeneous, so scaling a vector by 10**k scales the mean; the
         # product must not pass through subnormals (a running product of
         # ascending entries can, even when the final product is normal) and
         # k * prod must not overflow.
-        mpmath = pytest.importorskip("mpmath")
         cases = [(5.346069680757384e+102, 5.346069671141807e+102, 5.346069671202936e+102),
                  (6.078814674336241e-162, 6.156731810816258e-162),
                  (1.1702650353800282e-176, 3.0934880786514272e-148,
@@ -385,11 +367,9 @@ class TestBetaMean:
                 tuple(scale * rng.uniform(1.0, 1e3) for _ in range(k)),
                 tuple(math.exp(rng.uniform(-700.0, 700.0)) for _ in range(k)))))
         worst = 0.0
-        with mpmath.workdps(60):
+        with oracle.mpmath.workdps(60):
             for v in cases:
-                xs = [mpmath.mpf(x) for x in v]
-                k = len(xs)
-                want = (k * mpmath.fprod(xs) / mpmath.fsum(xs)) ** (mpmath.mpf(1) / (k - 1))
+                want = oracle.exact_beta_mean(v)
                 got = beta_mean(v)
                 assert math.isfinite(got), v
                 assert min(v) <= got <= max(v), v
@@ -660,6 +640,12 @@ class TestOuterFunctions:
                          (Sum(), (1.5e308, 1.5e308))):
             with pytest.raises(DomainError, match="overflows"):
                 eval_outer(outer, v)
+
+    @pytest.mark.parametrize("v", [(1e308, 1e308, -1e308), (1e308, -1e308, 1e308),
+                                   (-1e308, 1e308, 1e308)])
+    def test_sum_whose_partial_sum_overflows(self, v):
+        # fsum overflows in one order of the entries; the terms scaled by a power of 2 do not
+        assert eval_outer(Sum(), v) == 1e308
 
     def test_product_needs_positive(self):
         with pytest.raises(DomainError):
