@@ -37,6 +37,7 @@ from .ordering import (_embeds, _first_failure, as_vector, is_embedded, is_embed
 from .means import (
     DEFAULT_TOL,
     GeneralizedBetaMean,
+    InvariantMean,
     MeanExpr,
     MeanOuter,
     OuterFn,
@@ -128,8 +129,10 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     across orders of magnitude, or at float resolution.  After
     ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps take
     the outer kernel's value at ``prefix + (x,) * fill``, for ``qa[log]`` and
-    ``qa[exp]`` from g over the prefix computed once (:func:`_sum_step`); goal and
-    residual, :func:`eval_outer`.
+    ``qa[exp]`` from g over the prefix computed once (:func:`_sum_step`); past ``f(lo)``,
+    an invariant outer over a power family ends Gauss once goal leaves the iterate's
+    range, on the value's side of goal (``invariance._gauss``); goal and residual,
+    :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -168,6 +171,9 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
     if isinstance(outer, Sum):
         f = _sum_step(outer, v, fill)
+    elif isinstance(outer, MeanOuter) and isinstance(outer.mean, InvariantMean):
+        def f(x: float) -> float:
+            return invariance.invariant_value(outer.mean, v + (x,) * fill, goal)
     # Boundary roots, and the root of a constant target: rounding can place
     # the target at (or just past) an end of the bracket though the root is interior.
     if f_lo - goal >= 0.0:
@@ -440,3 +446,6 @@ def compare_implicit_means(small: Sequence[MeanExpr], big: Sequence[MeanExpr],
                 "vector": list(v), "value": a, "starred_value": a_star,
                 "gap": gap}, max_residual=worst)
     return CheckReport(True, checked, max_residual=worst)
+
+
+from . import invariance  # noqa: E402  last, as invariance imports from here

@@ -97,8 +97,11 @@ def gauss_iterate(family: Sequence[MeanExpr], start: Sequence[float],
     return IterationTrace(*_gauss(family, plan, u, tol))
 
 
-def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...], tol: float):
-    """:func:`gauss_iterate` past its tol and family checks: its trace's fields, as a tuple."""
+def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...], tol: float,
+           goal: float | None = None):
+    """:func:`gauss_iterate` past its tol and family checks: its trace's fields, as a tuple.
+    A power ``plan`` also ends it once ``goal`` leaves [lo, hi], where the clamped power steps
+    keep the limit; a user callable may step out, which only a full run's checks would catch."""
     if len(family) != len(u):
         raise ArityError(f"need one mean per coordinate: {len(family)} means "
                          f"for a vector of length {len(u)}")
@@ -109,6 +112,8 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
         settled = _narrow(lo, hi, tol) is None
         if settled or iterations >= DEFAULT_CAP:
             return iterations, hi - lo, _midpoint(lo, hi), settled
+        if goal is not None and plan is not None and not lo <= goal <= hi:
+            return iterations, hi - lo, _midpoint(lo, hi), True
         nxt = _eval_family(family, plan, u, lo, hi)
         nlo, nhi = min(nxt), max(nxt)
         if nlo < lo - _CONTAINMENT_RTOL * lo or nhi > hi + _CONTAINMENT_RTOL * hi:  # lo > 0
@@ -127,9 +132,10 @@ def _gauss(family: tuple[MeanExpr, ...], plan: tuple | None, u: tuple[float, ...
 invariant_mean = InvariantMean
 
 
-def invariant_value(mean: InvariantMean, v: tuple[float, ...]) -> float:
-    """``mean``'s value at the validated vector ``v``; the node checked its family and tol."""
-    iterations, spread, limit, converged = _gauss(mean.family, mean._power, v, mean.tol)
+def invariant_value(mean: InvariantMean, v: tuple[float, ...], goal: float | None = None) -> float:
+    """``mean``'s value at the validated vector ``v``; the node checked its family and tol.
+    With a ``goal`` it may be a bisection step's, on the limit's side of it (:func:`_gauss`)."""
+    iterations, spread, limit, converged = _gauss(mean.family, mean._power, v, mean.tol, goal)
     if not converged:
         raise ConvergenceError(
             f"{mean}: iteration spread {spread!r} after {iterations} steps")

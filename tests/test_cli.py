@@ -11,11 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from meanforge import power_mean
 from meanforge.cli import main
 from meanforge.implicit import DEFAULT_TOL
 
 M1_AT_1_4 = 1.8738824415736874
 EXAMPLE_PROBLEM = "T{mu=sum; S=[P[0],P[2]]; M=[P[-2],P[-1],P[1],P[3]]}"
+# An invariant outer whose Gauss run never narrows a pair wider than 4 ulp.
+P_HUGE = "P[100000000000000000]"
+WIDE_M = f"[{P_HUGE},P[-100000000000000000]]"
+WIDE_K = f"mean[invariant{{M={WIDE_M}}}]"
 
 
 # 400 nested generalized-Beta means: past the DSL nesting limit
@@ -315,6 +320,25 @@ class TestSolve:
                     "(the exponent 1/(k-1) is undefined for k=1)\n")
         assert run(capsys, "solve", problem, "--at", "5") == (3, "", expected)
         assert run(capsys, "eval", problem, "--at", "5") == (3, "", expected)
+
+    def test_complementary_goal_at_the_cap_exit_5(self, capsys):
+        # P[1e17] and P[-1e17] round to max and min: K's run on a pair wider than 4 ulp
+        # never narrows, and the goal's, on M's values (8, 2), reaches the cap first
+        code, out, err = run(capsys, "solve", f"T{{mu={WIDE_K}; S=[{P_HUGE}]; M={WIDE_M}}}",
+                             "--at", "2,8", "--format", "json")
+        assert (code, out) == (5, "")
+        assert err.startswith("no convergence: ") and "spread 6.0 after 10000 steps" in err
+
+    def test_prefix_the_kernel_refuses_raises_at_the_lower_end(self, capsys):
+        # M's values tie at A = P[1](v), so the goal K(A, A) = A settles at once; the
+        # prefix P[0](v) lies 3.1e-10 below A, inside the embedding slack, and the
+        # f(lo) step K(P[0](v), A) runs to the cap
+        v = (1.0, 1.00005)
+        code, out, err = run(capsys, "solve", f"T{{mu={WIDE_K}; S=[P[0]]; M=[P[1],P[1]]}}",
+                             "--at", "1,1.00005")
+        spread = power_mean(1, v) - power_mean(0, v)
+        assert (code, out) == (5, "")
+        assert f"spread {spread!r} after 10000 steps" in err
 
     def test_eval_of_the_same_problem_exit_5(self, capsys):
         # eval reaches the step limit through balance_value's ConvergenceError

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from meanforge import (
     ArityError,
     BetaMean,
+    ConvergenceError,
     DerivedMean,
     DomainError,
     GeneralizedBetaMean,
@@ -23,6 +24,7 @@ from meanforge import (
     Sum,
     beta_mean,
     compare_implicit_means,
+    complementary_mean,
     eval_mean,
     eval_outer,
     implicit_mean,
@@ -385,6 +387,52 @@ class TestSolverBitIdentity:
                       for k in range(m)]
             rng.shuffle(prefix)
             _assert_matches_reference(rng.choice(outers), prefix, target)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.5], ids=["default-tol", "tol-0.5"])
+    def test_complementary_means_like_the_workload(self, tol):
+        # power pairs and triples, each with a prefix of 1 or 2 orders in its windows, at
+        # uniform, log-uniform and near-constant vectors of 2 to 4 entries: a step that
+        # ends Gauss once the goal leaves the iterate's range decides as the full run does
+        rng = random.Random(45)
+        grid = [k / 2 for k in range(-8, 9)]
+        for i in range(600):
+            beta = sorted(rng.sample(grid, rng.choice((2, 3))))
+            n = len(beta)
+            m = rng.randint(1, n - 1)
+            alpha = [rng.choice([g for g in grid if beta[k] <= g <= beta[k + n - m]])
+                     for k in range(m)]
+            arity = rng.randint(2, 4)
+            if i % 3 == 0:
+                v = tuple(rng.uniform(0.5, 100.0) for _ in range(arity))
+            elif i % 3 == 1:
+                v = tuple(math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+                          for _ in range(arity))
+            else:
+                base = rng.uniform(0.5, 100.0)
+                v = tuple(base + 1e-7 * rng.random() for _ in range(arity))
+            outer = MeanOuter(InvariantMean([PowerMean(s) for s in beta], tol))
+            prefix = tuple(power_mean(s, v) for s in alpha)
+            target = tuple(power_mean(s, v) for s in beta)
+            _assert_matches_reference(outer, prefix, target)
+
+    def test_goal_at_the_cap_raises(self):
+        # P[1e17] and P[-1e17] round to max and min: K's run on a pair wider than 4 ulp
+        # never narrows, and the goal's, on M's values (8, 2), reaches the cap first
+        family = (PowerMean(1e17), PowerMean(-1e17))
+        with pytest.raises(ConvergenceError, match=r"spread 6\.0 after 10000 steps"):
+            eval_mean(complementary_mean([PowerMean(1e17)], family), (2.0, 8.0))
+
+    def test_prefix_the_kernel_refuses_raises_at_the_lower_end(self):
+        # the goal K(1, 1 + 1e-13) settles at once, above both entries of the f(lo) vector
+        # (1 - 1e-10, 1), whose full run reaches the cap: that step does not end at the goal
+        outer = MeanOuter(InvariantMean((PowerMean(1e17), PowerMean(-1e17))))
+        prefix, target = (1.0 - 1e-10,), (1.0, 1.0 + 1e-13)
+        with pytest.raises(ConvergenceError) as want:
+            _reference_solve(outer, prefix, target)
+        with pytest.raises(ConvergenceError) as got:
+            solve_scalar(outer, prefix, target)
+        assert str(got.value) == str(want.value)
+        assert f"spread {1.0 - prefix[0]!r} after 10000 steps" in str(got.value)
 
 
 class TestPowerMeanStep:

@@ -24,6 +24,7 @@ from meanforge import (
     power_mean,
     verify_invariance,
 )
+from meanforge import invariance
 from meanforge.means import DEFAULT_TOL, check_strict_family
 
 # self-oracle: two-term iteration (a,b) <- ((a+b)/2, sqrt(ab)) run to 1e-15
@@ -352,6 +353,22 @@ class TestComplementaryMean:
         with pytest.raises(HypothesisViolation):
             complementary_mean((PowerMean(9),), (PowerMean(1), PowerMean(-1)))
 
+    def test_steps_end_gauss_once_the_goal_leaves_the_range(self, monkeypatch):
+        # a bisection step needs only the side of the goal: a power family's Gauss run
+        # ends there (123 family steps with full runs); with B it runs in full
+        calls, step = [], invariance._eval_family
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(invariance, "_eval_family", counted)
+        eval_mean(complementary_mean([PowerMean(0.5)], [PowerMean(1), PowerMean(0)]), (2, 8))
+        assert len(calls) <= 100
+        calls.clear()
+        eval_mean(complementary_mean([PowerMean(0)], [PowerMean(1), BetaMean()]), (2, 8))
+        assert len(calls) == 71
+
     def test_embedding_is_sampled_at_the_family_arity(self):
         # an invariant mean in the family takes 2 entries, so the embedding
         # check samples 2-vectors: H <= G <= AGM embeds P[0], while P[1] >= AGM
@@ -546,6 +563,37 @@ class TestHighPrecisionOracles:
                     want = _mp_root(mpmath, lambda t: mpmath.agm(prefix, t) - goal,
                                     min(v), max(v))
                     worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
+        assert worst <= 2e-12
+
+    @pytest.mark.parametrize("small, family", [
+        ((0.5,), (1.0, 0.0, -3.0)),
+        ((-1.0, 0.5), (1.0, 0.0, -3.0)),
+        ((0.0,), (-0.5, 1.0, 2.5)),
+        ((1.75,), (-1.0, 0.0, 2.0)),
+    ])
+    def test_complementary_means_of_power_triples(self, oracle, small, family):
+        # K(S(v), T, .., T) = K(v), with K's Gauss iteration run at 50 digits to a
+        # relative spread of 1e-45
+        mpmath = oracle.mpmath
+        complement = complementary_mean([PowerMean(s) for s in small],
+                                        [PowerMean(s) for s in family])
+        fill = len(family) - len(small)
+
+        def limit(u):
+            while max(u) - min(u) > mpmath.mpf("1e-45") * max(u):
+                u = [oracle.exact_power_mean(s, u) for s in family]
+            return (max(u) + min(u)) / 2
+
+        rng = random.Random(34)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(5):
+                v = tuple(rng.uniform(0.1, 100.0) for _ in range(3))
+                goal = limit([mpmath.mpf(x) for x in v])
+                prefix = [oracle.exact_power_mean(s, v) for s in small]
+                want = _mp_root(mpmath, lambda t: limit(prefix + [t] * fill) - goal,
+                                min(v), max(v))
+                worst = max(worst, float(abs(eval_mean(complement, v) - want) / want))
         assert worst <= 2e-12
 
     def test_complementary_means_of_the_geometric(self, oracle):
