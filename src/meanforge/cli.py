@@ -133,21 +133,22 @@ def _load_session(path: str, update: Optional[dict] = None) -> tuple[dict, dict[
 def _save_registration(path: str, name: str, mean_texts: list[str], tol: float) -> None:
     """Add one entry to the session file, replacing the file atomically.
 
-    The new contents must load; otherwise the file is left untouched.
+    The new contents must load, and a write that fails raises ``DomainError``;
+    either way the file is left untouched and no temporary file is left behind.
     """
     file, entry = Path(path), {"kind": "invariant", "means": mean_texts, "tol": tol}
     data, _ = _load_session(path, {name: entry})
     try:
         fd, tmp = tempfile.mkstemp(dir=file.parent, prefix=f".{file.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(json.dumps(data, indent=2) + "\n")
+            os.replace(tmp, file)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise DomainError(f"cannot write session file {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
-            out.write(json.dumps(data, indent=2) + "\n")
-        os.replace(tmp, file)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

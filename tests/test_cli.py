@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -294,24 +295,39 @@ class TestSolve:
         assert code == 5 and record["status"] == "max-iterations"
         assert record["iterations"] == 200
 
-    @pytest.mark.parametrize("problem", [
-        EXAMPLE_PROBLEM,
-        "T{mu=sum; S=[P[0]]; M=[agm,P[-1],P[1]]}",
-        "T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}",
-        "T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}",
+    @pytest.mark.parametrize("problem, at, spellings, pinned", [
+        (EXAMPLE_PROBLEM, "2,8", (), {}),
+        ("T{mu=sum; S=[P[0]]; M=[agm,P[-1],P[1]]}", "2,8", (), {}),
+        ("T{mu=mean[B]; S=[P[0]]; M=[P[-1],P[1]]}", "2,8", (), {}),
+        ("T{mu=mean[invariant{M=[P[1],P[-1]]}]; S=[P[1]]; M=[P[1],P[-1]]}", "2,8", (), {}),
         # mean[P[s]] outers, whose roots have a closed form
-        "T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}",
-        "T{mu=mean[P[-1]]; S=[P[0]]; M=[P[-2],P[1]]}",
+        ("T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}", "2,8", (), {}),
+        ("T{mu=mean[P[-1]]; S=[P[0]]; M=[P[-2],P[1]]}", "2,8", (), {}),
+        # a qa[exp] outer's steps sum the prefix's exp values computed once
+        ("T{mu=qa[exp]; S=[P[1]]; M=[P[0],P[2]]}", "2,8", (), {}),
+        # powsum[2] shares mean[P[2]]'s balance equation, and sum P[1]'s: one closed-form root
+        ("T{mu=powsum[2]; S=[P[0]]; M=[P[-1],P[1],P[3]]}", "2,8", ("mean[P[2]]",),
+         {"iterations": 0}),
+        ("T{mu=sum; S=[P[0]]; M=[P[-1],P[1],P[3]]}", "2,8", ("mean[P[1]]", "powsum[1]"),
+         {"iterations": 0}),
+        # bisection steps of an invariant outer over a power family end their Gauss runs
+        # early: the root and step count are the full runs', bit for bit
+        ("T{mu=mean[invariant{M=[P[1],P[0],P[-3]]}]; S=[P[0.5]]; M=[P[1],P[0],P[-3]]}",
+         "2,8,5", (), {"root": float.fromhex("0x1.c1533f0db06b4p+1"), "iterations": 40}),
     ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary", "mean-P0",
-            "mean-P-1"])
-    def test_solve_and_eval_print_the_same_root(self, capsys, pinned_session, problem):
-        flags = ("--at", "2,8", "--session", pinned_session, "--format", "json")
+            "mean-P-1", "qa-exp", "powsum-2", "sum", "complementary-triple"])
+    def test_solve_and_eval_print_the_same_root(self, capsys, pinned_session, problem, at,
+                                                spellings, pinned):
+        flags = ("--at", at, "--session", pinned_session, "--format", "json")
         code, out, err = run(capsys, "solve", problem, *flags)
         assert code == 0, err
-        root = json.loads(out)["output"]["root"]
-        code, out, err = run(capsys, "eval", problem, *flags)
-        assert code == 0, err
-        assert json.loads(out)["output"].hex() == root.hex()
+        output = json.loads(out)["output"]
+        assert {key: output[key] for key in pinned} == pinned
+        outer = problem[len("T{mu="):problem.index(";")]
+        for text in (problem, *(problem.replace(outer, other, 1) for other in spellings)):
+            code, out, err = run(capsys, "eval", text, *flags)
+            assert code == 0, err
+            assert json.loads(out)["output"].hex() == output["root"].hex(), text
 
     def test_s_error_wins_over_m_error(self, capsys):
         # at one entry, B has no exponent 1/(k-1) and the two-mean invariant no coordinates
@@ -425,6 +441,12 @@ class TestEmbed:
         code, out, err = run(capsys, "embed", "[T{mu=sum; S=[agm]; M=[tri,P[-1]]}]",
                              "[P[-1],P[1]]", "--session", pinned_session)
         assert code == 3 and out == "" and "pin different arities" in err
+
+    def test_domain_of_three_values_exit_2(self, capsys):
+        # a malformed interval is the argv's shape, so it is a parse error, not a domain one
+        code, out, err = run(capsys, "embed", "[B]", "[P[0],P[2]]", "--domain=1,2,3")
+        assert (code, out) == (2, "")
+        assert err == "parse error: bad domain '1,2,3' at line 1, column 1 (expected lo,hi)\n"
 
     def test_json_certificate(self, capsys):
         code, out, _ = run(capsys, "embed", "[P[0],P[2]]",
@@ -593,6 +615,29 @@ class TestSession:
         code, _, err = run(capsys, "invariant", "[P[1],P[-1]]",
                            "--as-mean", "gm", "--session", session)
         assert code == 3 and "cannot write session file" in err
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_write_keeps_the_file_exit_3(self, capsys, monkeypatch, pinned_session, step):
+        # an OSError in the write or the rename is the file's fault, not a failed check suite
+        fdopen, before = os.fdopen, Path(pinned_session).read_bytes()
+
+        def refuse(*args):
+            raise PermissionError(13, "Permission denied")
+
+        def unwritable(fd, *args, **kwargs):
+            out = fdopen(fd, *args, **kwargs)
+            out.write = refuse
+            return out
+
+        monkeypatch.setattr(os, "fdopen" if step == "write" else "replace",
+                            unwritable if step == "write" else refuse)
+        code, out, err = run(capsys, "invariant", "[P[1],P[-1]]", "--as-mean", "gm",
+                             "--session", pinned_session)
+        assert (code, out) == (3, "")
+        assert err == (f"error: cannot write session file {pinned_session}: "
+                       "[Errno 13] Permission denied\n")
+        assert Path(pinned_session).read_bytes() == before
+        assert [f.name for f in Path(pinned_session).parent.iterdir()] == ["session.json"]
 
     def test_registration_is_atomic_and_reloads(self, capsys, tmp_path):
         session = tmp_path / "session.json"
@@ -775,6 +820,7 @@ class TestBadInputExitCodes:
         ["embed", "[P[0]]", "[P[1],P[2]]", "--samples", "0"],
         ["embed", "[B]", "[P[0],P[2]]", "--domain=5,1"],
         ["embed", "[B]", "[P[0],P[2]]", "--domain=nan,1"],
+        ["eval", "mean[beta{S=P[1]; mu=sum}]", "--at", "1,2"],  # not strict: no outer
     ])
     def test_exit_3_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],

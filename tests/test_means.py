@@ -754,6 +754,19 @@ class TestMeanPropertyChecker:
         # bit-exact symmetric thanks to pre-sorting, so this one passes...
         assert check_mean_property(lopsided, plan).passed
 
+    def test_order_dependent_value_is_caught(self, monkeypatch):
+        # ...and only an evaluator patched to see the entries' order breaks symmetry:
+        # the first entry lies inside [min, max], so the bounds pass
+        monkeypatch.setattr(means, "_eval_mean", lambda mean, v: v[0])
+        plan = SamplePlan(arity=3, count=200, seed=5, lower=0.0, upper=10.0)
+        report = check_mean_property(PowerMean(1), plan)
+        found = report.counterexample
+        assert (report.passed, report.samples_checked, found["violated"]) == \
+            (False, 1, "symmetry")
+        assert (found["value"], found["permuted_value"]) == \
+            (found["vector"][0], found["permuted"][0])
+        assert sorted(found["permuted"]) == sorted(found["vector"])
+
     def test_bounds_are_relative_below_one(self):
         # an absolute floor of 1e-12 would let twice the maximum pass here
         twice_max = DerivedMean(name="twice_max", fn=lambda sv: 2.0 * sv[-1])

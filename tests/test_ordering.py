@@ -258,6 +258,9 @@ class TestMapVector:
     def test_nonfinite_result_rejected(self):
         with pytest.raises(DomainError):
             map_vector(lambda x: x / 0 if x else 0.0, (0.0, 1.0))
+        # a value, not an exception: inf is refused after the call
+        with pytest.raises(DomainError, match=r"function not finite at entry 1\.0 \(got inf\)"):
+            map_vector(lambda x: math.inf if x else 0.0, (0.0, 1.0))
 
 
 class TestValidation:
