@@ -9,14 +9,14 @@ vector ``w`` of n values with ``v`` embedded in ``w``::
 The left side is continuous and strictly increasing in ``x`` and brackets the
 target between ``x = min(w)`` and ``x = max(w)``, so bisection on that
 bracket finds the unique root; no derivative is assumed to exist.  For a
-power-mean or power-sum outer, and for ``sum`` (P[1]'s equation), the root has
-a closed form, the power mean with the prefix's terms subtracted, which is
-used instead.  Lifting
-the pointwise solve over vectors of mean values yields the means evaluated
-here: an implicit mean (``ProblemSpec``) balances a small family of means
-against a larger one, and ``GeneralizedBetaMean`` balances a single inner
-mean against the plain vector (which reproduces the Beta-type mean for an
-arithmetic inner mean and geometric outer).
+power-mean or power-sum outer, for ``sum`` (P[1]'s equation) and for ``qa[log]``
+(P[0]'s), the root has a closed form, the power mean with the prefix's terms
+subtracted, which is used instead.  Lifting the pointwise solve over vectors
+of mean values yields the means evaluated here: an implicit mean
+(``ProblemSpec``) balances a small family of means against a larger one, and
+``GeneralizedBetaMean`` balances a single inner mean against the plain vector
+(which reproduces the Beta-type mean for an arithmetic inner mean and
+geometric outer).
 
 Embeddability of all-power-mean families is decidable exactly: the family of
 power means is embedded in another one precisely when the corresponding
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ._frozen import Frozen
-from .errors import ArityError, ConvergenceError, HypothesisViolation
+from .errors import ArityError, ConvergenceError, DomainError, HypothesisViolation
 from .ordering import (_embeds, _first_failure, as_vector, is_embedded, is_embedded_within,
                        is_ordered_majorized)
 from .means import (
@@ -119,20 +119,20 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     the kernel ``ordering._embeds`` relaxed by ``EMBED_RTOL`` of each entry; a violation
     raises :class:`HypothesisViolation` with the :func:`is_embedded_within`
     verdict, as the bracket guarantee is void without it.  A ``mean[P[s]]``
-    outer's root, a ``Sum("pow", p)`` outer's at s = p and ``sum``'s at s = 1
-    (:func:`_power_order`) is then found in closed form (:func:`_power_root`),
-    clamped to the bracket, with ``iterations`` 0 and status ``"converged"``;
-    ``sum``'s with no sign check.  Other outers (``prod``, ``qa[log]``,
+    outer's root, a ``Sum("pow", p)`` outer's at s = p, ``sum``'s at s = 1 and
+    ``qa[log]``'s at s = 0 (:func:`_power_order`) is then found in closed form
+    (:func:`_power_root`), clamped to the bracket, with ``iterations`` 0 and status
+    ``"converged"``; ``sum``'s with no sign check.  Other outers (``prod``,
     ``qa[exp]``, ``mean[...]`` over other means) bisect the bracket until
     ``means._narrow``, the rule Gauss iteration stops by, settles it: at relative
     width ``tol`` (in (0, 1)), so the root is accurate to ``tol`` *relative* even
     across orders of magnitude, or at float resolution.  After
     ``MAX_BISECTION_STEPS`` steps the status is ``"max-iterations"``.  Steps take
-    the outer kernel's value at ``prefix + (x,) * fill``, for ``qa[log]`` and
-    ``qa[exp]`` from g over the prefix computed once (:func:`_sum_step`); past ``f(lo)``,
-    an invariant outer over a power family ends Gauss once goal leaves the iterate's
-    range, on the value's side of goal (``invariance._gauss``); goal and residual,
-    :func:`eval_outer`.
+    the outer kernel's value at ``prefix + (x,) * fill``; a ``qa[exp]`` step that
+    overflows is ``inf``, above the finite goal, as exp's terms are positive;
+    past ``f(lo)``, an invariant outer over a power family ends Gauss once goal
+    leaves the iterate's range, on the value's side of goal (``invariance._gauss``);
+    goal and residual, :func:`eval_outer`.
     """
     check_tol(tol)
     v = as_vector(prefix)
@@ -158,7 +158,12 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
     fill = n - m
 
     def f(x: float) -> float:
-        return _eval_outer(outer, v + (x,) * fill)
+        try:
+            return _eval_outer(outer, v + (x,) * fill)
+        except DomainError:  # a qa[exp] overflow, the one Sum that bisects; prod keeps its refusal
+            if isinstance(outer, Sum):
+                return math.inf
+            raise
 
     def residual(x: float) -> float:
         return abs(eval_outer(outer, v + (x,) * fill) - goal)
@@ -169,9 +174,7 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
         root = _power_root(order, v, w, lo, hi)
         return SolveResult(root, bracket, residual(root), 0, "converged")
     f_lo = f(lo)  # through the kernel, which raises for a prefix it refuses
-    if isinstance(outer, Sum):
-        f = _sum_step(outer, v, fill)
-    elif isinstance(outer, MeanOuter) and isinstance(outer.mean, InvariantMean):
+    if isinstance(outer, MeanOuter) and isinstance(outer.mean, InvariantMean):
         def f(x: float) -> float:
             return invariance.invariant_value(outer.mean, v + (x,) * fill, goal)
     # Boundary roots, and the root of a constant target: rounding can place
@@ -195,33 +198,12 @@ def solve_scalar(outer: OuterFn, prefix: Sequence[float], target: Sequence[float
 
 def _power_order(outer: OuterFn) -> Optional[float]:
     """The order s of the P[s] balance equation ``outer`` shares (``mean[P[s]]``, ``powsum[s]``,
-    and ``sum`` at s = 1)."""
+    ``sum`` at s = 1 and ``qa[log]`` at s = 0); None for ``qa[exp]`` and the outers that bisect."""
     if isinstance(outer, MeanOuter) and isinstance(outer.mean, PowerMean):
         return outer.mean.order
     if isinstance(outer, Sum):
-        return {"id": 1.0, "pow": outer.exponent}.get(outer.generator)
+        return {"id": 1.0, "log": 0.0, "pow": outer.exponent}.get(outer.generator)
     return None
-
-
-def _sum_step(outer: Sum, v: tuple[float, ...], fill: int) -> Callable[[float], float]:
-    """The ``qa[log]`` or ``qa[exp]`` kernel at ``v + (x,) * fill``, with g(v) computed once.
-
-    A step sums ``g(v) + [g(x)] * fill``: the floats ``fsum`` sums in the kernel,
-    in the same order, so the value is the kernel's bit for bit.  The caller has
-    run the kernel at ``lo``, so the prefix is one it takes and g(v) is finite.
-    Logs do not overflow, and exp's terms are positive: a step that overflows is
-    ``inf``, which exceeds every float, hence the finite goal.
-    """
-    g, fsum = outer._g, math.fsum
-    terms = [g(x) for x in v]
-
-    def step(x: float) -> float:
-        try:
-            return fsum(terms + [g(x)] * fill)
-        except OverflowError:  # fsum and exp raise it
-            return math.inf
-
-    return step
 
 
 def _power_root(s: float, v: tuple[float, ...], w: tuple[float, ...],

@@ -42,7 +42,8 @@ LEDGER = Path(__file__).with_name("accuracy.json")
 DPS = 50
 FACTOR = 4.0
 POWER_ORDERS = (1.0, -1.0, 0.0, 2.5)
-# test_implicit.SOLVER_OUTERS without "invariant"
+# tests/test_implicit.py's SOLVER_OUTERS without "invariant", in its order
+# (TestAccuracyLedger::test_covers_every_solver_outer checks it)
 SOLVE_OUTERS = ("sum", "prod", "powsum[0.5]", "powsum[2]", "qa[log]", "qa[exp]",
                 "qa[pow[1.5]]", "mean[P[-1.5]]", "mean[P[-1]]", "mean[P[0]]",
                 "mean[P[0.5]]", "mean[P[2]]")

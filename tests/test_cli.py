@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meanforge import power_mean
+from meanforge import power_mean, solve_scalar
 from meanforge.cli import main
+from meanforge.dsl import parse_outer
 from meanforge.implicit import DEFAULT_TOL
 
 M1_AT_1_4 = 1.8738824415736874
@@ -212,14 +213,15 @@ class TestFloatRangeEnds:
     @pytest.mark.parametrize("at, rtol", [("5e-324,1", 0.0), ("1e-200,1e200,1", 1e-13)])
     def test_beta_type_mean_through_its_balance_equation(self, capsys, oracle, at, rtol):
         # beta{S=P[1]; mu=mean[P[0]]} is B = (k*prod(v)/sum(v))**(1/(k-1)): within
-        # rtol of it, or one float spacing at a subnormal root
-        code, out, err = run(capsys, "eval", "beta{S=P[1];mu=mean[P[0]]}", "--at", at,
-                             "--format", "json")
-        assert code == 0, err
-        value = json.loads(out)["output"]
-        with oracle.mpmath.workdps(50):
-            want = oracle.exact_beta_mean([float(x) for x in at.split(",")])
-            assert abs(value - want) <= max(rtol * want, math.ulp(float(want)))
+        # rtol of it, or one float spacing at a subnormal root; so is its qa[log]
+        # spelling, which shares P[0]'s balance equation
+        for expr in ("beta{S=P[1];mu=mean[P[0]]}", "beta{S=P[1];mu=qa[log]}"):
+            code, out, err = run(capsys, "eval", expr, "--at", at, "--format", "json")
+            assert code == 0, err
+            value = json.loads(out)["output"]
+            with oracle.mpmath.workdps(50):
+                want = oracle.exact_beta_mean([float(x) for x in at.split(",")])
+                assert abs(value - want) <= max(rtol * want, math.ulp(float(want))), expr
 
     @pytest.mark.parametrize("expr, at, want", [
         ("B", "1e-300,1e300,1", 1.7320508075688772e-150),
@@ -303,8 +305,10 @@ class TestSolve:
         # mean[P[s]] outers, whose roots have a closed form
         ("T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}", "2,8", (), {}),
         ("T{mu=mean[P[-1]]; S=[P[0]]; M=[P[-2],P[1]]}", "2,8", (), {}),
-        # a qa[exp] outer's steps sum the prefix's exp values computed once
+        # a qa[exp] outer bisects through the outer kernel
         ("T{mu=qa[exp]; S=[P[1]]; M=[P[0],P[2]]}", "2,8", (), {}),
+        # qa[log] shares mean[P[0]]'s balance equation: one closed-form root
+        ("T{mu=qa[log]; S=[P[1]]; M=[P[0],P[2]]}", "2,8", ("mean[P[0]]",), {"iterations": 0}),
         # powsum[2] shares mean[P[2]]'s balance equation, and sum P[1]'s: one closed-form root
         ("T{mu=powsum[2]; S=[P[0]]; M=[P[-1],P[1],P[3]]}", "2,8", ("mean[P[2]]",),
          {"iterations": 0}),
@@ -315,7 +319,7 @@ class TestSolve:
         ("T{mu=mean[invariant{M=[P[1],P[0],P[-3]]}]; S=[P[0.5]]; M=[P[1],P[0],P[-3]]}",
          "2,8,5", (), {"root": float.fromhex("0x1.c1533f0db06b4p+1"), "iterations": 40}),
     ], ids=["worked-example", "session-name-in-M", "mean-B", "complementary", "mean-P0",
-            "mean-P-1", "qa-exp", "powsum-2", "sum", "complementary-triple"])
+            "mean-P-1", "qa-exp", "qa-log", "powsum-2", "sum", "complementary-triple"])
     def test_solve_and_eval_print_the_same_root(self, capsys, pinned_session, problem, at,
                                                 spellings, pinned):
         flags = ("--at", at, "--session", pinned_session, "--format", "json")
@@ -328,6 +332,20 @@ class TestSolve:
             code, out, err = run(capsys, "eval", text, *flags)
             assert code == 0, err
             assert json.loads(out)["output"].hex() == output["root"].hex(), text
+
+    @pytest.mark.parametrize("problem, small, big", [
+        ("T{mu=prod; S=[P[0]]; M=[P[-1],P[1]]}", (0,), (-1, 1)),  # 39 bisection steps
+        ("T{mu=mean[P[0]]; S=[P[1]]; M=[P[0],P[2]]}", (1,), (0, 2)),  # closed form
+    ], ids=["prod", "mean-P0"])
+    def test_residual_is_the_library_s(self, capsys, problem, small, big):
+        # solve prints solve_scalar's residual at S(v) and M(v), re-evaluated at the root
+        v = (2.0, 8.0, 5.0)
+        code, out, err = run(capsys, "solve", problem, "--at", "2,8,5", "--format", "json")
+        assert code == 0, err
+        outer = parse_outer(problem[len("T{mu="):problem.index(";")])
+        want = solve_scalar(outer, [power_mean(s, v) for s in small],
+                            [power_mean(s, v) for s in big])
+        assert json.loads(out)["residual"] == want.residual > 0.0
 
     def test_s_error_wins_over_m_error(self, capsys):
         # at one entry, B has no exponent 1/(k-1) and the two-mean invariant no coordinates
